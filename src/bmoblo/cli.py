@@ -172,9 +172,8 @@ def cmd_tree(args) -> int:
     if norm > 1.0:
         # The induction hypothesis needs a unit-norm function; margins are
         # invariant under the rescale, norms are reported pre-rescale.
-        f = tree.flat
-        vals = np.array([f.nodes[i].value for i in f.leaf_idx])
-        mean = f.mean[0]
+        vals = tree.value[tree.leaf_idx]
+        mean = tree.mean[0]
         work = trees_mod.with_leaf_values(
             tree, mean + (vals - mean) * ((1.0 - 1e-11) / norm)
         )
@@ -188,7 +187,7 @@ def cmd_tree(args) -> int:
     root_report = trees_mod.verify_main_theorem(work, None, ctx)
     lines = [
         f"alpha = {_fmt(tree.alpha)}",
-        f"nodes = {len(tree.flat.nodes)}",
+        f"nodes = {len(tree)}",
         f"bmo_norm = {_fmt(norm)}",
         f"blo_norm = {_fmt(trees_mod.blo_norm(tree))}",
         f"key_obs_max_residual = {_fmt(key_obs)}",

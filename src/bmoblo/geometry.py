@@ -73,10 +73,13 @@ def make_context(alpha: float, tol: float = 1e-12) -> AlphaContext:
     alpha = float(alpha)
     if not (0.0 < alpha <= 0.5) or not math.isfinite(alpha):
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha!r}")
+    tol = float(tol)
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
     r = math.sqrt(alpha)
     tau = 1.0 / r - r
     p0 = 0.5 * r + 0.5 / r - 1.0
-    return AlphaContext(alpha=alpha, tau=tau, p0=p0, tol=float(tol))
+    return AlphaContext(alpha=alpha, tau=tau, p0=p0, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ Two executable facts drive the verification:
     the tree bounds the average of the maximal function:
     <N phi>_K <= A(<phi>_K, <phi^2>_K; inf_K N phi) whenever the step
     function has BMO norm at most 1 on the subtree.
+
+A tree is held as preorder arrays, in which the subtree of node i is the
+slice [i, i + size[i]).  TreeNode objects exist only at the boundary.
 """
 
 from __future__ import annotations
@@ -53,25 +56,118 @@ class TreeNode:
         return f"TreeNode(measure={self.measure}, children=[{len(self.children)}])"
 
 
-@dataclass
 class AlphaTree:
-    """A finite alpha-tree with a step function on its leaves."""
+    """A finite alpha-tree with a step function on its leaves.
 
-    alpha: float
-    root: TreeNode
+    Preorder arrays, index 0 the root: `parent` (-1 at the root), `measure`,
+    leaf `value` (NaN at internal nodes), subtree `size`, `depth`, the
+    leaves `leaf_idx`, and per-node aggregates: the averages `mean`,
+    `mean_sq`, `abs_mean` of phi, phi^2, |phi|; `min_leaf`; the sups
+    `anc_max`, `abs_anc_max` of mean, abs_mean over ancestors-or-self; the
+    sup `sub_bmo_sq` of the cell variance over the subtree.
+    AlphaTree(alpha, root) flattens and validates a TreeNode graph.
+    """
 
-    def __post_init__(self):
-        self._flat = None
+    def __init__(self, alpha: float, root: TreeNode):
+        arrays = _walk(root, lambda node: (node.measure, node.value, node.children))
+        self._setup(alpha, *arrays, check=True)
 
-    def invalidate(self):
-        self._flat = None
+    def _setup(self, alpha, parent, measure, value, depth, check):
+        self.alpha = float(alpha)
+        self.parent, self.measure, self.value, self.depth = parent, measure, value, depth
+        # Levels deepest first, each in descending preorder, so that a fold
+        # meets the children of a parent last to first: sums then come out
+        # in the order of a reverse-preorder accumulation, bit for bit.
+        by_level = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
+        self._levels = [(sel[::-1], parent[sel[::-1]]) for sel in reversed(by_level[1:])]
+        self.size = _fold_up(self, np.ones(len(parent), dtype=np.int64), np.add)
+        self.leaf_idx = np.flatnonzero(self.size == 1)
+        self._nodes = None
+        if check:
+            validate(self)
+        self._aggregate()
+
+    def _aggregate(self):
+        m, leaf = self.measure, self.leaf_idx
+        v = self.value[leaf]
+        integ = m[leaf] * v
+        self.mean = _subtree_sum(self, integ) / m
+        self.mean_sq = _subtree_sum(self, integ * v) / m
+        self.abs_mean = _subtree_sum(self, m[leaf] * np.abs(v)) / m
+        self.min_leaf = _subtree_min(self, v)
+        self.anc_max = _fold_down(self, self.mean.copy())
+        self.abs_anc_max = _fold_down(self, self.abs_mean.copy())
+        var = np.maximum(self.mean_sq - self.mean**2, 0.0)
+        self.sub_bmo_sq = _fold_up(self, var, np.maximum)
+
+    def __len__(self):
+        return len(self.parent)
 
     @property
-    def flat(self) -> "FlatTree":
-        if self._flat is None:
-            validate(self)
-            self._flat = _flatten(self)
-        return self._flat
+    def root(self) -> TreeNode:
+        """The tree as TreeNode objects, rebuilt from the arrays on first use."""
+        return self._node_list()[0]
+
+    def _node_list(self) -> list[TreeNode]:
+        if self._nodes is None:
+            nodes = []
+            for p, m, v, s in zip(
+                self.parent.tolist(), self.measure.tolist(),
+                self.value.tolist(), self.size.tolist(),
+            ):
+                node = TreeNode(m, value=v) if s == 1 else TreeNode(m, children=())
+                if p >= 0:
+                    nodes[p].children.append(node)
+                nodes.append(node)
+            self._nodes = nodes
+        return self._nodes
+
+
+def _from_arrays(alpha, parent, measure, value, depth, check=False) -> AlphaTree:
+    tree = AlphaTree.__new__(AlphaTree)
+    tree._setup(alpha, parent, measure, value, depth, check)
+    return tree
+
+
+def _fold_up(tree: AlphaTree, x, ufunc):
+    """Fold x from children into parents, deepest level first (in place)."""
+    for sel, psel in tree._levels:
+        ufunc.at(x, psel, x[sel])
+    return x
+
+
+def _fold_down(tree: AlphaTree, x):
+    """Running maximum of x from the root down (in place)."""
+    for sel, psel in reversed(tree._levels):
+        x[sel] = np.maximum(x[psel], x[sel])
+    return x
+
+
+def _subtree_sum(tree: AlphaTree, leaf_terms):
+    x = np.zeros(len(tree))
+    x[tree.leaf_idx] = leaf_terms
+    return _fold_up(tree, x, np.add)
+
+
+def _subtree_mean(tree: AlphaTree, leaf_values):
+    """Per-node average of the step function with these leaf values."""
+    return _subtree_sum(tree, tree.measure[tree.leaf_idx] * leaf_values) / tree.measure
+
+
+def _subtree_min(tree: AlphaTree, leaf_terms):
+    x = np.full(len(tree), np.inf)
+    x[tree.leaf_idx] = leaf_terms
+    return _fold_up(tree, x, np.minimum)
+
+
+def _path(parent, i: int) -> str:
+    """The address root/k/... of node i; k counts the earlier siblings."""
+    parts = []
+    while i > 0:
+        p = parent[i]
+        parts.append(str(np.count_nonzero(parent[:i] == p)))
+        i = p
+    return "/".join(["root", *reversed(parts)])
 
 
 @dataclass(frozen=True)
@@ -83,155 +179,72 @@ class NodeStats:
     ancestor_max: float
 
 
-class FlatTree:
-    """Preorder arrays for one tree; index 0 is the root.
-
-    Everything downstream (norms, maximal functions, margins) reads these
-    arrays; they are computed once per tree.
-    """
-
-    __slots__ = (
-        "nodes",
-        "parent",
-        "measure",
-        "mean",
-        "mean_sq",
-        "abs_mean",
-        "anc_max",
-        "abs_anc_max",
-        "min_leaf",
-        "sub_bmo_sq",
-        "leaf_idx",
-        "node_index",
-        "paths",
+def validate(tree: AlphaTree) -> None:
+    """Check the alpha-tree axioms; raises StructureError naming the first
+    offending node in preorder."""
+    if not (0.0 < tree.alpha <= 0.5):
+        raise StructureError("root", f"alpha={tree.alpha} outside (0, 1/2]")
+    m, par = tree.measure, tree.parent
+    leaf = tree.size == 1
+    total = np.zeros(len(m))
+    np.add.at(total, par[1:], m[1:])
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_measure = ~((m > 0.0) & np.isfinite(m))
+        bad_value = leaf & ~np.isfinite(tree.value)
+        bad_sum = ~leaf & (np.abs(total - m) > _REL_TOL * np.maximum(np.abs(m), 1.0))
+        small = 1 + np.flatnonzero(m[1:] < tree.alpha * m[par[1:]] * (1.0 - _REL_TOL))
+    # A child's alpha bound is checked while visiting its parent, after the
+    # parent's own checks.
+    visits = np.concatenate([np.flatnonzero(bad_measure | bad_value | bad_sum), par[small]])
+    if not visits.size:
+        return
+    v = int(visits.min())
+    if bad_measure[v]:
+        raise StructureError(_path(par, v), f"measure {float(m[v])} is not positive")
+    if bad_value[v]:
+        raise StructureError(_path(par, v), "leaf carries no finite value")
+    if bad_sum[v]:
+        raise StructureError(
+            _path(par, v),
+            f"children measures sum to {float(total[v])}, parent has {float(m[v])}",
+        )
+    c = int(small[par[small] == v][0])
+    raise StructureError(
+        _path(par, c),
+        f"child measure {float(m[c])} below alpha * parent = {tree.alpha * float(m[v])}",
     )
 
 
-def validate(tree: AlphaTree) -> None:
-    """Check the alpha-tree axioms; raises StructureError naming the node."""
-    if not (0.0 < tree.alpha <= 0.5):
-        raise StructureError("root", f"alpha={tree.alpha} outside (0, 1/2]")
-    stack = [(tree.root, "root")]
-    while stack:
-        node, path = stack.pop()
-        if not (node.measure > 0.0 and math.isfinite(node.measure)):
-            raise StructureError(path, f"measure {node.measure} is not positive")
-        if node.is_leaf:
-            if node.value is None or not math.isfinite(node.value):
-                raise StructureError(path, "leaf carries no finite value")
-            continue
-        if not node.children:
-            raise StructureError(path, "internal node has no children")
-        total = sum(c.measure for c in node.children)
-        if abs(total - node.measure) > _REL_TOL * max(abs(node.measure), 1.0):
-            raise StructureError(
-                path,
-                f"children measures sum to {total}, parent has {node.measure}",
-            )
-        for i, child in enumerate(node.children):
-            if child.measure < tree.alpha * node.measure * (1.0 - _REL_TOL):
-                raise StructureError(
-                    f"{path}/{i}",
-                    f"child measure {child.measure} below alpha * parent "
-                    f"= {tree.alpha * node.measure}",
-                )
-            stack.append((child, f"{path}/{i}"))
-
-
-def _flatten(tree: AlphaTree) -> FlatTree:
-    f = FlatTree()
-    nodes, parent, paths = [], [], []
-    stack = [(tree.root, -1, "root")]
-    while stack:
-        node, par, path = stack.pop()
-        i = len(nodes)
-        nodes.append(node)
-        parent.append(par)
-        paths.append(path)
-        if not node.is_leaf:
-            for ci, child in enumerate(reversed(node.children)):
-                stack.append((child, i, f"{path}/{len(node.children) - 1 - ci}"))
-    n = len(nodes)
-    f.nodes = nodes
-    f.parent = np.array(parent, dtype=np.int64)
-    f.paths = paths
-    f.node_index = {id(node): i for i, node in enumerate(nodes)}
-    f.measure = np.array([nd.measure for nd in nodes])
-    integ = np.zeros(n)
-    integ_sq = np.zeros(n)
-    integ_abs = np.zeros(n)
-    min_leaf = np.full(n, np.inf)
-    leaf = np.array([nd.is_leaf for nd in nodes])
-    # Preorder guarantees children come after parents; aggregate bottom-up.
-    for i in range(n - 1, -1, -1):
-        nd = nodes[i]
-        if nd.is_leaf:
-            integ[i] = nd.measure * nd.value
-            integ_sq[i] = nd.measure * nd.value * nd.value
-            integ_abs[i] = nd.measure * abs(nd.value)
-            min_leaf[i] = nd.value
-        if f.parent[i] >= 0:
-            p = f.parent[i]
-            integ[p] += integ[i]
-            integ_sq[p] += integ_sq[i]
-            integ_abs[p] += integ_abs[i]
-            min_leaf[p] = min(min_leaf[p], min_leaf[i])
-    f.mean = integ / f.measure
-    f.mean_sq = integ_sq / f.measure
-    f.abs_mean = integ_abs / f.measure
-    f.min_leaf = min_leaf
-    anc = np.empty(n)
-    abs_anc = np.empty(n)
-    for i in range(n):
-        p = f.parent[i]
-        anc[i] = f.mean[i] if p < 0 else max(anc[p], f.mean[i])
-        abs_anc[i] = f.abs_mean[i] if p < 0 else max(abs_anc[p], f.abs_mean[i])
-    f.anc_max = anc
-    f.abs_anc_max = abs_anc
-    var = np.maximum(f.mean_sq - f.mean**2, 0.0)
-    sub = var.copy()
-    for i in range(n - 1, 0, -1):
-        p = f.parent[i]
-        sub[p] = max(sub[p], sub[i])
-    f.sub_bmo_sq = sub
-    f.leaf_idx = np.flatnonzero(leaf)
-    return f
-
-
 def _node_index(tree: AlphaTree, node) -> int:
+    """Preorder index of a node given as None (the root), an index, or a
+    TreeNode of `tree.root`."""
     if node is None:
         return 0
     if isinstance(node, (int, np.integer)):
-        return int(node)
-    try:
-        return tree.flat.node_index[id(node)]
-    except KeyError:
-        raise DomainError("node does not belong to this tree") from None
+        i = int(node)
+    else:
+        i = next((k for k, nd in enumerate(tree._node_list()) if nd is node), -1)
+    if not 0 <= i < len(tree):
+        raise DomainError("node does not belong to this tree")
+    return i
 
 
 def stats(tree: AlphaTree) -> list[NodeStats]:
     """Per-node averages in preorder (index 0 = root)."""
-    f = tree.flat
     return [
-        NodeStats(float(f.mean[i]), float(f.mean_sq[i]), float(f.anc_max[i]))
-        for i in range(len(f.nodes))
+        NodeStats(*row)
+        for row in zip(tree.mean.tolist(), tree.mean_sq.tolist(), tree.anc_max.tolist())
     ]
-
-
-def node_paths(tree: AlphaTree) -> list[str]:
-    return list(tree.flat.paths)
 
 
 def bmo_norm(tree: AlphaTree, node=None) -> float:
     """sup over cells of (<phi^2> - <phi>^2)^(1/2), exact finite maximum."""
-    f = tree.flat
-    return float(math.sqrt(f.sub_bmo_sq[_node_index(tree, node)]))
+    return float(math.sqrt(tree.sub_bmo_sq[_node_index(tree, node)]))
 
 
 def blo_norm(tree: AlphaTree) -> float:
     """sup over cells of <phi> - (min leaf value under the cell)."""
-    f = tree.flat
-    return float(np.max(f.mean - f.min_leaf))
+    return float(np.max(tree.mean - tree.min_leaf))
 
 
 def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None):
@@ -244,22 +257,20 @@ def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None
     sets equal the leaf value, so the supremum is a finite maximum over the
     ancestor chain including the leaf itself.
     """
-    f = tree.flat
     if kind == "natural":
-        chain = f.anc_max
+        chain = tree.anc_max
     elif kind == "classical":
-        chain = f.abs_anc_max
+        chain = tree.abs_anc_max
     else:
         raise DomainError(f"unknown maximal operator kind {kind!r}")
-    vals = chain[f.leaf_idx]
+    vals = chain[tree.leaf_idx]
     if outside is not None:
         vals = np.maximum(vals, outside)
     return vals
 
 
 def leaf_measures(tree: AlphaTree):
-    f = tree.flat
-    return f.measure[f.leaf_idx]
+    return tree.measure[tree.leaf_idx]
 
 
 def inf_maximal(tree: AlphaTree, node=None, kind: str = "natural") -> float:
@@ -269,27 +280,16 @@ def inf_maximal(tree: AlphaTree, node=None, kind: str = "natural") -> float:
     the equality of the two descriptions is a testable fact (see
     tests), not an assumption of this routine's callers.
     """
-    f = tree.flat
     i = _node_index(tree, node)
-    return float(f.anc_max[i] if kind == "natural" else f.abs_anc_max[i])
+    return float(tree.anc_max[i] if kind == "natural" else tree.abs_anc_max[i])
 
 
-def _mean_maximal_under(tree: AlphaTree, i: int, kind: str):
-    """Measure-weighted average of the maximal function over node i."""
-    f = tree.flat
-    chain = f.anc_max if kind == "natural" else f.abs_anc_max
-    total = 0.0
-    stack = [i]
-    while stack:
-        j = stack.pop()
-        nd = f.nodes[j]
-        if nd.is_leaf:
-            total += nd.measure * chain[j]
-        else:
-            stack.extend(
-                f.node_index[id(c)] for c in nd.children
-            )
-    return total / f.measure[i]
+def _mean_maximal_under(tree: AlphaTree, i: int, chain) -> float:
+    """Measure-weighted average over node i of the maximal function whose
+    per-node chain maxima are `chain`; node i's leaves are contiguous."""
+    lo, hi = np.searchsorted(tree.leaf_idx, [i, i + tree.size[i]])
+    leaves = tree.leaf_idx[lo:hi]
+    return float(np.dot(tree.measure[leaves], chain[leaves]) / tree.measure[i])
 
 
 def verify_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
@@ -298,19 +298,18 @@ def verify_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
     Requires the step function to have BMO norm at most 1 on the subtree
     at K (the caller rescales otherwise).
     """
-    f = tree.flat
     i = _node_index(tree, node)
-    norm_sq = f.sub_bmo_sq[i]
+    norm_sq = tree.sub_bmo_sq[i]
     if norm_sq > (1.0 + 1e-12) ** 2:
         raise PreconditionError(
             f"subtree BMO norm {math.sqrt(norm_sq)} exceeds 1; rescale first"
         )
-    L = float(f.anc_max[i])
+    L = float(tree.anc_max[i])
     # Rounding can leave the cell point a few ulps above the strip when the
     # norm sits exactly at 1; the clamp is within the precondition slack.
-    x2 = min(float(f.mean_sq[i]), float(f.mean[i]) ** 2 + 1.0)
-    rhs = float(eval_A_arrays(f.mean[i], x2, L, ctx)[0])
-    return rhs - _mean_maximal_under(tree, i, "natural")
+    x2 = min(float(tree.mean_sq[i]), float(tree.mean[i]) ** 2 + 1.0)
+    rhs = float(eval_A_arrays(tree.mean[i], x2, L, ctx)[0])
+    return rhs - _mean_maximal_under(tree, i, tree.anc_max)
 
 
 @dataclass(frozen=True)
@@ -338,71 +337,53 @@ class TheoremMargins:
 
 
 def subtree(tree: AlphaTree, node) -> AlphaTree:
+    """The subtree at a node as a tree of its own (slices of the arrays)."""
     i = _node_index(tree, node)
-    return AlphaTree(alpha=tree.alpha, root=tree.flat.nodes[i])
+    s = slice(i, i + int(tree.size[i]))
+    parent = tree.parent[s] - i
+    parent[0] = -1
+    return _from_arrays(
+        tree.alpha, parent, tree.measure[s], tree.value[s], tree.depth[s] - tree.depth[i]
+    )
 
 
 def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
-    """Copy of the tree carrying new leaf values (leaf preorder)."""
-    values = list(np.asarray(values, dtype=float))
-    if len(values) != len(tree.flat.leaf_idx):
+    """The tree carrying new leaf values (leaf preorder); the copy shares
+    the structural arrays and recomputes the aggregates."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != tree.leaf_idx.shape:
         raise DomainError("value count does not match leaf count")
-    it = iter(values)
-
-    def clone(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return TreeNode(node.measure, value=next(it))
-        return TreeNode(node.measure, children=[clone(c) for c in node.children])
-
-    return AlphaTree(alpha=tree.alpha, root=clone(tree.root))
-
-
-def _subtree_leaf_positions(tree: AlphaTree, i: int):
-    """Positions (within the global leaf order) of the leaves under node i."""
-    f = tree.flat
-    pos_of = {int(j): k for k, j in enumerate(f.leaf_idx)}
-    out = []
-    stack = [i]
-    while stack:
-        j = stack.pop()
-        nd = f.nodes[j]
-        if nd.is_leaf:
-            out.append(pos_of[j])
-        else:
-            stack.extend(f.node_index[id(c)] for c in nd.children)
-    return sorted(out)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise StructureError(
+            _path(tree.parent, int(tree.leaf_idx[bad[0]])), "leaf carries no finite value"
+        )
+    out = AlphaTree.__new__(AlphaTree)
+    vars(out).update(vars(tree))
+    out.value = np.full(len(tree), np.nan)
+    out.value[tree.leaf_idx] = values
+    out._nodes = None
+    out._aggregate()
+    return out
 
 
 def verify_main_theorem(tree: AlphaTree, node, ctx: AlphaContext) -> TheoremMargins:
     """Decay-inequality and norm-corollary margins at one node."""
-    f = tree.flat
     i = _node_index(tree, node)
-    norm = math.sqrt(f.sub_bmo_sq[i])
-    L_n = float(f.anc_max[i])
-    t_n = max(L_n - float(f.mean[i]), 0.0)
-    rhs_n = L_n + float(eval_F(t_n, ctx)) * norm
-    margin_n = rhs_n - _mean_maximal_under(tree, i, "natural")
-
-    L_m = float(f.abs_anc_max[i])
-    t_m = max(L_m - float(f.abs_mean[i]), 0.0)
-    rhs_m = L_m + float(eval_F(t_m, ctx)) * norm
-    margin_m = rhs_m - _mean_maximal_under(tree, i, "classical")
-
-    sub = subtree(tree, i)
-    positions = _subtree_leaf_positions(tree, i)
-    n_leaf = maximal(tree, "natural")[positions]
-    m_leaf = maximal(tree, "classical")[positions]
-    blo_n = norm - blo_norm(with_leaf_values(sub, n_leaf))
-    blo_m = norm - blo_norm(with_leaf_values(sub, m_leaf))
-    return TheoremMargins(
-        margin_n=margin_n,
-        margin_m=margin_m,
-        blo_margin_n=blo_n,
-        blo_margin_m=blo_m,
-        L=L_n,
-        t=t_n,
-        norm=norm,
-    )
+    norm = math.sqrt(tree.sub_bmo_sq[i])
+    under = slice(i, i + int(tree.size[i]))
+    out = []
+    for chain, mean in ((tree.anc_max, tree.mean), (tree.abs_anc_max, tree.abs_mean)):
+        L = float(chain[i])
+        t = max(L - float(mean[i]), 0.0)
+        margin = L + float(eval_F(t, ctx)) * norm - _mean_maximal_under(tree, i, chain)
+        # The BLO norm over the subtree is the largest spread mean - min of
+        # the maximal function over the slice of nodes under i.
+        vals = chain[tree.leaf_idx]
+        spread = _subtree_mean(tree, vals) - _subtree_min(tree, vals)
+        out.append((margin, norm - float(np.max(spread[under])), L, t))
+    (margin_n, blo_n, L_n, t_n), (margin_m, blo_m, _, _) = out
+    return TheoremMargins(margin_n, margin_m, blo_n, blo_m, L=L_n, t=t_n, norm=norm)
 
 
 def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext):
@@ -413,40 +394,24 @@ def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext):
     margins, and the key-observation residual
     |ancestor max - min over leaves below of N phi|.
     """
-    f = tree.flat
-    n = len(f.nodes)
-    chain_n = f.anc_max
-    chain_m = f.abs_anc_max
-    # Mean of N phi and min of N phi over each node, bottom-up.
-    mean_n = np.zeros(n)
-    mean_m = np.zeros(n)
-    min_n = np.full(n, np.inf)
-    for i in range(n - 1, -1, -1):
-        nd = f.nodes[i]
-        if nd.is_leaf:
-            mean_n[i] = nd.measure * chain_n[i]
-            mean_m[i] = nd.measure * chain_m[i]
-            min_n[i] = chain_n[i]
-        p = f.parent[i]
-        if p >= 0:
-            mean_n[p] += mean_n[i]
-            mean_m[p] += mean_m[i]
-            min_n[p] = min(min_n[p], min_n[i])
-    mean_n /= f.measure
-    mean_m /= f.measure
+    # Mean of N phi and M phi and min of N phi over each node.
+    chain_n = tree.anc_max[tree.leaf_idx]
+    mean_n = _subtree_mean(tree, chain_n)
+    mean_m = _subtree_mean(tree, tree.abs_anc_max[tree.leaf_idx])
+    min_n = _subtree_min(tree, chain_n)
 
-    ind_ok = f.sub_bmo_sq <= (1.0 + 1e-12) ** 2
-    x2 = np.minimum(f.mean_sq, f.mean**2 + 1.0)
-    rhs = eval_A_arrays(f.mean, x2, f.anc_max, ctx)
+    ind_ok = tree.sub_bmo_sq <= (1.0 + 1e-12) ** 2
+    x2 = np.minimum(tree.mean_sq, tree.mean**2 + 1.0)
+    rhs = eval_A_arrays(tree.mean, x2, tree.anc_max, ctx)
     induction = np.where(ind_ok, rhs - mean_n, np.nan)
 
-    norm = np.sqrt(f.sub_bmo_sq)
-    t_n = np.maximum(f.anc_max - f.mean, 0.0)
-    t_m = np.maximum(f.abs_anc_max - f.abs_mean, 0.0)
-    main_n = f.anc_max + eval_F(t_n, ctx) * norm - mean_n
-    main_m = f.abs_anc_max + eval_F(t_m, ctx) * norm - mean_m
+    norm = np.sqrt(tree.sub_bmo_sq)
+    t_n = np.maximum(tree.anc_max - tree.mean, 0.0)
+    t_m = np.maximum(tree.abs_anc_max - tree.abs_mean, 0.0)
+    main_n = tree.anc_max + eval_F(t_n, ctx) * norm - mean_n
+    main_m = tree.abs_anc_max + eval_F(t_m, ctx) * norm - mean_m
 
-    key_obs = np.abs(f.anc_max - min_n)
+    key_obs = np.abs(tree.anc_max - min_n)
     return {
         "induction": induction,
         "main_n": main_n,
@@ -460,25 +425,20 @@ def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext):
 def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
     """Conditional expectation at a generation: depth-m cells become leaves
     carrying their averages."""
-    f = tree.flat
-
-    def build(node: TreeNode, d: int) -> TreeNode:
-        if node.is_leaf or d == 0:
-            i = f.node_index[id(node)]
-            return TreeNode(node.measure, value=float(f.mean[i]))
-        return TreeNode(
-            node.measure, children=[build(c, d - 1) for c in node.children]
-        )
-
-    return AlphaTree(alpha=tree.alpha, root=build(tree.root, depth))
+    if depth < 0:
+        raise DomainError(f"truncation depth {depth} is negative")
+    kept = tree.depth <= depth
+    keep = np.flatnonzero(kept)
+    parent = (np.cumsum(kept) - 1)[tree.parent[keep]]
+    parent[0] = -1
+    leaf = (tree.size[keep] == 1) | (tree.depth[keep] == depth)
+    value = np.where(leaf, tree.mean[keep], np.nan)
+    return _from_arrays(tree.alpha, parent, tree.measure[keep], value, tree.depth[keep])
 
 
 def shift_values(tree: AlphaTree, c: float) -> AlphaTree:
     """The tree carrying phi + c."""
-    vals = np.array(
-        [tree.flat.nodes[j].value for j in tree.flat.leaf_idx], dtype=float
-    )
-    return with_leaf_values(tree, vals + c)
+    return with_leaf_values(tree, tree.value[tree.leaf_idx] + c)
 
 
 def random_tree(
@@ -497,76 +457,110 @@ def random_tree(
     rescaled about the root mean so the BMO norm equals target_bmo.
     """
     max_arity = min(4, int(1.0 / alpha + 1e-9))
+    parent, measure, value, depth = [], [], [], []
 
-    def build(depth: int) -> TreeNode:
-        if depth >= max_depth or (depth > 0 and rng.uniform() < leaf_prob):
-            return TreeNode(1.0, value=float(rng.normal()))
+    def build(p: int, path: list) -> None:
+        i, d = len(parent), len(path)
+        parent.append(p)
+        # The fractions on the path multiply from the cell itself upwards.
+        measure.append(math.prod(reversed(path), start=1.0))
+        depth.append(d)
+        if d >= max_depth or (d > 0 and rng.uniform() < leaf_prob):
+            value.append(float(rng.normal()))
+            return
+        value.append(math.nan)
         a = int(rng.integers(2, max_arity + 1)) if max_arity > 2 else 2
-        fracs = alpha + (1.0 - a * alpha) * rng.dirichlet(np.ones(a))
-        children = [build(depth + 1) for _ in range(a)]
-        node = TreeNode(1.0, children=children)
-        for c, frac in zip(children, fracs):
-            _scale_measures(c, frac)
-        return node
+        for f in alpha + (1.0 - a * alpha) * rng.dirichlet(np.ones(a)):
+            build(i, path + [f])
 
-    root = build(0)
-    tree = AlphaTree(alpha=alpha, root=root)
+    build(-1, [])
+    tree = _from_arrays(alpha, *map(np.array, (parent, measure, value, depth)), check=True)
     if target_bmo is None:
         return tree
     for _ in range(64):
         if bmo_norm(tree) >= 1e-6:
             break
-        vals = rng.normal(size=len(tree.flat.leaf_idx))
+        vals = rng.normal(size=len(tree.leaf_idx))
         tree = with_leaf_values(tree, vals)
     # Two exact rescales about the root mean, then a hair of shrinkage so
     # accumulated rounding cannot push any cell's variance above the target
     # (the induction step feeds cell points to the strip evaluator).
     for shrink in (1.0, 1.0 - 1e-11):
         norm = bmo_norm(tree)
-        mean = tree.flat.mean[0]
+        mean = tree.mean[0]
         lam = shrink * target_bmo / norm
-        vals = np.array(
-            [tree.flat.nodes[j].value for j in tree.flat.leaf_idx], dtype=float
-        )
+        vals = tree.value[tree.leaf_idx]
         tree = with_leaf_values(tree, mean + lam * (vals - mean))
     return tree
 
 
-def _scale_measures(node: TreeNode, factor: float) -> None:
-    node.measure *= factor
-    if not node.is_leaf:
-        for c in node.children:
-            _scale_measures(c, factor)
-
-
 # ---------------------------------------------------------------------------
-# JSON wire format: {"alpha": a, "root": node} with node either
-# {"measure": m, "children": [...]} or {"measure": m, "value": v}.
+# Nested input: TreeNode graphs and the JSON wire format {"alpha": a, "root":
+# node}, node {"measure": m, "children": [...]} or {"measure": m, "value": v}.
 # ---------------------------------------------------------------------------
 
 
-def _node_from_json(obj, path: str) -> TreeNode:
+class _BadNode(Exception):
+    """A node that cannot be read; the walk adds its path."""
+
+
+def _walk(root, read):
+    """(parent, measure, value, depth) preorder arrays of a nested tree.
+
+    read(node) gives (measure, value, children), children None at a leaf,
+    or raises _BadNode.
+    """
+    parent, depth, measure, value = [], [], [], []
+    stack = [(root, -1)]
+    try:
+        while stack:
+            node, p = stack.pop()
+            i = len(parent)
+            parent.append(p)
+            depth.append(depth[p] + 1 if i else 0)
+            m, v, kids = read(node)
+            measure.append(m)
+            if kids is None:
+                value.append(math.nan if v is None else v)
+            elif kids:
+                value.append(math.nan)
+                stack.extend(zip(reversed(kids), [i] * len(kids)))
+            else:
+                raise _BadNode("internal node has no children")
+    except _BadNode as exc:
+        raise StructureError(_path(np.array(parent), len(parent) - 1), str(exc)) from None
+    return (
+        np.array(parent, dtype=np.int64),
+        np.array(measure, dtype=float),
+        np.array(value, dtype=float),
+        np.array(depth, dtype=np.int64),
+    )
+
+
+def _number(x, what: str) -> float:
+    # bool subclasses int, but JSON true/false are not numbers.
+    if type(x) is not float and type(x) is not int:
+        raise _BadNode(f"{what} must be a number")
+    try:
+        return float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        return math.copysign(math.inf, x)
+
+
+def _read_json_node(obj):
     if not isinstance(obj, dict):
-        raise StructureError(path, "node must be a JSON object")
+        raise _BadNode("node must be a JSON object")
     if "measure" not in obj:
-        raise StructureError(path, "node lacks a measure")
-    measure = obj["measure"]
-    if not isinstance(measure, (int, float)):
-        raise StructureError(path, "measure must be a number")
-    has_children = "children" in obj
-    has_value = "value" in obj
-    if has_children == has_value:
-        raise StructureError(path, "node must have exactly one of children/value")
-    if has_value:
-        if not isinstance(obj["value"], (int, float)):
-            raise StructureError(path, "leaf value must be a number")
-        return TreeNode(measure, value=float(obj["value"]))
-    if not isinstance(obj["children"], list) or not obj["children"]:
-        raise StructureError(path, "children must be a non-empty list")
-    children = [
-        _node_from_json(c, f"{path}/{i}") for i, c in enumerate(obj["children"])
-    ]
-    return TreeNode(measure, children=children)
+        raise _BadNode("node lacks a measure")
+    measure = _number(obj["measure"], "measure")
+    if ("children" in obj) == ("value" in obj):
+        raise _BadNode("node must have exactly one of children/value")
+    if "value" in obj:
+        return measure, _number(obj["value"], "leaf value"), None
+    children = obj["children"]
+    if not isinstance(children, list) or not children:
+        raise _BadNode("children must be a non-empty list")
+    return measure, None, children
 
 
 def tree_from_json(obj) -> AlphaTree:
@@ -575,9 +569,11 @@ def tree_from_json(obj) -> AlphaTree:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "alpha" not in obj or "root" not in obj:
         raise StructureError("root", "top level must carry alpha and root")
-    tree = AlphaTree(alpha=float(obj["alpha"]), root=_node_from_json(obj["root"], "root"))
-    validate(tree)
-    return tree
+    try:
+        alpha = _number(obj["alpha"], "alpha")
+    except _BadNode as exc:
+        raise StructureError("root", str(exc)) from None
+    return _from_arrays(alpha, *_walk(obj["root"], _read_json_node), check=True)
 
 
 def tree_to_json(tree: AlphaTree) -> dict:

@@ -35,6 +35,14 @@ class TestEval:
         assert code == 2
         assert "x1^2 + 1" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_usage_error(self, capsys, tol):
+        code, _, err = run(
+            capsys, ["eval", "--n", "1", "--x", "-1", "0.5", f"--tol={tol}"]
+        )
+        assert code == 2
+        assert "tol must be finite and non-negative" in err
+
     def test_json_format_with_L(self, capsys):
         code, out, _ = run(
             capsys, ["eval", "--n", "2", "--x", "0", "1", "--L", "0", "--format", "json"]
@@ -169,6 +177,34 @@ class TestTree:
         code, out, _ = run(capsys, ["tree", self._write(tmp_path, doc)])
         assert code == 0
         assert "bmo_norm = 5" in out
+
+    @pytest.mark.parametrize(
+        "alpha,measure,value",
+        [
+            (0.5, True, 1.0),
+            (0.5, 1.0, False),
+            ("half", 1.0, 1.0),
+            (None, 1.0, 1.0),
+            (True, 1.0, 1.0),
+            (float("nan"), 1.0, 1.0),
+            (float("inf"), 1.0, 1.0),
+        ],
+    )
+    def test_non_numbers_rejected(self, capsys, tmp_path, alpha, measure, value):
+        doc = {
+            "alpha": alpha,
+            "root": {
+                "measure": 2.0,
+                "children": [
+                    {"measure": measure, "value": 1.0},
+                    {"measure": 1.0, "value": value},
+                ],
+            },
+        }
+        code, out, err = run(capsys, ["tree", self._write(tmp_path, doc)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: root")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])

@@ -121,8 +121,6 @@ class TestMaximalIdentity:
         tree = psi.as_alpha_tree("mean")
         validate(tree)
         n_vals = maximal(tree, "natural", outside=0.0)
-        flat = tree.flat
-        leaf_nodes = [flat.nodes[i] for i in flat.leaf_idx]
         table = {}
         for dep, pos, off in zip(psi.res_depth, psi.res_pos, psi.res_offset):
             table[(int(dep), int(pos))] = int(off)
@@ -137,7 +135,7 @@ class TestMaximalIdentity:
 
         located = []
         walk(tree.root, 0, 0, located)
-        # preorder of trees.flat matches this traversal order for leaves
+        # the tree's leaf preorder matches this traversal order
         assert len(located) == len(n_vals)
         g, dlt = psi.gamma, psi.delta
         errs = []

@@ -88,7 +88,7 @@ class TestStats:
     def test_leaf_stats_are_values(self):
         tree = two_leaf_tree(2.0, -1.0)
         st = stats(tree)
-        leaves = [s for s, n in zip(st, tree.flat.nodes) if n.is_leaf]
+        leaves = [st[i] for i in tree.leaf_idx]
         assert {(s.mean, s.mean_sq) for s in leaves} == {(2.0, 4.0), (-1.0, 1.0)}
 
     def test_norms_two_leaf(self):
@@ -108,15 +108,13 @@ class TestMaximal:
 
     def test_nonnegative_N_equals_M(self, rng):
         tree = random_tree(0.25, rng)
-        vals = np.abs(
-            [tree.flat.nodes[i].value for i in tree.flat.leaf_idx]
-        )
+        vals = np.abs(tree.value[tree.leaf_idx])
         tree = with_leaf_values(tree, vals)
         assert np.array_equal(maximal(tree, "natural"), maximal(tree, "classical"))
 
     def test_classical_is_natural_of_abs(self, rng):
         tree = random_tree(0.25, rng)
-        vals = [tree.flat.nodes[i].value for i in tree.flat.leaf_idx]
+        vals = tree.value[tree.leaf_idx]
         abs_tree = with_leaf_values(tree, np.abs(vals))
         assert np.array_equal(maximal(tree, "classical"), maximal(abs_tree, "natural"))
 
@@ -129,8 +127,7 @@ class TestKeyObservation:
     def test_indicator(self):
         tree = AlphaTree(alpha=0.5, root=dyadic_tree([1.0, 1.0, 0.0, 0.0]))
         # node [0, 1/4): ancestor sup = 1; min of N over its leaves = 1
-        f = tree.flat
-        i = f.leaf_idx[0]
+        i = tree.leaf_idx[0]
         assert inf_maximal(tree, int(i)) == 1.0
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
@@ -297,5 +294,173 @@ class TestGenerator:
             assert norm == pytest.approx(1.0, abs=1e-9)
             assert norm <= 1.0
             # sup-cell variance stays a hair inside the strip
-            f = tree.flat
-            assert np.max(f.mean_sq - f.mean**2) <= 1.0
+            assert np.max(tree.mean_sq - tree.mean**2) <= 1.0
+
+
+def reference_aggregates(root):
+    """The per-node aggregates by plain recursion over TreeNode, in preorder.
+
+    A parent adds its children's integrals last child first, so the sums
+    must agree with the tree's arrays bit for bit.
+    """
+    rows = []
+
+    def up(node):
+        row = {}
+        rows.append(row)
+        if node.is_leaf:
+            integ = node.measure * node.value
+            sums = [integ, integ * node.value, node.measure * abs(node.value)]
+            row["min_leaf"] = node.value
+            kids = []
+        else:
+            kids = [up(c) for c in node.children]
+            sums = [0.0, 0.0, 0.0]
+            for kid in reversed(kids):
+                sums = [a + b for a, b in zip(sums, kid["sums"])]
+            row["min_leaf"] = min(kid["min_leaf"] for kid in kids)
+        row["sums"] = sums
+        row["mean"], row["mean_sq"], row["abs_mean"] = (s / node.measure for s in sums)
+        var = max(row["mean_sq"] - row["mean"] * row["mean"], 0.0)
+        row["sub_bmo_sq"] = max([var] + [kid["sub_bmo_sq"] for kid in kids])
+        return row
+
+    up(root)
+    order = iter(rows)
+
+    def down(node, anc, abs_anc):
+        row = next(order)
+        row["anc_max"] = anc = max(anc, row["mean"])
+        row["abs_anc_max"] = abs_anc = max(abs_anc, row["abs_mean"])
+        for c in node.children or ():
+            down(c, anc, abs_anc)
+
+    down(root, -math.inf, -math.inf)
+    return rows
+
+
+def deep_unbalanced_tree(rng, depth=300, alpha=0.25):
+    """A comb: at every level one child carries on, its siblings are leaves."""
+    node = TreeNode(1.0, value=float(rng.normal()))
+    for _ in range(depth):
+        a = int(rng.integers(2, 5))
+        fracs = alpha + (1.0 - a * alpha) * rng.dirichlet(np.ones(a))
+        kids = [TreeNode(f, value=float(rng.normal())) for f in fracs[1:]]
+        _scale(node, fracs[0])
+        node = TreeNode(1.0, children=[*kids[:1], node, *kids[1:]])
+    return AlphaTree(alpha=alpha, root=node)
+
+
+def _scale(node, factor):
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        nd.measure *= factor
+        stack.extend(nd.children or ())
+
+
+AGGREGATES = (
+    "mean", "mean_sq", "abs_mean", "anc_max", "abs_anc_max", "min_leaf", "sub_bmo_sq"
+)
+
+
+class TestArraysAgainstRecursion:
+    def _check(self, tree):
+        rows = reference_aggregates(tree.root)
+        assert len(rows) == len(tree)
+        for key in AGGREGATES:
+            assert np.array_equal(getattr(tree, key), [r[key] for r in rows]), key
+        # The JSON parse builds the same arrays.
+        again = tree_from_json(json.dumps(tree_to_json(tree)))
+        for key in AGGREGATES:
+            assert np.array_equal(getattr(again, key), getattr(tree, key)), key
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_random_trees(self, alpha, rng):
+        for _ in range(20):
+            self._check(random_tree(alpha, rng, max_depth=7))
+
+    def test_deep_unbalanced_tree(self, rng):
+        tree = deep_unbalanced_tree(rng)
+        assert tree.depth.max() == 300
+        self._check(tree)
+
+
+def _leaf(m, v):
+    return TreeNode(m, value=v)
+
+
+def _node(m, *children):
+    return TreeNode(m, children=children)
+
+
+class TestValidatePaths:
+    """Malformed trees at depth 2 and more name the offending node."""
+
+    @pytest.mark.parametrize(
+        "alpha,root,message",
+        [
+            (
+                0.25,
+                _node(1.0, _leaf(0.5, 1.0), _node(0.5, _leaf(0.3, 0.0), _node(0.2, _leaf(0.1, 1.0), _leaf(0.11, 2.0)))),
+                "root/1/1: children measures sum to 0.21000000000000002, parent has 0.2",
+            ),
+            (
+                0.25,
+                _node(1.0, _leaf(0.5, 1.0), _node(0.5, _leaf(0.3, 0.0), _node(0.2, _leaf(0.19, 1.0), _leaf(0.01, 2.0)))),
+                "root/1/1/1: child measure 0.01 below alpha * parent = 0.05",
+            ),
+            (
+                0.25,
+                _node(1.0, _leaf(0.5, 1.0), _node(0.5, _leaf(-0.1, 0.0), _leaf(0.6, 2.0))),
+                "root/1/0: child measure -0.1 below alpha * parent = 0.125",
+            ),
+            (
+                0.25,
+                _node(1.0, _leaf(0.5, 1.0), _node(0.5, _leaf(0.25, 0.0), _leaf(math.nan, 2.0))),
+                "root/1/1: measure nan is not positive",
+            ),
+            (
+                0.25,
+                _node(1.0, _node(0.5, _leaf(0.25, 1.0), _leaf(0.25, 3.0)), _node(0.5, _leaf(0.25, 0.0), _leaf(0.25, math.inf))),
+                "root/1/1: leaf carries no finite value",
+            ),
+            (
+                0.5,
+                _node(1.0, _node(0.5, _leaf(0.25, 1.0), _leaf(0.25, 3.0)), _node(0.5, _leaf(0.25, 0.0), TreeNode(0.25))),
+                "root/1/1: leaf carries no finite value",
+            ),
+            (
+                0.5,
+                _node(1.0, _node(0.5, _leaf(0.25, 1.0), _leaf(0.25, 3.0)), _node(0.5, _node(0.25), _leaf(0.25, 0.0))),
+                "root/1/0: internal node has no children",
+            ),
+            (
+                0.5,
+                _node(1.0, _leaf(0.5, 1.0), _node(0.5, _node(0.5, _node(0.4, _leaf(0.4, 1.0))))),
+                "root/1/0: children measures sum to 0.4, parent has 0.5",
+            ),
+        ],
+    )
+    def test_tree_nodes(self, alpha, root, message):
+        with pytest.raises(StructureError) as exc:
+            validate(AlphaTree(alpha=alpha, root=root))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "root,message",
+        [
+            (
+                {"measure": 1.0, "children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "children": [{"measure": 0.25, "value": 0.0}, 7]}]},
+                "root/1/1: node must be a JSON object",
+            ),
+            (
+                {"measure": 1.0, "children": [{"measure": 0.5, "children": [{"value": 0.0}, {"measure": 0.25, "value": 0.0}]}, {"measure": 0.5, "value": 1.0}]},
+                "root/0/0: node lacks a measure",
+            ),
+        ],
+    )
+    def test_json_documents(self, root, message):
+        with pytest.raises(StructureError) as exc:
+            tree_from_json({"alpha": 0.5, "root": root})
+        assert str(exc.value) == message
