@@ -22,8 +22,10 @@ uniquely in [sqrt(alpha), 1] (m odd) or [1, 1/sqrt(alpha)] (m even), and
 
     B = (alpha^k / 2) (1 + z^2) (x1 - u),   B_x1 = -u s,   B_x2 = s / 2.
 
-Evaluation always folds a cell back to the (Omega_1, Omega_2) frame by a
-parabolic shift and rescales by alpha^(fold count), keeping every
+One routine, `_chain`, does this for every chain-cell evaluation (eval_arrays,
+solve_s and the cut-off majorants): it folds a cell back to the (Omega_1,
+Omega_2) frame by a parabolic shift, solves there with the one root solver
+`_solve_frame`, and rescales by alpha^(fold count), keeping every
 intermediate quantity O(1).
 
 The trace b(p) = B(p, p^2 + 1) on the upper parabola has the closed form
@@ -38,7 +40,6 @@ sharp decay function of the main inequality is F_alpha(t) = b(-t).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,19 +107,6 @@ def _zx_derivative(z, y1, mu):
     return 2.0 * y1 - 1.5 * z + 2.0 * mu - 0.5 / (z * z * z)
 
 
-def _even_frame_zlo(y1, ctx: AlphaContext):
-    """Lower z-bracket for even cells, sliver-aware.
-
-    Right of the tangency abscissa -tau the segment equation has a spurious
-    second root (the segment's supporting line re-enters the strip beyond
-    its upper endpoint).  The genuine root has v(z) >= y1, so the bracket
-    starts at the z whose upper endpoint sits exactly at y1:
-    z = c + sqrt(c^2 - 1) with c = y1 + tau + 1.
-    """
-    c = np.asarray(y1, dtype=float) + ctx.tau + 1.0
-    return np.where(c > 1.0, c + np.sqrt(np.maximum(c * c - 1.0, 0.0)), 1.0)
-
-
 def _solve_frame(y1, y2, mu, z_lo, z_hi):
     """Bracketed root of the segment equation on [z_lo, z_hi] (arrays ok).
 
@@ -160,6 +148,59 @@ def _solve_frame(y1, y2, mu, z_lo, z_hi):
     return z
 
 
+def _chain(m, x1, x2, ctx: AlphaContext, cut: bool = False):
+    """Segment data and value of B at points of the chain cells Omega_m.
+
+    The one fold of the module: T_{-g tau}, g = (m - 1) // 2, carries
+    Omega_m onto the frame Omega_1 (m odd, mu = 1) or Omega_2 (m even,
+    mu = tau + 1), the frame equation is solved there, and the results are
+    shifted back and scaled by alpha^g.  m is one cell index or an array of
+    them matching x1, x2.
+
+    With cut=True the points lie beyond cell m and the analytic expression
+    of that cell is continued below its regular bracket, z in (0, z_top].
+    Multiplied by 4 z^2 the residual is the quartic
+    -3 z^4 + 8 (y1 + mu) z^3 + c2 z^2 + 1, c2 = 2 - 4 mu^2 - 8 mu y1 - 4 y2,
+    which for z <= 1 is at least 1 - z^2 (3 + 8 |y1 + mu| + |c2|); the
+    lower end 1/(2 sqrt(3 + 8 |y1 + mu| + |c2|)) therefore has a positive
+    residual.
+
+    Returns (z, s, u, v, value, underflow) in global coordinates.
+    """
+    # Broadcast m so that every alpha power takes numpy's array loop, which
+    # rounds differently from its scalar one.
+    m = np.broadcast_to(m, np.shape(x1))
+    g = (m - 1) // 2
+    odd = m % 2 == 1
+    a = g * ctx.tau
+    y1, y2 = shift_xy(-a, x1, x2)
+    sqa = ctx.sqrt_alpha
+    mu = np.where(odd, 1.0, ctx.tau + 1.0)
+    if cut:
+        z_hi = np.where(odd, sqa, 1.0)
+        c2 = 2.0 - 4.0 * mu * mu - 8.0 * mu * y1 - 4.0 * y2
+        z_lo = np.minimum(z_hi, 0.5 / np.sqrt(3.0 + 8.0 * np.abs(y1 + mu) + np.abs(c2)))
+    else:
+        # Right of the tangency abscissa -tau an even cell's equation has a
+        # spurious second root (the segment's line re-enters the strip beyond
+        # its upper endpoint).  The genuine root has v(z) >= y1, so the
+        # bracket starts where v = y1: z = c + sqrt(c^2 - 1), c = y1 + tau + 1.
+        c = y1 + ctx.tau + 1.0
+        z_even = np.where(c > 1.0, c + np.sqrt(np.maximum(c * c - 1.0, 0.0)), 1.0)
+        z_lo = np.where(odd, sqa, z_even)
+        z_hi = np.where(odd, 1.0, 1.0 / sqa)
+    z = _solve_frame(y1, y2, mu, z_lo, z_hi)
+    u_f = 0.5 * (z - 1.0 / z) - mu
+    v_f = u_f + np.where(odd, z, 1.0 / z)
+    kf = np.where(odd, 0.0, 1.0)
+    gf = np.asarray(g, dtype=float)
+    scale = np.power(ctx.alpha, gf)
+    value = scale * (0.5 * np.power(ctx.alpha, kf) * (1.0 + z * z) * (y1 - u_f))
+    s = np.power(ctx.alpha, gf + kf) * z
+    under = (scale == 0.0) & np.isfinite(y1)
+    return z, s, u_f - a, v_f - a, value, under
+
+
 def eval_arrays(x1, x2, ctx: AlphaContext):
     """Vector evaluation of B over the strip.
 
@@ -174,10 +215,7 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
     value = np.empty_like(x1)
     grad1 = np.empty_like(x1)
     grad2 = np.empty_like(x1)
-    s_arr = np.full_like(x1, np.nan)
-    z_arr = np.full_like(x1, np.nan)
-    u_arr = np.full_like(x1, np.nan)
-    v_arr = np.full_like(x1, np.nan)
+    seg = {name: np.full_like(x1, np.nan) for name in ("s", "z", "u", "v")}
     under = np.zeros(x1.shape, dtype=bool)
 
     plus = code == RegionId.PLUS_INDEX
@@ -199,51 +237,18 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
 
     chain = code >= 1
     if np.any(chain):
-        m = code[chain]
-        g = (m - 1) // 2
-        odd = m % 2 == 1
-        a = g * ctx.tau
-        y1 = x1[chain] + a
-        y2 = x2[chain] + 2.0 * a * x1[chain] + a * a
-        sqa = ctx.sqrt_alpha
-        mu = np.where(odd, 1.0, ctx.tau + 1.0)
-        z_lo = np.where(odd, sqa, _even_frame_zlo(y1, ctx))
-        z_hi = np.where(odd, 1.0, 1.0 / sqa)
-        z = _solve_frame(y1, y2, mu, z_lo, z_hi)
-        u_f = 0.5 * (z - 1.0 / z) - mu
-        v_f = u_f + np.where(odd, z, 1.0 / z)
-        kf = np.where(odd, 0.0, 1.0)
-        scale = np.power(ctx.alpha, g.astype(float))
-        under_c = (scale == 0.0) & np.isfinite(y1)
-        b_frame = 0.5 * np.power(ctx.alpha, kf) * (1.0 + z * z) * (y1 - u_f)
-        val = scale * b_frame
-        s = np.power(ctx.alpha, g.astype(float) + kf) * z
-        u = u_f - a
-        v = v_f - a
+        z, s, u, v, val, under[chain] = _chain(code[chain], x1[chain], x2[chain], ctx)
         # Points on the lower parabola carry B = 0 exactly; the generic
         # formula only reproduces this up to rounding in u.
         on_gamma0 = (x2[chain] - x1[chain] ** 2) <= ctx.tol
-        val = np.where(on_gamma0, 0.0, val)
-        value[chain] = val
+        value[chain] = np.where(on_gamma0, 0.0, val)
         grad1[chain] = -u * s
         grad2[chain] = 0.5 * s
-        s_arr[chain] = s
-        z_arr[chain] = z
-        u_arr[chain] = u
-        v_arr[chain] = v
-        under[chain] = under_c
+        for name, arr in zip("szuv", (s, z, u, v)):
+            seg[name][chain] = arr
 
-    return {
-        "value": value,
-        "grad1": grad1,
-        "grad2": grad2,
-        "region": code,
-        "s": s_arr,
-        "z": z_arr,
-        "u": u_arr,
-        "v": v_arr,
-        "underflow": under,
-    }
+    return {"value": value, "grad1": grad1, "grad2": grad2, "region": code, **seg,
+            "underflow": under}
 
 
 def eval_B(x: OmegaPoint, ctx: AlphaContext) -> BellmanValue:
@@ -273,23 +278,13 @@ def solve_s(x: OmegaPoint, ctx: AlphaContext) -> Foliation:
             raise DomainError(f"{x} lies in {region}, not in the chain cells")
         region = RegionId.omega(1)
     m = region.index
-    g = (m - 1) // 2
-    odd = m % 2 == 1
-    a = g * ctx.tau
-    y1, y2 = shift_xy(-a, x.x1, x.x2)
-    mu = 1.0 if odd else ctx.tau + 1.0
-    z_lo = ctx.sqrt_alpha if odd else float(_even_frame_zlo(y1, ctx))
-    z_hi = 1.0 if odd else 1.0 / ctx.sqrt_alpha
-    z = float(_solve_frame(np.asarray([y1]), np.asarray([y2]), mu, z_lo, z_hi)[0])
-    u_f = 0.5 * (z - 1.0 / z) - mu
-    v_f = u_f + (z if odd else 1.0 / z)
-    k = m // 2
-    s = ctx.alpha**k * z
-    u = u_f - a
-    v = v_f - a
+    # Fold the clamped point, as eval_arrays does.
+    x1 = np.array([x.x1], dtype=float)
+    z, sv, u, v, _, _ = _chain(m, x1, clamp_gap(x1, x.x2, ctx), ctx)
+    z, sv, u, v = float(z[0]), float(sv[0]), float(u[0]), float(v[0])
     xi = v - u
     vplus = v + 1.0 / xi - xi
-    return Foliation(s=s, z=z, k=k, u=u, v=v, vplus=vplus, region=region)
+    return Foliation(s=sv, z=z, k=m // 2, u=u, v=v, vplus=vplus, region=region)
 
 
 def eval_A(x: OmegaPoint, L: float, ctx: AlphaContext) -> float:
@@ -441,34 +436,6 @@ def _majorant_zero(y1, y2):
     return np.where(y1 >= 0.0, right, left)
 
 
-def _extension_solve(w1, w2, mu, z_top, ctx: AlphaContext) -> float:
-    """Root of the segment equation continued below its regular bracket.
-
-    Used by the cut-off majorants: beyond the kept cell the same analytic
-    expression applies with z in (0, z_top].  The residual is positive as
-    z -> 0+ (the 1/(4 z^2) term dominates) and non-positive at z_top.
-    """
-    f_top = _zx_residual(z_top, w1, w2, mu)
-    if f_top >= 0.0:
-        return float(z_top)
-    hi = z_top
-    lo = 0.5 * z_top
-    for _ in range(4000):
-        if _zx_residual(lo, w1, w2, mu) >= 0.0:
-            break
-        hi = lo
-        lo *= 0.5
-    else:
-        raise ConvergenceError("no positive-residual bracket endpoint found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _zx_residual(mid, w1, w2, mu) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
     """Cut-off majorant A_k(x; L) of the shifted family.
 
@@ -488,18 +455,8 @@ def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
     code = int(classify_codes(y1, y2, ctx)[0])
     if code <= k:
         return L + eval_B(OmegaPoint(y1, y2), ctx).value
-    cut = int(k)
-    g_cut = (cut - 1) // 2
-    odd = cut % 2 == 1
-    a = g_cut * ctx.tau
-    w1, w2 = shift_xy(-a, y1, y2)
-    mu = 1.0 if odd else ctx.tau + 1.0
-    z_top = ctx.sqrt_alpha if odd else 1.0
-    z = _extension_solve(w1, w2, mu, z_top, ctx)
-    u_f = 0.5 * (z - 1.0 / z) - mu
-    kf = 0.0 if odd else 1.0
-    b_frame = 0.5 * ctx.alpha**kf * (1.0 + z * z) * (w1 - u_f)
-    return L + ctx.alpha**g_cut * b_frame
+    value = _chain(int(k), np.array([y1], dtype=float), np.array([y2]), ctx, cut=True)[4]
+    return L + float(value[0])
 
 
 def fd_gradient(x: OmegaPoint, ctx: AlphaContext, h: float = 1e-6) -> tuple[float, float]:

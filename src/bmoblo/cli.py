@@ -24,10 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bellman import eval_A, eval_b, eval_B, eval_F, solve_s
+from .bellman import eval_A, eval_arrays, eval_b, eval_F
 from .concavity import sweep
-from .errors import BmobloError, DomainError
-from .geometry import OmegaPoint, classify, make_context
+from .errors import BmobloError, DomainError, StructureError
+from .geometry import OmegaPoint, RegionId, make_context
 from .optimizers import m_norm_report, report_to_csv
 from . import trees as trees_mod
 
@@ -38,12 +38,13 @@ def _fmt(x: float) -> str:
     return format(float(x), _FMT)
 
 
-def _add_common(p: argparse.ArgumentParser, need_alpha: bool = True):
+def _add_common(p: argparse.ArgumentParser, need_alpha: bool = True, need_tol: bool = True):
     if need_alpha:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--alpha", type=float, help="splitting parameter in (0, 1/2]")
         g.add_argument("--n", type=int, help="dyadic dimension; alpha = 2^-n")
-    p.add_argument("--tol", type=float, default=1e-12, help="membership tolerance")
+    if need_tol:
+        p.add_argument("--tol", type=float, default=1e-12, help="membership tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
@@ -86,18 +87,18 @@ def _rows_to_text(rows, header, args) -> str:
 def cmd_eval(args) -> int:
     ctx = _context(args)
     x = OmegaPoint(args.x[0], args.x[1])
-    region = classify(x, ctx)
-    bv = eval_B(x, ctx)
+    out = eval_arrays(x.x1, x.x2, ctx)
+    region = RegionId(int(out["region"][0]))
     record = {
         "x1": x.x1,
         "x2": x.x2,
         "region": str(region),
-        "B": bv.value,
-        "grad1": bv.grad1,
-        "grad2": bv.grad2,
+        "B": float(out["value"][0]),
+        "grad1": float(out["grad1"][0]),
+        "grad2": float(out["grad2"][0]),
     }
     if region.is_chain:
-        record["s"] = solve_s(x, ctx).s
+        record["s"] = float(out["s"][0])
     if args.L is not None:
         record["A"] = eval_A(x, args.L, ctx)
         record["L"] = args.L
@@ -164,7 +165,10 @@ def cmd_concavity(args) -> int:
 def cmd_tree(args) -> int:
     ctx_tol = args.tol
     with open(args.path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise StructureError(args.path, "document is nested too deeply to read") from None
     tree = trees_mod.tree_from_json(obj)
     ctx = make_context(tree.alpha, tol=ctx_tol)
     norm = trees_mod.bmo_norm(tree)
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     ptr.set_defaults(func=cmd_tree)
 
     po = sub.add_parser("optimizer", help="norm-optimizer convergence table")
-    _add_common(po, need_alpha=False)
+    _add_common(po, need_alpha=False, need_tol=False)
     po.add_argument("--jmax", type=int, default=12)
     po.add_argument("--depth", type=int, default=24)
     po.set_defaults(func=cmd_optimizer)

@@ -26,6 +26,20 @@ from conftest import sample_strip
 
 
 class TestSolveS:
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    def test_matches_eval_arrays_bitwise(self, alpha, rng):
+        ctx = make_context(alpha)
+        x1, x2 = sample_strip(rng, 6000, 9.5 * ctx.tau, ctx)
+        out = eval_arrays(x1, x2, ctx)
+        codes = out["region"]
+        picked = [np.flatnonzero(codes == m)[:6] for m in range(1, 19)]
+        assert all(idx.size for idx in picked)
+        for i in np.concatenate(picked):
+            f = solve_s(OmegaPoint(float(x1[i]), float(x2[i])), ctx)
+            assert f.region.index == codes[i]
+            for name in ("s", "z", "u", "v"):
+                assert getattr(f, name) == out[name][i], name
+
     def test_corner_of_ell1(self, ctx_quarter):
         f = solve_s(OmegaPoint(0.0, 1.0), ctx_quarter)
         assert f.s == pytest.approx(1.0, abs=1e-12)
@@ -351,6 +365,72 @@ class TestMajorants:
     def test_bad_cut_index(self, ctx_quarter):
         with pytest.raises(DomainError):
             eval_majorant(OmegaPoint(0.0, 1.0), 0.0, -1, ctx_quarter)
+
+
+def _extension_solve(w1, w2, mu, z_top):
+    """Root of the segment equation continued below its regular bracket,
+    found by halving z until the residual turns positive, then bisecting."""
+    from bmoblo.bellman import _zx_residual
+
+    if _zx_residual(z_top, w1, w2, mu) >= 0.0:
+        return float(z_top)
+    hi = z_top
+    lo = 0.5 * z_top
+    for _ in range(4000):
+        if _zx_residual(lo, w1, w2, mu) >= 0.0:
+            break
+        hi = lo
+        lo *= 0.5
+    else:
+        raise AssertionError("no positive-residual bracket endpoint found")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _zx_residual(mid, w1, w2, mu) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _majorant_reference(x, L, k, ctx):
+    """Cut-off majorant A_k(x; L) by _extension_solve, and the size of its terms.
+
+    Beyond the kept cells the value is L + c (w1 - u) with c > 0; the scale
+    |L| + c (|w1| + |u|) bounds what rounding can do to it.
+    """
+    from bmoblo.bellman import _majorant_zero
+    from bmoblo.geometry import clamp_gap, classify_codes, shift_xy
+
+    y1, y2 = shift_xy(L, x.x1, x.x2)
+    y2 = float(clamp_gap(y1, y2, ctx))
+    if k == 0:
+        value = L + float(_majorant_zero(y1, y2))
+        return value, abs(value)
+    if int(classify_codes(y1, y2, ctx)[0]) <= k:
+        value = L + eval_B(OmegaPoint(y1, y2), ctx).value
+        return value, abs(value)
+    g, odd = (k - 1) // 2, k % 2 == 1
+    w1, w2 = shift_xy(-g * ctx.tau, y1, y2)
+    mu = 1.0 if odd else ctx.tau + 1.0
+    z = _extension_solve(w1, w2, mu, ctx.sqrt_alpha if odd else 1.0)
+    u_f = 0.5 * (z - 1.0 / z) - mu
+    c = ctx.alpha**g * 0.5 * ctx.alpha ** (0.0 if odd else 1.0) * (1.0 + z * z)
+    return L + c * (w1 - u_f), abs(L) + c * (abs(w1) + abs(u_f))
+
+
+class TestMajorantReference:
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    def test_every_cut_matches_reference(self, alpha):
+        # Near Gamma0 the value w1 - u cancels, so agreement is measured
+        # against the size of the terms rather than of the value.
+        ctx = make_context(alpha)
+        for x1 in np.linspace(-14.0 * ctx.tau, -0.05, 7):
+            for gap in (0.0, 0.05, 0.3, 0.7, 1.0):
+                x = OmegaPoint(float(x1), float(x1 * x1 + gap))
+                for k in range(classify(x, ctx).index + 1):
+                    want, scale = _majorant_reference(x, 0.0, k, ctx)
+                    got = eval_majorant(x, 0.0, k, ctx)
+                    assert abs(got - want) <= 1e-12 * scale, (float(x1), gap, k)
 
 
 class TestMongeAmpere:

@@ -43,6 +43,16 @@ class TestEval:
         assert code == 2
         assert "tol must be finite and non-negative" in err
 
+    def test_chain_s_is_twice_grad2(self, capsys):
+        # s and grad2 = s/2 come from one evaluation, so they agree exactly.
+        code, out, _ = run(
+            capsys, ["eval", "--alpha", "0.1", "--x", "-5.632834", "32.261592964859"]
+        )
+        assert code == 0
+        rec = dict(line.split(" = ") for line in out.splitlines())
+        assert rec["region"] == "Omega_4"
+        assert float(rec["s"]) == 2.0 * float(rec["grad2"])
+
     def test_json_format_with_L(self, capsys):
         code, out, _ = run(
             capsys, ["eval", "--n", "2", "--x", "0", "1", "--L", "0", "--format", "json"]
@@ -206,6 +216,23 @@ class TestTree:
         assert out == ""
         assert err.startswith("error: root")
 
+    def test_deep_nesting_is_a_structure_error(self, capsys, tmp_path):
+        # A 600-level comb, written as a string: json.dumps recurses too.
+        depth = 600
+        text = '{"alpha": 0.5, "root": '
+        for d in range(depth):
+            text += '{"measure": %r, "children": [{"measure": %r, "value": 1.0}, ' % (
+                2.0**-d,
+                2.0 ** -(d + 1),
+            )
+        text += '{"measure": %r, "value": -1.0}' % 2.0**-depth + "]}" * depth + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["tree", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])
         assert code == 2
@@ -232,6 +259,13 @@ class TestOptimizer:
         assert [r["j"] for r in rows] == [1, 2]
         lo, hi = rows[0]["mean_N"]
         assert lo <= 0.7071067811865475 <= hi
+
+    @pytest.mark.parametrize("tol", ["nan", "1e-12"])
+    def test_tol_is_not_an_option(self, capsys, tol):
+        code, out, err = run(capsys, ["optimizer", "--jmax", "2", f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
 
     def test_gamma_column_increasing(self, capsys):
         code, out, _ = run(capsys, ["optimizer", "--jmax", "5", "--depth", "20"])
