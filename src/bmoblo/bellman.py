@@ -59,7 +59,11 @@ from .geometry import (
 # Residual target of the folded-frame foliation equation.
 _RESIDUAL_TOL = 1e-11
 _BISECT_ITERS = 80
+# Points bisected together: small enough that the temporaries stay in cache.
+_BISECT_CHUNK = 16384
 _NEWTON_ITERS = 3
+# Smallest normal float: the scale of B below which its digits run out.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,49 @@ def _zx_derivative(z, y1, mu):
     return 2.0 * y1 - 1.5 * z + 2.0 * mu - 0.5 / (z * z * z)
 
 
+def _bisect(lo, hi, y1, y2, mu):
+    """Bisect [lo, hi] on the sign of the residual until every midpoint
+    equals an endpoint, at most _BISECT_ITERS times; returns the midpoint.
+
+    From that step on the bisection is at a fixed point: a midpoint equal
+    to an endpoint recomputes that endpoint's residual sign, so neither
+    endpoint moves again (or both collapse onto the midpoint), and running
+    out the cap would return the same bits.  lo and hi are updated in place.
+    """
+    lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        # All ones where the residual is non-negative, so the midpoint
+        # replaces lo there and hi elsewhere: an exact, branch-free select.
+        take_lo = -(_zx_residual(mid, y1, y2, mu) >= 0.0).astype(np.int64)
+        mid_bits = mid.view(np.int64)
+        lo_bits ^= (lo_bits ^ mid_bits) & take_lo
+        hi_bits ^= (hi_bits ^ mid_bits) & ~take_lo
+    return 0.5 * (lo + hi)
+
+
+def _bisect_point(lo, hi, y1, y2, mu):
+    """_bisect for one point, on Python floats: the same operations in the
+    same order, hence the same bits, without numpy's per-call cost."""
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if _zx_residual(mid, y1, y2, mu) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _solve_frame(y1, y2, mu, z_lo, z_hi):
     """Bracketed root of the segment equation on [z_lo, z_hi] (arrays ok).
 
     The residual is positive at z_lo and negative at z_hi for interior
-    points; bisection guarantees convergence and a few Newton steps polish
-    the root to machine accuracy.
+    points; bisection to float resolution guarantees convergence and a few
+    Newton steps polish the root to machine accuracy.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -124,13 +165,21 @@ def _solve_frame(y1, y2, mu, z_lo, z_hi):
     # to rounding of the inputs; snap them back.
     lo_is_root = f_lo <= 0.0
     hi_is_root = f_hi >= 0.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        f_mid = _zx_residual(mid, y1, y2, mu)
-        take_lo = f_mid >= 0.0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    z = 0.5 * (lo + hi)
+    # Python floats raise on 0.25 / (z * z) == 0.25 / 0 where numpy only
+    # warns (they overflow to inf and carry NaN as numpy does), so the
+    # one-point loop takes brackets whose z * z stays positive.
+    if y1.size == 1 and min(lo.flat[0], hi.flat[0]) > 1e-150:
+        point = (float(np.ravel(a)[0]) for a in (lo, hi, y1, y2, mu))
+        z = np.full(y1.shape, _bisect_point(*point))
+    else:
+        # Bisection is elementwise, so splitting the points changes no bit.
+        flat = [lo.reshape(-1), hi.reshape(-1)]
+        flat += [np.broadcast_to(a, y1.shape).ravel() for a in (y1, y2, mu)]
+        z = np.empty(y1.size)
+        for i in range(0, y1.size, _BISECT_CHUNK):
+            c = slice(i, i + _BISECT_CHUNK)
+            z[c] = _bisect(*(a[c] for a in flat))
+        z = z.reshape(y1.shape)
     for _ in range(_NEWTON_ITERS):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = _zx_residual(z, y1, y2, mu) / _zx_derivative(z, y1, mu)
@@ -196,8 +245,14 @@ def _chain(m, x1, x2, ctx: AlphaContext, cut: bool = False):
     gf = np.asarray(g, dtype=float)
     scale = np.power(ctx.alpha, gf)
     value = scale * (0.5 * np.power(ctx.alpha, kf) * (1.0 + z * z) * (y1 - u_f))
-    s = np.power(ctx.alpha, gf + kf) * z
-    under = (scale == 0.0) & np.isfinite(y1)
+    power = np.power(ctx.alpha, gf + kf)
+    s = power * z
+    # alpha^(g+k) scales B and its gradient alike.  Below the normal range
+    # they keep too few digits to agree (B can stay subnormal while s / 2
+    # rounds to 0), so such points count as underflowed, with B = s = 0.
+    under = (power < _TINY) & np.isfinite(y1)
+    value = np.where(under, 0.0, value)
+    s = np.where(under, 0.0, s)
     return z, s, u_f - a, v_f - a, value, under
 
 
@@ -206,7 +261,8 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
 
     Returns a dict with arrays: value, grad1, grad2, region (codes), and the
     segment data s, z, u, v (NaN outside the chain cells), plus an
-    `underflow` mask for cells so deep that alpha^(folds) underflows.
+    `underflow` mask for cells so deep that alpha^(folds) leaves the normal
+    range; B, its gradient and s are 0 there.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))

@@ -30,10 +30,6 @@ import numpy as np
 
 from .errors import DomainError
 
-# Iteration cap for the leftward region search; x1 decreases by tau per
-# step, so any finite point terminates far earlier.
-_REGION_SEARCH_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class AlphaContext:
@@ -177,10 +173,17 @@ def clamp_gap(x1, x2, ctx: AlphaContext):
     """Clamp x2 onto the strip when within tol of it; raise otherwise.
 
     Returns the clamped x2 (array or scalar).  Downstream root solvers rely
-    on inputs being exactly representable inside their brackets.
+    on inputs being exactly representable inside their brackets, and the
+    region search on x1 being finite.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
+    finite = np.isfinite(x1) & np.isfinite(x2)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        x1b = float(np.ravel(np.broadcast_to(x1, finite.shape))[i])
+        x2b = float(np.ravel(np.broadcast_to(x2, finite.shape))[i])
+        raise DomainError(f"point ({x1b}, {x2b}) is not finite")
     gap = x2 - x1 * x1
     bad_low = gap < -ctx.tol
     bad_high = gap > 1.0 + ctx.tol
@@ -188,7 +191,7 @@ def clamp_gap(x1, x2, ctx: AlphaContext):
         i = int(np.argmax(bad_low | bad_high))
         x1b = float(np.ravel(x1)[i] if x1.ndim else x1)
         x2b = float(np.ravel(x2)[i] if x2.ndim else x2)
-        if np.any(bad_low):
+        if np.ravel(bad_low)[i]:
             raise DomainError(
                 f"point ({x1b}, {x2b}) violates x2 >= x1^2 by more than tol={ctx.tol}"
             )
@@ -203,8 +206,10 @@ def classify_codes(x1, x2, ctx: AlphaContext):
 
     Returns integer codes: -1 for Omega_plus, 0 for Omega_0, m >= 1 for
     Omega_m.  Boundary points (within tol of several regions) receive the
-    smallest applicable index; the candidate value of the two chain
-    inequalities is tested region by region while shifting right by tau.
+    smallest applicable index.  The pair of cells 2g+1, 2g+2 lies over
+    x1 in [-g tau - tau - 1, -g tau], so each chain point's frame tests
+    start at the first pair that reaches within tau/4 of it and move right
+    by tau; at most three steps settle a point, however far left.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
@@ -216,39 +221,46 @@ def classify_codes(x1, x2, ctx: AlphaContext):
     zero_mask = (code == -2) & (x2 <= 1.0 + tol)
     code[zero_mask] = RegionId.ZERO_INDEX
 
-    remaining = code == -2
-    if np.any(remaining):
-        # Every further point sits in some Omega_m; each shift moves the
-        # frame one cell to the right, so x1 bounds the iteration count.
-        g_needed = int(np.ceil(max(0.0, -float(np.min(x1[remaining]))) / ctx.tau)) + 2
-        g_cap = min(g_needed, _REGION_SEARCH_CAP)
-        for g in range(g_cap + 1):
-            idx = np.flatnonzero(remaining)
-            if idx.size == 0:
-                break
-            a = -g * ctx.tau
-            y1, y2 = shift_xy(a, x1[idx], x2[idx])
+    idx = np.flatnonzero(code == -2)
+    if idx.size:
+        # Pair g holds only points with -g tau - tau - 1 <= x1 <= -g tau (up
+        # to tol).  Where x1 + g tau <= -tau - 1 - eta, both frame tests fail
+        # by at least 2 eta + eta^2, which with eta = tau/4 + tol exceeds tol
+        # and the rounding of the shift (about 1.5e-15 x1^2) for |x1| < 6e6 tau.
+        # So the scan starts at the first pair right of that, and its first
+        # match is the one a scan from g = 0 finds.  From pair 2^53 on, g tau
+        # is not exact and the shift keeps no digit of x2 - x1^2: such points
+        # fail the search.
+        x1r, x2r = x1[idx], x2[idx]
+        eta = 0.25 * ctx.tau + tol
+        start = np.floor((-x1r - ctx.tau - 1.0 - eta) / ctx.tau) + 1.0
+        reach = start < 2.0**53
+        idx, x1r, x2r = idx[reach], x1r[reach], x2r[reach]
+        g = np.maximum(start[reach], 0.0).astype(np.int64)
+        while idx.size:
+            y1, y2 = shift_xy(-g * ctx.tau, x1r, x2r)
             # The chord and tangent lines bound the cells only as segments:
             # the chord line re-enters the strip right of p_1 and the
             # tangent line dips below the upper parabola right of -tau, so
             # the frame tests cap the abscissa (and the strip membership,
             # already guaranteed, caps the corner slivers by Gamma_1).
-            in_omega1 = (
-                (y1 <= tol)
-                & (y2 >= 1.0 - tol)
-                & (y2 <= ctx.chord_line(y1) + tol)
-            )
+            left = y1 <= tol
+            chord = ctx.chord_line(y1)
+            in_omega1 = left & (y2 >= 1.0 - tol) & (y2 <= chord + tol)
             in_omega2 = (
                 (~in_omega1)
-                & (y1 <= tol)
-                & (y2 >= ctx.chord_line(y1) - tol)
+                & left
+                & (y2 >= chord - tol)
                 & ((y2 <= ctx.tangent_line(y1) + tol) | (y1 >= -ctx.tau - tol))
             )
-            code[idx[in_omega1]] = 2 * g + 1
-            code[idx[in_omega2]] = 2 * g + 2
-            remaining[idx[in_omega1 | in_omega2]] = False
-        if np.any(remaining):
-            i = int(np.argmax(remaining))
+            code[idx[in_omega1]] = 2 * g[in_omega1] + 1
+            code[idx[in_omega2]] = 2 * g[in_omega2] + 2
+            # y1 grows with g and every frame test needs y1 <= tol, so a
+            # point right of its frame has no pair left to match.
+            keep = left & ~(in_omega1 | in_omega2)
+            idx, x1r, x2r, g = idx[keep], x1r[keep], x2r[keep], g[keep] + 1
+        if np.any(code == -2):
+            i = int(np.argmax(code == -2))
             raise DomainError(
                 f"region search failed for point ({float(x1[i])}, {float(x2[i])})"
             )

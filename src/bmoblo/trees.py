@@ -577,9 +577,14 @@ def tree_from_json(obj) -> AlphaTree:
 
 
 def tree_to_json(tree: AlphaTree) -> dict:
-    def enc(node: TreeNode):
-        if node.is_leaf:
-            return {"measure": node.measure, "value": node.value}
-        return {"measure": node.measure, "children": [enc(c) for c in node.children]}
-
-    return {"alpha": tree.alpha, "root": enc(tree.root)}
+    """The JSON document of the tree, built from its preorder arrays without
+    recursion, so that any depth can be written."""
+    docs = []
+    for p, m, v, s in zip(
+        tree.parent.tolist(), tree.measure.tolist(), tree.value.tolist(), tree.size.tolist()
+    ):
+        doc = {"measure": m, "value": v} if s == 1 else {"measure": m, "children": []}
+        if p >= 0:
+            docs[p]["children"].append(doc)
+        docs.append(doc)
+    return {"alpha": tree.alpha, "root": docs[0]}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmoblo import bellman
 from bmoblo.bellman import (
     eval_A,
     eval_arrays,
@@ -19,10 +20,10 @@ from bmoblo.bellman import (
     gamma1_foliation,
     solve_s,
 )
-from bmoblo.errors import DomainError
+from bmoblo.errors import ConvergenceError, DomainError
 from bmoblo.geometry import OmegaPoint, RegionId, classify, make_context, shift
 
-from conftest import sample_strip
+from conftest import boundary_points, sample_strip
 
 
 class TestSolveS:
@@ -192,6 +193,21 @@ class TestEvalB:
         bv = eval_B(shift(a, OmegaPoint(0.0, 1.0)), ctx)
         assert bv.value == 0.0
         assert bv.underflow
+
+    def test_subnormal_scale_counts_as_underflow(self, ctx_half):
+        # alpha^(g+k) is subnormal over x1 in [-760, -723]; at the first
+        # point B stayed 5e-324 while grad2 = s / 2 rounded to 0.
+        x1 = np.concatenate([[-759.3697662353516], np.linspace(-780.0, -700.0, 4001)])
+        x2 = x1 * x1 + 0.5
+        x2[0] = 576643.4341285415
+        out = eval_arrays(x1, x2, ctx_half)
+        assert out["region"][0] == 2147 and out["underflow"][0]
+        assert 0 < np.count_nonzero(out["underflow"]) < x1.size
+        zero = out["value"] == 0.0
+        assert np.array_equal(zero, out["underflow"])
+        assert np.array_equal(zero, out["grad2"] == 0.0)
+        assert np.array_equal(zero, out["s"] == 0.0)
+        assert np.all(out["grad1"][zero] == 0.0)
 
 
 class TestEvalA:
@@ -431,6 +447,120 @@ class TestMajorantReference:
                     want, scale = _majorant_reference(x, 0.0, k, ctx)
                     got = eval_majorant(x, 0.0, k, ctx)
                     assert abs(got - want) <= 1e-12 * scale, (float(x1), gap, k)
+
+
+def _solve_frame_reference(y1, y2, mu, z_lo, z_hi):
+    """The frame solver with a fixed 80 bisection steps and np.where
+    selects, as it was before the bisection learned to stop at float
+    resolution and to run one point on Python floats."""
+    from bmoblo.bellman import _zx_derivative, _zx_residual
+
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    lo = np.broadcast_to(np.asarray(z_lo, dtype=float), y1.shape).copy()
+    hi = np.broadcast_to(np.asarray(z_hi, dtype=float), y1.shape).copy()
+    lo_is_root = _zx_residual(lo, y1, y2, mu) <= 0.0
+    hi_is_root = _zx_residual(hi, y1, y2, mu) >= 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        take_lo = _zx_residual(mid, y1, y2, mu) >= 0.0
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    z = 0.5 * (lo + hi)
+    for _ in range(3):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = _zx_residual(z, y1, y2, mu) / _zx_derivative(z, y1, mu)
+        step = np.where(np.isfinite(step), step, 0.0)
+        z = np.clip(z - step, np.asarray(z_lo, dtype=float), np.asarray(z_hi, dtype=float))
+    z = np.where(lo_is_root, np.broadcast_to(z_lo, y1.shape), z)
+    z = np.where(hi_is_root & ~lo_is_root, np.broadcast_to(z_hi, y1.shape), z)
+    resid = _zx_residual(z, y1, y2, mu)
+    if np.any(np.abs(resid) > 1e-11):
+        i = int(np.argmax(np.abs(resid)))
+        raise ConvergenceError(
+            f"foliation solve residual {float(np.ravel(resid)[i]):.3e} exceeds "
+            f"1e-11 at folded point ({float(np.ravel(y1)[i])}, {float(np.ravel(y2)[i])})"
+        )
+    return z
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.fixture()
+def frame_calls(monkeypatch):
+    """The arguments and the outcome (z or the error) of every frame solve."""
+    calls = []
+    solve = bellman._solve_frame
+
+    def recording(*args):
+        try:
+            z = solve(*args)
+        except ConvergenceError as exc:
+            calls.append((args, str(exc)))
+            raise
+        calls.append((args, z))
+        return z
+
+    monkeypatch.setattr(bellman, "_solve_frame", recording)
+    return calls
+
+
+class TestSolveFrameReference:
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 1.0 / 16.0])
+    def test_bitwise_equal_to_fixed_80_step_bisection(self, alpha, rng, frame_calls):
+        ctx = make_context(alpha)
+        x1, x2 = sample_strip(rng, 20_000, 12.0 * ctx.tau, ctx)
+        x2[::7] = x1[::7] ** 2
+        x2[1::7] = x1[1::7] ** 2 + 1.0
+        b1, b2 = boundary_points(ctx)
+        x1, x2 = np.concatenate([x1, b1]), np.concatenate([x2, b2])
+        codes = np.full(x1.shape, -2)
+        # Batched, regular brackets; near the tangency corners some points
+        # fail the residual gate, and the reference must fail alike.
+        for i in range(0, x1.size, 2048):
+            c = slice(i, i + 2048)
+            try:
+                codes[c] = eval_arrays(x1[c], x2[c], ctx)["region"]
+            except ConvergenceError:
+                pass
+        chain = np.flatnonzero(codes >= 1)
+        # One point, regular brackets.
+        for i in rng.choice(chain, 150, replace=False):
+            eval_B(OmegaPoint(float(x1[i]), float(x2[i])), ctx)
+        for k in (1, 2, 3, 4):
+            beyond = np.flatnonzero(codes > k)
+            # Batched and one-point cut brackets.
+            bellman._chain(k, x1[beyond], x2[beyond], ctx, cut=True)
+            for i in rng.choice(beyond, 20, replace=False):
+                eval_majorant(OmegaPoint(float(x1[i]), float(x2[i])), 0.0, k, ctx)
+        sizes = [np.size(args[0]) for args, _ in frame_calls]
+        assert min(sizes) == 1 and max(sizes) > 1000
+        for args, got in frame_calls:
+            try:
+                want = _solve_frame_reference(*args)
+            except ConvergenceError as exc:
+                want = str(exc)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+            else:
+                assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 1.0 / 16.0])
+    def test_eval_B_equals_batch_entry(self, alpha, rng):
+        ctx = make_context(alpha)
+        x1, x2 = sample_strip(rng, 400, 10.0 * ctx.tau, ctx)
+        x2[::5] = x1[::5] ** 2
+        x2[1::5] = x1[1::5] ** 2 + 1.0
+        out = eval_arrays(x1, x2, ctx)
+        assert np.count_nonzero(out["region"] >= 1) > 150
+        for i in range(x1.size):
+            b = eval_B(OmegaPoint(float(x1[i]), float(x2[i])), ctx)
+            got = _bits([b.value, b.grad1, b.grad2])
+            want = _bits([out["value"][i], out["grad1"][i], out["grad2"][i]])
+            assert np.array_equal(got, want), (x1[i], x2[i])
+            assert b.underflow == out["underflow"][i]
 
 
 class TestMongeAmpere:

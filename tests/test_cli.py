@@ -35,6 +35,13 @@ class TestEval:
         assert code == 2
         assert "x1^2 + 1" in err
 
+    @pytest.mark.parametrize("x", [("inf", "inf"), ("nan", "1"), ("-1", "nan"), ("-2", "inf")])
+    def test_non_finite_point_is_a_domain_error(self, capsys, x):
+        code, out, err = run(capsys, ["eval", "--alpha", "0.5", "--x", *x])
+        assert code == 2
+        assert out == ""
+        assert f"point ({float(x[0])}, {float(x[1])}) is not finite" in err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_usage_error(self, capsys, tol):
         code, _, err = run(

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmoblo import geometry
 from bmoblo.errors import DomainError
 from bmoblo.geometry import (
     OmegaPoint,
     RegionId,
+    clamp_gap,
     classify,
     classify_codes,
     envelope_point,
@@ -17,7 +19,7 @@ from bmoblo.geometry import (
     shift,
 )
 
-from conftest import sample_strip
+from conftest import boundary_points, sample_strip
 
 
 class TestContext:
@@ -134,6 +136,95 @@ class TestClassify:
         folded = classify_codes(y1, y2, ctx_quarter)
         assert np.all((folded == 1) | (folded == 2))
         assert np.array_equal(folded, codes[deep] - 2 * g)
+
+
+def _classify_reference(x1, x2, ctx):
+    """Region codes by the scan over cell pairs from g = 0 that the
+    classifier used before it learned to start at a point's own pair."""
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
+    tol = ctx.tol
+    code = np.full(x1.shape, -2, dtype=np.int64)
+    code[x1 >= -tol] = RegionId.PLUS_INDEX
+    code[(code == -2) & (x2 <= 1.0 + tol)] = RegionId.ZERO_INDEX
+    remaining = code == -2
+    if np.any(remaining):
+        g_needed = int(np.ceil(max(0.0, -float(np.min(x1[remaining]))) / ctx.tau)) + 2
+        for g in range(min(g_needed, 10**6) + 1):
+            idx = np.flatnonzero(remaining)
+            if idx.size == 0:
+                break
+            a = -g * ctx.tau
+            y1, y2 = x1[idx] - a, x2[idx] - 2.0 * a * x1[idx] + a * a
+            in_omega1 = (y1 <= tol) & (y2 >= 1.0 - tol) & (y2 <= ctx.chord_line(y1) + tol)
+            in_omega2 = (
+                (~in_omega1)
+                & (y1 <= tol)
+                & (y2 >= ctx.chord_line(y1) - tol)
+                & ((y2 <= ctx.tangent_line(y1) + tol) | (y1 >= -ctx.tau - tol))
+            )
+            code[idx[in_omega1]] = 2 * g + 1
+            code[idx[in_omega2]] = 2 * g + 2
+            remaining[idx[in_omega1 | in_omega2]] = False
+        assert not np.any(remaining)
+    return code
+
+
+class TestClassifyReference:
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 1.0 / 16.0])
+    def test_codes_match_scan_from_zero(self, alpha, rng):
+        ctx = make_context(alpha)
+        x1, x2 = sample_strip(rng, 50_000, 14.0 * ctx.tau, ctx)
+        b1, b2 = boundary_points(ctx)
+        x1, x2 = np.concatenate([x1, b1]), np.concatenate([x2, b2])
+        assert np.array_equal(classify_codes(x1, x2, ctx), _classify_reference(x1, x2, ctx))
+
+    def test_scan_length_does_not_grow_with_distance(self, ctx_half, monkeypatch):
+        calls = []
+        shift_xy = geometry.shift_xy
+
+        def counting(*args):
+            calls.append(1)
+            return shift_xy(*args)
+
+        monkeypatch.setattr(geometry, "shift_xy", counting)
+        for x1 in (-10.0, -1e3, -1e5):
+            calls.clear()
+            code = classify_codes(x1, x1 * x1 + 0.5, ctx_half)[0]
+            assert 1 <= len(calls) <= 3, (x1, len(calls))
+            # The pair 2g+1, 2g+2 lies over [-g tau - tau - 1, -g tau].
+            g = (code - 1) // 2
+            assert -g * ctx_half.tau - ctx_half.tau - 1.0 <= x1 <= -g * ctx_half.tau
+
+    def test_far_left_point_is_classified(self, ctx_half):
+        # Beyond 10^6 pairs: the scan from g = 0 gave up here.
+        x1 = -1e6
+        code = classify_codes(x1, x1 * x1 + 0.5, ctx_half)[0]
+        g = (code - 1) // 2
+        assert g > 10**6
+        assert -g * ctx_half.tau - ctx_half.tau - 1.0 <= x1 <= -g * ctx_half.tau
+
+
+class TestClampGap:
+    def test_message_names_the_inequality_of_the_named_point(self, ctx_quarter):
+        # The first offending point is above the strip, a later one below it.
+        x1, x2 = np.array([0.0, -0.5]), np.array([1.5, 0.1])
+        with pytest.raises(DomainError, match=r"^point \(0\.0, 1\.5\) violates x2 <= x1\^2 \+ 1"):
+            clamp_gap(x1, x2, ctx_quarter)
+        with pytest.raises(DomainError, match=r"^point \(-0\.5, 0\.1\) violates x2 >= x1\^2"):
+            clamp_gap(x1[::-1], x2[::-1], ctx_quarter)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "x1, x2", [(math.inf, math.inf), (math.nan, 1.0), (-1.0, math.nan), (-math.inf, 2.0)]
+    )
+    def test_clamp_gap_names_the_point(self, ctx_quarter, x1, x2):
+        with pytest.raises(DomainError, match=r"is not finite") as exc:
+            clamp_gap(np.array([-1.0, x1]), np.array([1.5, x2]), ctx_quarter)
+        assert f"({x1}, {x2})" in str(exc.value)
+        with pytest.raises(DomainError, match=r"is not finite"):
+            classify(OmegaPoint(x1, x2), ctx_quarter)
 
 
 class TestEnvelope:

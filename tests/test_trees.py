@@ -26,6 +26,7 @@ from bmoblo.trees import (
     verify_induction,
     verify_main_theorem,
     with_leaf_values,
+    _from_arrays,
 )
 
 
@@ -246,6 +247,32 @@ class TestJson:
         again = tree_from_json(json.dumps(tree_to_json(tree)))
         assert bmo_norm(again) == pytest.approx(bmo_norm(tree), abs=1e-15)
         assert np.array_equal(leaf_measures(again), leaf_measures(tree))
+
+    def test_matches_recursive_encoding(self, rng):
+        def enc(node):
+            if node.is_leaf:
+                return {"measure": node.measure, "value": node.value}
+            return {"measure": node.measure, "children": [enc(c) for c in node.children]}
+
+        trees = [random_tree(alpha, rng) for alpha in (0.5, 0.25, 0.1) for _ in range(5)]
+        for tree in [*trees, deep_unbalanced_tree(rng), two_leaf_tree()]:
+            assert tree_to_json(tree) == {"alpha": tree.alpha, "root": enc(tree.root)}
+
+    def test_deep_comb_round_trip(self):
+        # 600 levels: node 2d has a leaf child 2d+1 and carries on to 2d+2.
+        depth = 600
+        parent = np.repeat(np.arange(0, 2 * depth, 2), 2)
+        parent = np.concatenate([[-1], parent])
+        measure = np.concatenate([[1.0], np.repeat(0.5 ** np.arange(1.0, depth + 1.0), 2)])
+        value = np.full(parent.size, np.nan)
+        value[1::2] = 1.0
+        value[-1] = -1.0
+        levels = np.concatenate([[0], np.repeat(np.arange(1, depth + 1), 2)])
+        tree = _from_arrays(0.5, parent, measure, value, levels, check=True)
+        assert tree.depth.max() == depth
+        again = tree_from_json(tree_to_json(tree))
+        for key in ("parent", "measure", "value", "depth"):
+            assert np.array_equal(getattr(again, key), getattr(tree, key), equal_nan=True), key
 
     def test_two_leaf_document(self):
         doc = {
