@@ -18,8 +18,12 @@ The recursion is materialized as an adaptive binary partition: a "state"
 cell carries an exact affine copy of psi shifted by offset*delta; one
 expansion turns a state at depth d into a resolved constant cell at depth
 d+j, same-offset copies at depths d+2..d+j and an offset+1 copy at depth
-d+1.  Expansion stops at a depth cap and a leaf budget; whatever remains
-unresolved is tracked exactly by measure and offset.
+d+1.  States expand in generation order (the root, then its j children,
+then theirs, each generation in its parents' order), one generation per
+array step.  Expansion stops at a depth cap and a leaf budget: the budget
+admits the first floor((budget-1)/j) states in that order whose resolved
+piece fits the cap.  Whatever remains unresolved is tracked exactly by
+measure and offset.  Cell positions are int64, so the depth is at most 63.
 
 Statistics are reported as enclosures.  Truncation alone cannot give tight
 two-sided bounds (the unresolved measure decays only like
@@ -42,7 +46,6 @@ mU, hence every enclosure.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,11 @@ from .trees import AlphaTree, TreeNode
 # every reported enclosure endpoint.
 _N_ITER = 20000
 _PAD = 1e-12
+
+# Deepest cell: positions below 2^depth must fit in int64.  The cell
+# masses 2^-depth come from an exact table.
+_MAX_DEPTH = 63
+_CELL_MASS = np.ldexp(1.0, -np.arange(_MAX_DEPTH + 1))
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,8 @@ class PsiFunction:
         self.res_depth, self.res_offset, self.res_pos = res
         self.unres_depth, self.unres_offset, self.unres_pos = unres
         self.leaf_count = leaf_count
-        self.res_mass = np.ldexp(1.0, -self.res_depth)
-        self.unres_mass = np.ldexp(1.0, -self.unres_depth)
+        self.res_mass = _CELL_MASS[self.res_depth]
+        self.unres_mass = _CELL_MASS[self.unres_depth]
         self.unresolved_mass = float(np.sum(self.unres_mass))
 
     @property
@@ -185,47 +193,52 @@ def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
     resulting leaves fit within `node_budget` (each expansion adds j
     leaves); remaining states stay as unresolved leaves with exact measure
     accounting, so both caps degrade the enclosure widths, never
-    correctness.  Breadth-first order expands the largest cells first.
+    correctness.  States are taken in generation order, and the budget
+    expands the first floor((node_budget-1)/j) of them whose resolved piece
+    fits within `depth`.  Positions are int64, so `depth` is at most 63.
     """
     params = psi_params(j)
     if depth < j:
         raise DomainError(f"depth {depth} is below the scale index {j}")
+    if depth > _MAX_DEPTH:
+        raise DomainError(
+            f"depth {depth} exceeds {_MAX_DEPTH}: cell positions must fit in int64"
+        )
     if node_budget < j + 1:
         raise ResourceError(
             f"node budget {node_budget} cannot hold a single expansion of scale {j}"
         )
-    res_d, res_c, res_p = [], [], []
-    unres_d, unres_c, unres_p = [], [], []
-    queue = deque([(0, 0, 0)])
-    leaves = 1
-    while queue:
-        d, c, pos = queue.popleft()
-        if d + j > depth or leaves + j > node_budget:
-            unres_d.append(d)
-            unres_c.append(c)
-            unres_p.append(pos)
-            continue
-        leaves += j
-        queue.append((d + 1, c + 1, 2 * pos + 1))
-        # Copies hang off the leftmost chain: depth d+i holds the piece
-        # (2^-i, 2^(1-i)] of the cell, i = 2..j; below them sits the
-        # resolved piece (0, 2^-j].
-        for i in range(2, j + 1):
-            queue.append((d + i, c, (pos << i) + 1))
-        res_d.append(d + j)
-        res_c.append(c)
-        res_p.append(pos << j)
-    res = (
-        np.array(res_d, dtype=np.int64),
-        np.array(res_c, dtype=np.int64),
-        np.array(res_p, dtype=np.int64),
+    budget = (node_budget - 1) // j
+    left = budget
+    # One pass per generation.  Child i = 1..j of a state (d, c, pos) is
+    # (d+i, c+[i == 1], (pos<<i)+1): the offset+1 copy on the right half,
+    # then the copies on the pieces (2^-i, 2^(1-i)] of the leftmost chain;
+    # below them sits the resolved piece (0, 2^-j].  Raveling the
+    # (parents, j) block row by row keeps the parents' order.
+    steps = np.arange(1, j + 1, dtype=np.int64)
+    bumps = (steps == 1).astype(np.int64)
+    d = c = pos = np.zeros(1, dtype=np.int64)
+    res, unres = [], []
+    while d.size:
+        grow = d + j <= depth
+        if left < d.size:
+            # Only the first `left` eligible states fit within the budget.
+            grow[np.flatnonzero(grow)[left:]] = False
+        left -= int(np.count_nonzero(grow))
+        stay = ~grow
+        unres.append((d[stay], c[stay], pos[stay]))
+        d, c, pos = d[grow], c[grow], pos[grow]
+        res.append((d + j, c, pos << j))
+        d = (d[:, None] + steps).ravel()
+        c = (c[:, None] + bumps).ravel()
+        pos = ((pos[:, None] << steps) + 1).ravel()
+    return PsiFunction(
+        params,
+        depth,
+        tuple(np.concatenate(col) for col in zip(*res)),
+        tuple(np.concatenate(col) for col in zip(*unres)),
+        1 + j * (budget - left),
     )
-    unres = (
-        np.array(unres_d, dtype=np.int64),
-        np.array(unres_c, dtype=np.int64),
-        np.array(unres_p, dtype=np.int64),
-    )
-    return PsiFunction(params, depth, res, unres, leaves)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,21 @@ class TestOptimizer:
         assert out == ""
         assert "--tol" in err
 
+    @pytest.mark.parametrize("jmax,depth", [(1, 64), (3, 70)])
+    def test_depth_above_63_is_a_domain_error(self, capsys, jmax, depth):
+        code, out, err = run(
+            capsys, ["optimizer", "--jmax", str(jmax), "--depth", str(depth)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: depth {depth} ")
+        assert "Traceback" not in err
+
+    def test_depth_63_runs(self, capsys):
+        code, out, _ = run(capsys, ["optimizer", "--jmax", "1", "--depth", "63"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+
     def test_gamma_column_increasing(self, capsys):
         code, out, _ = run(capsys, ["optimizer", "--jmax", "5", "--depth", "20"])
         gammas = [float(r.split(",")[1]) for r in out.strip().splitlines()[1:]]

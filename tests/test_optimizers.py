@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from bmoblo.errors import DomainError, ResourceError
 from bmoblo.optimizers import (
     Enclosure,
+    PsiFunction,
     build_psi,
     dyadic_interval_bmo_sq,
     dyadic_square_bmo_sq,
@@ -109,6 +112,111 @@ class TestBuild:
         big = build_psi(5, 24, node_budget=1 << 17)
         assert small.leaf_count <= 2000
         assert small.unresolved_mass > big.unresolved_mass
+
+
+def _reference_build(j, depth, node_budget):
+    """The one-state-at-a-time breadth-first build, as the reference."""
+    res_d, res_c, res_p = [], [], []
+    unres_d, unres_c, unres_p = [], [], []
+    queue = deque([(0, 0, 0)])
+    leaves = 1
+    while queue:
+        d, c, pos = queue.popleft()
+        if d + j > depth or leaves + j > node_budget:
+            unres_d.append(d)
+            unres_c.append(c)
+            unres_p.append(pos)
+            continue
+        leaves += j
+        queue.append((d + 1, c + 1, 2 * pos + 1))
+        for i in range(2, j + 1):
+            queue.append((d + i, c, (pos << i) + 1))
+        res_d.append(d + j)
+        res_c.append(c)
+        res_p.append(pos << j)
+    res = tuple(np.array(x, dtype=np.int64) for x in (res_d, res_c, res_p))
+    unres = tuple(np.array(x, dtype=np.int64) for x in (unres_d, unres_c, unres_p))
+    psi = PsiFunction(psi_params(j), depth, res, unres, leaves)
+    # masses as np.ldexp computes them, not from the table
+    psi.res_mass = np.ldexp(1.0, -psi.res_depth)
+    psi.unres_mass = np.ldexp(1.0, -psi.unres_depth)
+    psi.unresolved_mass = float(np.sum(psi.unres_mass))
+    return psi
+
+
+_BUILD_ARRAYS = (
+    "res_depth",
+    "res_offset",
+    "res_pos",
+    "res_mass",
+    "unres_depth",
+    "unres_offset",
+    "unres_pos",
+    "unres_mass",
+)
+
+
+def _stats_bits(st):
+    out = []
+    for field in dataclasses.fields(st):
+        v = getattr(st, field.name)
+        if isinstance(v, Enclosure):
+            out += [v.lo.hex(), v.hi.hex()]
+        elif isinstance(v, float):
+            out.append(v.hex())
+        else:
+            out.append(v)
+    return out
+
+
+def _assert_same_build(j, depth, node_budget):
+    psi = build_psi(j, depth, node_budget=node_budget)
+    ref = _reference_build(j, depth, node_budget)
+    for name in _BUILD_ARRAYS:
+        a, b = getattr(psi, name), getattr(ref, name)
+        assert a.dtype == b.dtype, (j, depth, node_budget, name)
+        assert a.tobytes() == b.tobytes(), (j, depth, node_budget, name)
+    assert psi.leaf_count == ref.leaf_count
+    assert psi.unresolved_mass.hex() == ref.unresolved_mass.hex()
+    assert _stats_bits(psi_stats(psi)) == _stats_bits(psi_stats(ref))
+
+
+class TestBuildReference:
+    @pytest.mark.parametrize("j", range(1, 15))
+    def test_bitwise_equal_to_breadth_first_loop(self, j):
+        for depth in range(j, 27):
+            for node_budget in (j + 1, 2 * j + 1, 2000):
+                _assert_same_build(j, depth, node_budget)
+
+    @pytest.mark.parametrize("j", [2, 7, 12])
+    def test_bitwise_equal_at_default_budget(self, j):
+        _assert_same_build(j, 24, 1 << 17)
+
+    def test_bitwise_equal_at_deepest_depth(self):
+        _assert_same_build(1, 63, 1 << 17)
+        _assert_same_build(3, 63, 2000)
+
+    @pytest.mark.parametrize("j,node_budget", [(3, 101), (3, 1001), (5, 103), (5, 2003)])
+    def test_budget_expands_first_eligible_states(self, j, node_budget):
+        assert (node_budget - 1) % j != 0
+        depth = 24
+        psi = build_psi(j, depth, node_budget=node_budget)
+        assert psi.leaf_count == 1 + j * ((node_budget - 1) // j)
+        # the budget, not the depth, left some state unexpanded
+        assert np.any(psi.unres_depth + j <= depth)
+
+
+class TestDepthLimit:
+    def test_depth_above_63_rejected(self):
+        with pytest.raises(DomainError, match="depth 64"):
+            build_psi(1, 64)
+
+    def test_depth_63_positions_fit(self):
+        psi = build_psi(1, 63)
+        for deps, poss in ((psi.res_depth, psi.res_pos), (psi.unres_depth, psi.unres_pos)):
+            assert all(0 <= p < 2**d for d, p in zip(deps.tolist(), poss.tolist()))
+        # the rightmost cell at depth 63
+        assert int(psi.unres_pos.max()) == 2**63 - 1
 
 
 class TestMaximalIdentity:
