@@ -162,14 +162,21 @@ def cmd_concavity(args) -> int:
     return 0 if report.min_margin >= -1e-9 else 1
 
 
+def _read_utf8(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise StructureError(path, "document is not UTF-8 text") from None
+
+
 def cmd_tree(args) -> int:
     ctx_tol = args.tol
-    with open(args.path) as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise StructureError(args.path, "document is nested too deeply to read") from None
-    tree = trees_mod.tree_from_json(obj)
+    try:
+        # No reference to the text is kept here, so it is freed once parsed.
+        tree = trees_mod.tree_from_json(_read_utf8(args.path))
+    except RecursionError:
+        raise StructureError(args.path, "document is nested too deeply to read") from None
     ctx = make_context(tree.alpha, tol=ctx_tol)
     norm = trees_mod.bmo_norm(tree)
     work = tree

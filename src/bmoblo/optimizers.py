@@ -280,6 +280,11 @@ def psi_stats(psi: PsiFunction) -> PsiStats:
     """
     g, dlt, j = psi.gamma, psi.delta, psi.j
     mU = psi.unresolved_mass
+    if mU >= 1.0:
+        raise DomainError(
+            f"scale index {j} at depth {psi.depth}: the unresolved mass rounds to 1, "
+            "so the fixed point divides by zero"
+        )
     res_val = -g + psi.res_offset * dlt
     a = float(np.sum(psi.res_mass * res_val)) + dlt * float(
         np.sum(psi.unres_mass * psi.unres_offset)

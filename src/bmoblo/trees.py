@@ -23,6 +23,7 @@ slice [i, i + size[i]).  TreeNode objects exist only at the boundary.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -508,23 +509,48 @@ def _walk(root, read):
     """(parent, measure, value, depth) preorder arrays of a nested tree.
 
     read(node) gives (measure, value, children), children None at a leaf,
-    or raises _BadNode.
+    or raises _BadNode.  When read is _read_json_node, an object of the
+    common shape -- a float measure and exactly one of a float value or a
+    non-empty children list -- is read inline; read still decides every
+    other node, so it raises its own errors and maps integers beyond the
+    float range to +-inf.
     """
     parent, depth, measure, value = [], [], [], []
-    stack = [(root, -1)]
+    add_parent, add_depth = parent.append, depth.append
+    add_measure, add_value = measure.append, value.append
+    stack = [(root, -1, 0)]
+    pop, push = stack.pop, stack.extend
+    nan = math.nan
+    lean = read is _read_json_node
     try:
         while stack:
-            node, p = stack.pop()
-            i = len(parent)
-            parent.append(p)
-            depth.append(depth[p] + 1 if i else 0)
-            m, v, kids = read(node)
-            measure.append(m)
+            node, p, d = pop()
+            add_parent(p)
+            add_depth(d)
+            if (
+                lean
+                and type(node) is dict
+                and len(node) == 2
+                and type(m := node.get("measure")) is float
+            ):
+                v = node.get("value")
+                if type(v) is float:
+                    add_measure(m)
+                    add_value(v)
+                    continue
+                kids = node.get("children")
+                if type(kids) is not list or not kids:
+                    m, v, kids = read(node)
+            else:
+                m, v, kids = read(node)
+            add_measure(m)
             if kids is None:
-                value.append(math.nan if v is None else v)
+                add_value(nan if v is None else v)
             elif kids:
-                value.append(math.nan)
-                stack.extend(zip(reversed(kids), [i] * len(kids)))
+                add_value(nan)
+                i = len(parent) - 1
+                d += 1
+                push([(kid, i, d) for kid in reversed(kids)])
             else:
                 raise _BadNode("internal node has no children")
     except _BadNode as exc:
@@ -544,7 +570,7 @@ def _number(x, what: str) -> float:
     try:
         return float(x)
     except OverflowError:  # an integer literal beyond the float range
-        return math.copysign(math.inf, x)
+        return math.inf if x > 0 else -math.inf
 
 
 def _read_json_node(obj):
@@ -564,16 +590,33 @@ def _read_json_node(obj):
 
 
 def tree_from_json(obj) -> AlphaTree:
-    """Parse and validate the JSON tree format."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "alpha" not in obj or "root" not in obj:
-        raise StructureError("root", "top level must carry alpha and root")
+    """Parse and validate the JSON tree format.
+
+    `obj` is the document, as text (str or bytes) or already parsed.  The
+    cyclic garbage collector is paused while the document is parsed and
+    walked, and left as it was found: parsing builds one dict per node and
+    no reference cycles, and a running collector would rescan all of them
+    again and again as they pile up, which more than doubles the time
+    json.loads takes on a large tree.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        alpha = _number(obj["alpha"], "alpha")
-    except _BadNode as exc:
-        raise StructureError("root", str(exc)) from None
-    return _from_arrays(alpha, *_walk(obj["root"], _read_json_node), check=True)
+        if isinstance(obj, (str, bytes)):
+            obj = json.loads(obj)
+        if not isinstance(obj, dict) or "alpha" not in obj or "root" not in obj:
+            raise StructureError("root", "top level must carry alpha and root")
+        try:
+            alpha = _number(obj["alpha"], "alpha")
+        except _BadNode as exc:
+            raise StructureError("root", str(exc)) from None
+        arrays = _walk(obj["root"], _read_json_node)
+        # A document parsed here is freed before the collector resumes.
+        del obj
+    finally:
+        if enabled:
+            gc.enable()
+    return _from_arrays(alpha, *arrays, check=True)
 
 
 def tree_to_json(tree: AlphaTree) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -9,6 +10,17 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def comb_text(depth):
+    """A comb of `depth` levels as JSON text (json.dumps recurses too)."""
+    text = '{"alpha": 0.5, "root": '
+    for d in range(depth):
+        text += '{"measure": %r, "children": [{"measure": %r, "value": 1.0}, ' % (
+            2.0**-d,
+            2.0 ** -(d + 1),
+        )
+    return text + '{"measure": %r, "value": -1.0}' % 2.0**-depth + "]}" * depth + "}"
 
 
 class TestEval:
@@ -205,6 +217,10 @@ class TestTree:
             (True, 1.0, 1.0),
             (float("nan"), 1.0, 1.0),
             (float("inf"), 1.0, 1.0),
+            # integer literals beyond the float range read as +-inf
+            pytest.param(10**400, 1.0, 1.0, id="alpha-1e400"),
+            pytest.param(0.5, 10**400, 1.0, id="measure-1e400"),
+            pytest.param(0.5, 1.0, -(10**400), id="value--1e400"),
         ],
     )
     def test_non_numbers_rejected(self, capsys, tmp_path, alpha, measure, value):
@@ -224,17 +240,8 @@ class TestTree:
         assert err.startswith("error: root")
 
     def test_deep_nesting_is_a_structure_error(self, capsys, tmp_path):
-        # A 600-level comb, written as a string: json.dumps recurses too.
-        depth = 600
-        text = '{"alpha": 0.5, "root": '
-        for d in range(depth):
-            text += '{"measure": %r, "children": [{"measure": %r, "value": 1.0}, ' % (
-                2.0**-d,
-                2.0 ** -(d + 1),
-            )
-        text += '{"measure": %r, "value": -1.0}' % 2.0**-depth + "]}" * depth + "}"
         path = tmp_path / "deep.json"
-        path.write_text(text)
+        path.write_text(comb_text(600))
         code, out, err = run(capsys, ["tree", str(path)])
         assert code == 2
         assert out == ""
@@ -243,6 +250,51 @@ class TestTree:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe{}",
+            '{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}}'.encode("utf-16"),
+            '{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0, "\xe9": 0}}'.encode("latin-1"),
+        ],
+    )
+    def test_non_utf8_is_a_structure_error(self, capsys, tmp_path, data):
+        path = tmp_path / "tree.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["tree", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: document is not UTF-8 text\n"
+
+
+class TestTreeCollectorState:
+    """Reading a tree pauses the cyclic collector and leaves it as it was."""
+
+    DOCS = {
+        "valid": ('{"alpha": 0.5, "root": {"measure": 1.0, "children": '
+                  '[{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": -1.0}]}}', 0),
+        "malformed": ('{"alpha": 0.5, "root": {"measure": 1.0, "children": '
+                      '[{"measure": 0.5, "value": 1.0}, 7]}}', 2),
+        "deep": (comb_text(600), 2),
+        "missing": (None, 2),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("kind", list(DOCS))
+    def test_state_restored(self, capsys, tmp_path, kind, enabled):
+        text, want = self.DOCS[kind]
+        path = tmp_path / "tree.json"
+        if text is not None:
+            path.write_text(text)
+        was = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            code, _, _ = run(capsys, ["tree", str(path)])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert code == want
 
 
 class TestOptimizer:
@@ -283,6 +335,22 @@ class TestOptimizer:
         assert out == ""
         assert err.startswith(f"error: depth {depth} ")
         assert "Traceback" not in err
+
+    # The first j whose unresolved mass rounds to 1: 54 at depth 54, 55 at 63.
+    @pytest.mark.parametrize("jmax,depth,j", [(54, 54, 54), (60, 63, 55)])
+    def test_unresolved_mass_of_one_is_a_domain_error(self, capsys, jmax, depth, j):
+        code, out, err = run(
+            capsys, ["optimizer", "--jmax", str(jmax), "--depth", str(depth)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: scale index {j} at depth {depth}: ")
+        assert "Traceback" not in err
+
+    def test_jmax_53_runs(self, capsys):
+        code, out, _ = run(capsys, ["optimizer", "--jmax", "53", "--depth", "53"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 54
 
     def test_depth_63_runs(self, capsys):
         code, out, _ = run(capsys, ["optimizer", "--jmax", "1", "--depth", "63"])

@@ -219,6 +219,27 @@ class TestDepthLimit:
         assert int(psi.unres_pos.max()) == 2**63 - 1
 
 
+class TestUnresolvedMassLimit:
+    """1 - 2^-j rounds to 1 for j >= 54, and psi_stats divides by 1 - mU."""
+
+    @pytest.mark.parametrize("j,depth", [(54, 54), (55, 63), (63, 63)])
+    def test_mass_of_one_rejected(self, j, depth):
+        psi = build_psi(j, depth)
+        assert psi.unresolved_mass == 1.0
+        with pytest.raises(DomainError, match=f"scale index {j} at depth {depth}"):
+            psi_stats(psi)
+
+    @pytest.mark.parametrize("j,depth", [(53, 53), (54, 56)])
+    def test_mass_below_one_accepted(self, j, depth):
+        st = psi_stats(build_psi(j, depth))
+        assert st.unresolved_mass < 1.0
+        assert all(
+            math.isfinite(x)
+            for e in (st.mean, st.mean_sq, st.bmo, st.mean_N)
+            for x in (e.lo, e.hi)
+        )
+
+
 class TestMaximalIdentity:
     @pytest.mark.parametrize("j,depth", [(1, 10), (2, 12), (3, 12)])
     def test_identity_on_resolved_leaves(self, j, depth):

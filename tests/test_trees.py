@@ -26,7 +26,10 @@ from bmoblo.trees import (
     verify_induction,
     verify_main_theorem,
     with_leaf_values,
+    _BadNode,
     _from_arrays,
+    _number,
+    _path,
 )
 
 
@@ -491,3 +494,174 @@ class TestValidatePaths:
         with pytest.raises(StructureError) as exc:
             tree_from_json({"alpha": 0.5, "root": root})
         assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# JSON ingest against the plain walk: one reader call per node, depths looked
+# up from the parent.  The lean walk must give the same arrays bit for bit and
+# the same error text.
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(root, read):
+    parent, depth, measure, value = [], [], [], []
+    stack = [(root, -1)]
+    try:
+        while stack:
+            node, p = stack.pop()
+            i = len(parent)
+            parent.append(p)
+            depth.append(depth[p] + 1 if i else 0)
+            m, v, kids = read(node)
+            measure.append(m)
+            if kids is None:
+                value.append(math.nan if v is None else v)
+            elif kids:
+                value.append(math.nan)
+                stack.extend(zip(reversed(kids), [i] * len(kids)))
+            else:
+                raise _BadNode("internal node has no children")
+    except _BadNode as exc:
+        raise StructureError(_path(np.array(parent), len(parent) - 1), str(exc)) from None
+    return (
+        np.array(parent, dtype=np.int64),
+        np.array(measure, dtype=float),
+        np.array(value, dtype=float),
+        np.array(depth, dtype=np.int64),
+    )
+
+
+def _reference_read_json_node(obj):
+    if not isinstance(obj, dict):
+        raise _BadNode("node must be a JSON object")
+    if "measure" not in obj:
+        raise _BadNode("node lacks a measure")
+    measure = _number(obj["measure"], "measure")
+    if ("children" in obj) == ("value" in obj):
+        raise _BadNode("node must have exactly one of children/value")
+    if "value" in obj:
+        return measure, _number(obj["value"], "leaf value"), None
+    children = obj["children"]
+    if not isinstance(children, list) or not children:
+        raise _BadNode("children must be a non-empty list")
+    return measure, None, children
+
+
+def _reference_tree_from_json(obj):
+    if isinstance(obj, (str, bytes)):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict) or "alpha" not in obj or "root" not in obj:
+        raise StructureError("root", "top level must carry alpha and root")
+    try:
+        alpha = _number(obj["alpha"], "alpha")
+    except _BadNode as exc:
+        raise StructureError("root", str(exc)) from None
+    arrays = _reference_walk(obj["root"], _reference_read_json_node)
+    return _from_arrays(alpha, *arrays, check=True)
+
+
+def _ingest(read, doc):
+    """The arrays as (dtype, bytes) pairs, or the StructureError text."""
+    try:
+        tree = read(doc)
+    except StructureError as exc:
+        return str(exc)
+    return [(a.dtype, a.tobytes()) for a in (tree.parent, tree.measure, tree.value, tree.depth)]
+
+
+def _assert_same_ingest(doc):
+    got = _ingest(tree_from_json, doc)
+    assert got == _ingest(_reference_tree_from_json, doc)
+    return got
+
+
+def _two(second, first='{"measure": 0.5, "value": 1.0}', root='"measure": 1.0'):
+    return '{"alpha": 0.5, "root": {%s, "children": [%s, %s]}}' % (root, first, second)
+
+
+_BIG = "1" + "0" * 400
+
+# Documents the reader rejects, and where it rejects them.
+_MALFORMED = {
+    "no root": ('{"alpha": 0.5}', "root: top level must carry alpha and root"),
+    "top level list": ("[0.5, 1.0]", "root: top level must carry alpha and root"),
+    "root without children": ('{"alpha": 0.5, "root": {"measure": 1.0}}', "root: node must have exactly one of children/value"),
+    "root not an object": ('{"alpha": 0.5, "root": [1.0]}', "root: node must be a JSON object"),
+    "root null": ('{"alpha": 0.5, "root": null}', "root: node must be a JSON object"),
+    "alpha true": ('{"alpha": true, "root": {"measure": 1.0, "value": 1.0}}', "root: alpha must be a number"),
+    "alpha beyond float range": ('{"alpha": %s, "root": {"measure": 1.0, "value": 1.0}}' % _BIG, "root: alpha=inf outside (0, 1/2]"),
+    "measure sum": (_two('{"measure": 0.6, "value": 0.0}'), "root: children measures sum to 1.1, parent has 1.0"),
+    "non-object in children": (_two('{"measure": 0.5, "children": [{"measure": 0.25, "value": 0.0}, 7]}'), "root/1/1: node must be a JSON object"),
+    "null in children": (_two("null"), "root/1: node must be a JSON object"),
+    "string in children": (_two('"leaf"'), "root/1: node must be a JSON object"),
+    "list in children": (_two("[0.5, 1.0]"), "root/1: node must be a JSON object"),
+    "no measure": (_two('{"measure": 0.5, "value": 1.0}', first='{"measure": 0.5, "children": [{"value": 0.0}, {"measure": 0.25, "value": 0.0}]}'), "root/0/0: node lacks a measure"),
+    "empty object": (_two("{}"), "root/1: node lacks a measure"),
+    "measure beyond float range": (_two('{"measure": %s, "value": 1.0}' % _BIG), "root: children measures sum to inf, parent has 1.0"),
+    "value beyond float range": (_two('{"measure": 0.5, "value": -%s}' % _BIG), "root/1: leaf carries no finite value"),
+    "measure true": (_two('{"measure": true, "value": 1.0}'), "root/1: measure must be a number"),
+    "measure string": (_two('{"measure": "0.5", "value": 1.0}'), "root/1: measure must be a number"),
+    "measure NaN": (_two('{"measure": NaN, "value": 1.0}'), "root/1: measure nan is not positive"),
+    "value null": (_two('{"measure": 0.5, "value": null}'), "root/1: leaf value must be a number"),
+    "value object": (_two('{"measure": 0.5, "value": {"x": 1.0}}'), "root/1: leaf value must be a number"),
+    "value false": (_two('{"measure": 0.5, "value": false}'), "root/1: leaf value must be a number"),
+    "value Infinity": (_two('{"measure": 0.5, "value": Infinity}'), "root/1: leaf carries no finite value"),
+    "children empty": (_two('{"measure": 0.5, "children": []}'), "root/1: children must be a non-empty list"),
+    "children object": (_two('{"measure": 0.5, "children": {"a": 1}}'), "root/1: children must be a non-empty list"),
+    "children null": (_two('{"measure": 0.5, "children": null}'), "root/1: children must be a non-empty list"),
+    "root children empty": ('{"alpha": 0.5, "root": {"measure": 1.0, "children": []}}', "root: children must be a non-empty list"),
+    "children and value": (_two('{"measure": 0.5, "value": 1.0, "children": [{"measure": 0.5, "value": 1.0}]}'), "root/1: node must have exactly one of children/value"),
+    "neither": (_two('{"measure": 0.5, "values": 1.0}'), "root/1: node must have exactly one of children/value"),
+    "extra key on a bad leaf": (_two('{"measure": 0.6, "value": -1.0, "note": null}'), "root: children measures sum to 1.1, parent has 1.0"),
+    "duplicate key, last bad": (_two('{"measure": 0.5, "measure": null, "value": 1.0}'), "root/1: measure must be a number"),
+}
+
+# Documents off the common shape that the reader accepts.
+_ACCEPTED = {
+    "integer measures and values": '{"alpha": 0.5, "root": {"measure": 2, "children": [{"measure": 1, "value": 3}, {"measure": 1.0, "value": -1}]}}',
+    "extra key on a leaf": _two('{"measure": 0.5, "value": -1.0, "note": "x"}'),
+    "extra key on an internal node": '{"alpha": 0.5, "root": {"measure": 1.0, "id": 3, "children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}]}}',
+    "duplicate key, last good": _two('{"measure": 0.7, "measure": 0.5, "value": "x", "value": -1.0}'),
+    "duplicate children": '{"alpha": 0.5, "root": {"measure": 1.0, "children": [], "children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}]}}',
+    "root leaf": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}}',
+}
+
+
+class TestIngestReference:
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    def test_random_trees(self, alpha, rng):
+        for _ in range(20):
+            tree = random_tree(alpha, rng, max_depth=8)
+            got = _assert_same_ingest(json.dumps(tree_to_json(tree)))
+            assert got == _ingest(lambda t: t, tree)
+
+    def test_balanced_depth_16(self, rng):
+        n = 2**17 - 1
+        idx = np.arange(n)
+        depth = np.floor(np.log2(idx + 1)).astype(np.int64)
+        value = np.full(n, np.nan)
+        value[n // 2 :] = rng.normal(size=n - n // 2)
+        # (0 - 1) // 2 == -1 marks the root.
+        tree = _from_arrays(0.5, (idx - 1) // 2, np.ldexp(1.0, -depth), value, depth, check=True)
+        _assert_same_ingest(json.dumps(tree_to_json(tree)))
+
+    def test_deep_comb(self):
+        # 600 levels, too deep for json text: the parsed document is read.
+        depth = 600
+        parent = np.concatenate([[-1], np.repeat(np.arange(0, 2 * depth, 2), 2)])
+        measure = np.concatenate([[1.0], np.repeat(0.5 ** np.arange(1.0, depth + 1.0), 2)])
+        value = np.full(parent.size, np.nan)
+        value[1::2] = 1.0
+        value[-1] = -1.0
+        levels = np.concatenate([[0], np.repeat(np.arange(1, depth + 1), 2)])
+        tree = _from_arrays(0.5, parent, measure, value, levels, check=True)
+        got = _assert_same_ingest(tree_to_json(tree))
+        assert got == _ingest(lambda t: t, tree)
+
+    @pytest.mark.parametrize("text,message", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_malformed_documents(self, text, message):
+        assert _assert_same_ingest(text) == message
+
+    @pytest.mark.parametrize("text", list(_ACCEPTED.values()), ids=list(_ACCEPTED))
+    def test_accepted_documents(self, text):
+        assert not isinstance(_assert_same_ingest(text), str)
