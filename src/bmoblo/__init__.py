@@ -53,14 +53,11 @@ from .optimizers import (
 )
 from .trees import (
     AlphaTree,
-    NodeStats,
-    TreeNode,
     blo_norm,
     bmo_norm,
     inf_maximal,
     maximal,
     random_tree,
-    stats,
     tree_from_json,
     tree_to_json,
     validate,
@@ -78,7 +75,6 @@ __all__ = [
     "DomainError",
     "Enclosure",
     "Foliation",
-    "NodeStats",
     "OmegaPoint",
     "PreconditionError",
     "PsiFunction",
@@ -88,7 +84,6 @@ __all__ = [
     "ResourceError",
     "StructureError",
     "SweepReport",
-    "TreeNode",
     "blo_norm",
     "bmo_norm",
     "build_psi",
@@ -114,7 +109,6 @@ __all__ = [
     "random_tree",
     "shift",
     "solve_s",
-    "stats",
     "sweep",
     "tensor_stats",
     "tree_from_json",

@@ -348,15 +348,17 @@ def eval_A(x: OmegaPoint, L: float, ctx: AlphaContext) -> float:
 
     For x1 >= L this collapses to x1 + sqrt(x2 - x1^2), and A >= L always.
     """
-    y1, y2 = shift_xy(L, x.x1, x.x2)
-    return L + eval_B(OmegaPoint(y1, y2), ctx).value
+    return float(eval_A_arrays(x.x1, x.x2, L, ctx)[0])
 
 
 def eval_A_arrays(x1, x2, L, ctx: AlphaContext):
     """Vector form of eval_A; L may be scalar or an array."""
     x1 = np.asarray(x1, dtype=float)
     L = np.asarray(L, dtype=float)
-    y1, y2 = shift_xy(L, x1, np.asarray(x2, dtype=float))
+    # A shift that overflows gives a non-finite point, which eval_arrays
+    # reports as a domain error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y1, y2 = shift_xy(L, x1, np.asarray(x2, dtype=float))
     return L + eval_arrays(y1, y2, ctx)["value"]
 
 

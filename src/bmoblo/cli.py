@@ -68,6 +68,8 @@ def _grid(spec: str):
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise DomainError(f"grid spec {spec!r} is not lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError(f"grid spec {spec!r} is not finite")
     if step <= 0 or hi < lo:
         raise DomainError(f"grid spec {spec!r} is empty or has non-positive step")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -82,6 +84,20 @@ def _rows_to_text(rows, header, args) -> str:
     for r in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in r))
     return "\n".join(lines) + "\n"
+
+
+def _emit_record(record: dict, args) -> None:
+    """One record as a JSON object, or as `key = value` lines."""
+    if args.format == "json":
+        _emit(json.dumps(record, indent=2) + "\n", args)
+    else:
+        _emit(
+            "".join(
+                f"{k} = {_fmt(v) if isinstance(v, float) else v}\n"
+                for k, v in record.items()
+            ),
+            args,
+        )
 
 
 def cmd_eval(args) -> int:
@@ -102,16 +118,7 @@ def cmd_eval(args) -> int:
     if args.L is not None:
         record["A"] = eval_A(x, args.L, ctx)
         record["L"] = args.L
-    if args.format == "json":
-        _emit(json.dumps(record, indent=2) + "\n", args)
-    else:
-        _emit(
-            "".join(
-                f"{k} = {_fmt(v) if isinstance(v, float) else v}\n"
-                for k, v in record.items()
-            ),
-            args,
-        )
+    _emit_record(record, args)
     return 0
 
 
@@ -196,19 +203,19 @@ def cmd_tree(args) -> int:
         "main_m": float(np.min(out["main_m"])),
     }
     root_report = trees_mod.verify_main_theorem(work, None, ctx)
-    lines = [
-        f"alpha = {_fmt(tree.alpha)}",
-        f"nodes = {len(tree)}",
-        f"bmo_norm = {_fmt(norm)}",
-        f"blo_norm = {_fmt(trees_mod.blo_norm(tree))}",
-        f"key_obs_max_residual = {_fmt(key_obs)}",
-        f"min_margin.induction = {_fmt(margins['induction'])}",
-        f"min_margin.main_n = {_fmt(margins['main_n'])}",
-        f"min_margin.main_m = {_fmt(margins['main_m'])}",
-        f"blo_margin.natural = {_fmt(root_report.blo_margin_n)}",
-        f"blo_margin.classical = {_fmt(root_report.blo_margin_m)}",
-    ]
-    _emit("\n".join(lines) + "\n", args)
+    _emit_record(
+        {
+            "alpha": tree.alpha,
+            "nodes": len(tree),
+            "bmo_norm": norm,
+            "blo_norm": trees_mod.blo_norm(tree),
+            "key_obs_max_residual": key_obs,
+            **{f"min_margin.{k}": v for k, v in margins.items()},
+            "blo_margin.natural": float(root_report.blo_margin_n),
+            "blo_margin.classical": float(root_report.blo_margin_m),
+        },
+        args,
+    )
     ok = (
         key_obs <= 1e-12
         and all(m >= -1e-9 for m in margins.values())

@@ -30,7 +30,6 @@ from .bellman import (
     eval_arrays,
     eval_b,
     eval_b_prime,
-    eval_B,
     gamma1_foliation,
 )
 from .errors import DomainError
@@ -125,11 +124,7 @@ def chord_margin(
     for pt in (xminus, xplus, OmegaPoint(m1, m2)):
         if not bool(np.all(in_omega(pt.x1, pt.x2, ctx))):
             raise DomainError(f"chord point ({pt.x1}, {pt.x2}) leaves the strip")
-    return float(
-        eval_B(OmegaPoint(m1, m2), ctx).value
-        - (1.0 - beta) * eval_B(xminus, ctx).value
-        - beta * eval_B(xplus, ctx).value
-    )
+    return float(_chord_margins_vec(xminus.x1, xminus.x2, xplus.x1, xplus.x2, beta, ctx)[0])
 
 
 def _chord_margins_vec(xm1, xm2, xp1, xp2, beta, ctx: AlphaContext):

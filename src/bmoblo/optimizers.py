@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .trees import AlphaTree, TreeNode
+from .trees import AlphaTree, tree_from_json
 
 # Interval fixed-point contraction count and the rounding pad added to
 # every reported enclosure endpoint.
@@ -177,13 +177,13 @@ class PsiFunction:
         def build(d, pos):
             key = (d, pos)
             if key in table:
-                return TreeNode(math.ldexp(1.0, -d), value=table[key])
-            return TreeNode(
-                math.ldexp(1.0, -d),
-                children=[build(d + 1, 2 * pos), build(d + 1, 2 * pos + 1)],
-            )
+                return {"measure": math.ldexp(1.0, -d), "value": table[key]}
+            return {
+                "measure": math.ldexp(1.0, -d),
+                "children": [build(d + 1, 2 * pos), build(d + 1, 2 * pos + 1)],
+            }
 
-        return AlphaTree(alpha=0.5, root=build(0, 0))
+        return tree_from_json({"alpha": 0.5, "root": build(0, 0)})
 
 
 def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:

@@ -18,7 +18,8 @@ Two executable facts drive the verification:
     function has BMO norm at most 1 on the subtree.
 
 A tree is held as preorder arrays, in which the subtree of node i is the
-slice [i, i + size[i]).  TreeNode objects exist only at the boundary.
+slice [i, i + size[i]).  It enters only as a JSON document (tree_from_json)
+or from another tree's arrays.
 """
 
 from __future__ import annotations
@@ -37,26 +38,6 @@ from .geometry import AlphaContext
 _REL_TOL = 1e-12
 
 
-class TreeNode:
-    """One cell: positive measure plus either children or a leaf value."""
-
-    __slots__ = ("measure", "children", "value")
-
-    def __init__(self, measure, children=None, value=None):
-        self.measure = float(measure)
-        self.children = list(children) if children is not None else None
-        self.value = float(value) if value is not None else None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    def __repr__(self):
-        if self.is_leaf:
-            return f"TreeNode(measure={self.measure}, value={self.value})"
-        return f"TreeNode(measure={self.measure}, children=[{len(self.children)}])"
-
-
 class AlphaTree:
     """A finite alpha-tree with a step function on its leaves.
 
@@ -66,27 +47,7 @@ class AlphaTree:
     `mean_sq`, `abs_mean` of phi, phi^2, |phi|; `min_leaf`; the sups
     `anc_max`, `abs_anc_max` of mean, abs_mean over ancestors-or-self; the
     sup `sub_bmo_sq` of the cell variance over the subtree.
-    AlphaTree(alpha, root) flattens and validates a TreeNode graph.
     """
-
-    def __init__(self, alpha: float, root: TreeNode):
-        arrays = _walk(root, lambda node: (node.measure, node.value, node.children))
-        self._setup(alpha, *arrays, check=True)
-
-    def _setup(self, alpha, parent, measure, value, depth, check):
-        self.alpha = float(alpha)
-        self.parent, self.measure, self.value, self.depth = parent, measure, value, depth
-        # Levels deepest first, each in descending preorder, so that a fold
-        # meets the children of a parent last to first: sums then come out
-        # in the order of a reverse-preorder accumulation, bit for bit.
-        by_level = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
-        self._levels = [(sel[::-1], parent[sel[::-1]]) for sel in reversed(by_level[1:])]
-        self.size = _fold_up(self, np.ones(len(parent), dtype=np.int64), np.add)
-        self.leaf_idx = np.flatnonzero(self.size == 1)
-        self._nodes = None
-        if check:
-            validate(self)
-        self._aggregate()
 
     def _aggregate(self):
         m, leaf = self.measure, self.leaf_idx
@@ -104,29 +65,22 @@ class AlphaTree:
     def __len__(self):
         return len(self.parent)
 
-    @property
-    def root(self) -> TreeNode:
-        """The tree as TreeNode objects, rebuilt from the arrays on first use."""
-        return self._node_list()[0]
-
-    def _node_list(self) -> list[TreeNode]:
-        if self._nodes is None:
-            nodes = []
-            for p, m, v, s in zip(
-                self.parent.tolist(), self.measure.tolist(),
-                self.value.tolist(), self.size.tolist(),
-            ):
-                node = TreeNode(m, value=v) if s == 1 else TreeNode(m, children=())
-                if p >= 0:
-                    nodes[p].children.append(node)
-                nodes.append(node)
-            self._nodes = nodes
-        return self._nodes
-
 
 def _from_arrays(alpha, parent, measure, value, depth, check=False) -> AlphaTree:
-    tree = AlphaTree.__new__(AlphaTree)
-    tree._setup(alpha, parent, measure, value, depth, check)
+    """The tree on trusted preorder arrays; check=True validates the axioms."""
+    tree = AlphaTree()
+    tree.alpha = float(alpha)
+    tree.parent, tree.measure, tree.value, tree.depth = parent, measure, value, depth
+    # Levels deepest first, each in descending preorder, so that a fold
+    # meets the children of a parent last to first: sums then come out
+    # in the order of a reverse-preorder accumulation, bit for bit.
+    by_level = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
+    tree._levels = [(sel[::-1], parent[sel[::-1]]) for sel in reversed(by_level[1:])]
+    tree.size = _fold_up(tree, np.ones(len(parent), dtype=np.int64), np.add)
+    tree.leaf_idx = np.flatnonzero(tree.size == 1)
+    if check:
+        validate(tree)
+    tree._aggregate()
     return tree
 
 
@@ -171,15 +125,6 @@ def _path(parent, i: int) -> str:
     return "/".join(["root", *reversed(parts)])
 
 
-@dataclass(frozen=True)
-class NodeStats:
-    """Per-node averages and the running ancestor supremum of averages."""
-
-    mean: float
-    mean_sq: float
-    ancestor_max: float
-
-
 def validate(tree: AlphaTree) -> None:
     """Check the alpha-tree axioms; raises StructureError naming the first
     offending node in preorder."""
@@ -217,25 +162,13 @@ def validate(tree: AlphaTree) -> None:
 
 
 def _node_index(tree: AlphaTree, node) -> int:
-    """Preorder index of a node given as None (the root), an index, or a
-    TreeNode of `tree.root`."""
+    """Preorder index of a node given as None (the root) or an index; a bool
+    is not an index."""
     if node is None:
         return 0
-    if isinstance(node, (int, np.integer)):
-        i = int(node)
-    else:
-        i = next((k for k, nd in enumerate(tree._node_list()) if nd is node), -1)
-    if not 0 <= i < len(tree):
+    if type(node) is bool or not isinstance(node, (int, np.integer)) or not 0 <= node < len(tree):
         raise DomainError("node does not belong to this tree")
-    return i
-
-
-def stats(tree: AlphaTree) -> list[NodeStats]:
-    """Per-node averages in preorder (index 0 = root)."""
-    return [
-        NodeStats(*row)
-        for row in zip(tree.mean.tolist(), tree.mean_sq.tolist(), tree.anc_max.tolist())
-    ]
+    return int(node)
 
 
 def bmo_norm(tree: AlphaTree, node=None) -> float:
@@ -268,10 +201,6 @@ def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None
     if outside is not None:
         vals = np.maximum(vals, outside)
     return vals
-
-
-def leaf_measures(tree: AlphaTree):
-    return tree.measure[tree.leaf_idx]
 
 
 def inf_maximal(tree: AlphaTree, node=None, kind: str = "natural") -> float:
@@ -359,11 +288,10 @@ def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
         raise StructureError(
             _path(tree.parent, int(tree.leaf_idx[bad[0]])), "leaf carries no finite value"
         )
-    out = AlphaTree.__new__(AlphaTree)
+    out = AlphaTree()
     vars(out).update(vars(tree))
     out.value = np.full(len(tree), np.nan)
     out.value[tree.leaf_idx] = values
-    out._nodes = None
     out._aggregate()
     return out
 
@@ -437,11 +365,6 @@ def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
     return _from_arrays(tree.alpha, parent, tree.measure[keep], value, tree.depth[keep])
 
 
-def shift_values(tree: AlphaTree, c: float) -> AlphaTree:
-    """The tree carrying phi + c."""
-    return with_leaf_values(tree, tree.value[tree.leaf_idx] + c)
-
-
 def random_tree(
     alpha: float,
     rng: np.random.Generator,
@@ -496,8 +419,8 @@ def random_tree(
 
 
 # ---------------------------------------------------------------------------
-# Nested input: TreeNode graphs and the JSON wire format {"alpha": a, "root":
-# node}, node {"measure": m, "children": [...]} or {"measure": m, "value": v}.
+# The JSON wire format {"alpha": a, "root": node}, node {"measure": m,
+# "children": [...]} or {"measure": m, "value": v}.
 # ---------------------------------------------------------------------------
 
 
@@ -505,15 +428,13 @@ class _BadNode(Exception):
     """A node that cannot be read; the walk adds its path."""
 
 
-def _walk(root, read):
-    """(parent, measure, value, depth) preorder arrays of a nested tree.
+def _walk(root):
+    """(parent, measure, value, depth) preorder arrays of a JSON tree.
 
-    read(node) gives (measure, value, children), children None at a leaf,
-    or raises _BadNode.  When read is _read_json_node, an object of the
-    common shape -- a float measure and exactly one of a float value or a
-    non-empty children list -- is read inline; read still decides every
-    other node, so it raises its own errors and maps integers beyond the
-    float range to +-inf.
+    An object of the common shape -- a float measure and exactly one of a
+    float value or a non-empty children list -- is read inline;
+    _read_json_node decides every other node, so it raises its own errors
+    and maps integers beyond the float range to +-inf.
     """
     parent, depth, measure, value = [], [], [], []
     add_parent, add_depth = parent.append, depth.append
@@ -521,15 +442,13 @@ def _walk(root, read):
     stack = [(root, -1, 0)]
     pop, push = stack.pop, stack.extend
     nan = math.nan
-    lean = read is _read_json_node
     try:
         while stack:
             node, p, d = pop()
             add_parent(p)
             add_depth(d)
             if (
-                lean
-                and type(node) is dict
+                type(node) is dict
                 and len(node) == 2
                 and type(m := node.get("measure")) is float
             ):
@@ -540,19 +459,17 @@ def _walk(root, read):
                     continue
                 kids = node.get("children")
                 if type(kids) is not list or not kids:
-                    m, v, kids = read(node)
+                    m, v, kids = _read_json_node(node)
             else:
-                m, v, kids = read(node)
+                m, v, kids = _read_json_node(node)
             add_measure(m)
             if kids is None:
-                add_value(nan if v is None else v)
-            elif kids:
+                add_value(v)
+            else:
                 add_value(nan)
                 i = len(parent) - 1
                 d += 1
                 push([(kid, i, d) for kid in reversed(kids)])
-            else:
-                raise _BadNode("internal node has no children")
     except _BadNode as exc:
         raise StructureError(_path(np.array(parent), len(parent) - 1), str(exc)) from None
     return (
@@ -610,7 +527,7 @@ def tree_from_json(obj) -> AlphaTree:
             alpha = _number(obj["alpha"], "alpha")
         except _BadNode as exc:
             raise StructureError("root", str(exc)) from None
-        arrays = _walk(obj["root"], _read_json_node)
+        arrays = _walk(obj["root"])
         # A document parsed here is freed before the collector resumes.
         del obj
     finally:

@@ -120,6 +120,16 @@ class TestTable:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["phi", "b"])
+    @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:1", "-1:nan:0.5"])
+    def test_non_finite_grid_is_a_domain_error(self, capsys, kind, grid):
+        code, out, err = run(
+            capsys, ["table", "--alpha", "0.5", "--kind", kind, f"--grid={grid}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid spec {grid!r} is not finite\n"
+
 
 class TestConcavity:
     def test_small_sweep_passes(self, capsys):
@@ -161,6 +171,27 @@ class TestTree:
         assert code == 0
         assert "bmo_norm = 1" in out
         assert "min_margin.induction" in out
+
+    def test_json_format(self, capsys, tmp_path):
+        doc = {
+            "alpha": 0.25,
+            "root": {
+                "measure": 1.0,
+                "children": [
+                    {"measure": 0.3, "value": 2.0},
+                    {"measure": 0.7, "value": -1.0},
+                ],
+            },
+        }
+        path = self._write(tmp_path, doc)
+        code, text, _ = run(capsys, ["tree", path])
+        code_json, out, _ = run(capsys, ["tree", path, "--format", "json"])
+        assert code == code_json == 0
+        rec = json.loads(out)
+        lines = dict(line.split(" = ") for line in text.splitlines())
+        assert list(rec) == list(lines)
+        assert rec["nodes"] == 3
+        assert all(float(v) == rec[k] for k, v in lines.items())
 
     def test_bad_measure_sum(self, capsys, tmp_path):
         doc = {

@@ -253,18 +253,14 @@ class TestMaximalIdentity:
         table = {}
         for dep, pos, off in zip(psi.res_depth, psi.res_pos, psi.res_offset):
             table[(int(dep), int(pos))] = int(off)
-        # leaves in preorder: recover (depth,pos) by walking measures
-        # via a parallel traversal of the dyadic structure
-        def walk(node, d, pos, out):
-            if node.is_leaf:
-                out.append((d, pos, node.value))
-                return
-            walk(node.children[0], d + 1, 2 * pos, out)
-            walk(node.children[1], d + 1, 2 * pos + 1, out)
-
-        located = []
-        walk(tree.root, 0, 0, located)
-        # the tree's leaf preorder matches this traversal order
+        # leaves in preorder: recover (depth,pos) from the parent array; in
+        # preorder a parent's first child comes before its second
+        pos = [0] * len(tree)
+        seen = set()
+        for i, p in enumerate(tree.parent.tolist()[1:], start=1):
+            pos[i] = 2 * pos[p] + (p in seen)
+            seen.add(p)
+        located = [(int(tree.depth[i]), pos[i], float(tree.value[i])) for i in tree.leaf_idx]
         assert len(located) == len(n_vals)
         g, dlt = psi.gamma, psi.delta
         errs = []

@@ -7,16 +7,11 @@ import pytest
 from bmoblo.errors import DomainError, PreconditionError, StructureError
 from bmoblo.geometry import make_context
 from bmoblo.trees import (
-    AlphaTree,
-    TreeNode,
     blo_norm,
     bmo_norm,
     inf_maximal,
-    leaf_measures,
     maximal,
     random_tree,
-    shift_values,
-    stats,
     subtree,
     tree_from_json,
     tree_to_json,
@@ -33,21 +28,28 @@ from bmoblo.trees import (
 )
 
 
+def _leaf(m, v):
+    return {"measure": m, "value": v}
+
+
+def _node(m, *children):
+    return {"measure": m, "children": list(children)}
+
+
 def two_leaf_tree(a=1.0, b=-1.0, alpha=0.5):
-    return AlphaTree(
-        alpha=alpha,
-        root=TreeNode(1.0, children=[TreeNode(0.5, value=a), TreeNode(0.5, value=b)]),
-    )
+    return tree_from_json({"alpha": alpha, "root": _node(1.0, _leaf(0.5, a), _leaf(0.5, b))})
 
 
-def dyadic_tree(values, alpha=0.5, measure=1.0):
+def dyadic_tree(values, alpha=0.5):
     """Balanced binary tree over a power-of-two list of leaf values."""
-    n = len(values)
-    if n == 1:
-        return TreeNode(measure, value=values[0])
-    left = dyadic_tree(values[: n // 2], alpha, measure / 2)
-    right = dyadic_tree(values[n // 2 :], alpha, measure / 2)
-    return TreeNode(measure, children=[left, right])
+
+    def node(values, measure):
+        n = len(values)
+        if n == 1:
+            return _leaf(measure, values[0])
+        return _node(measure, node(values[: n // 2], measure / 2), node(values[n // 2 :], measure / 2))
+
+    return tree_from_json({"alpha": alpha, "root": node(values, 1.0)})
 
 
 class TestValidate:
@@ -55,45 +57,39 @@ class TestValidate:
         validate(two_leaf_tree())
 
     def test_quarter_tree_four_children(self):
-        root = TreeNode(1.0, children=[TreeNode(0.25, value=float(i)) for i in range(4)])
-        validate(AlphaTree(alpha=0.25, root=root))
+        root = _node(1.0, *[_leaf(0.25, float(i)) for i in range(4)])
+        validate(tree_from_json({"alpha": 0.25, "root": root}))
 
     def test_small_child_rejected(self):
-        root = TreeNode(
-            1.0, children=[TreeNode(0.2, value=0.0), TreeNode(0.8, value=1.0)]
-        )
+        root = _node(1.0, _leaf(0.2, 0.0), _leaf(0.8, 1.0))
         with pytest.raises(StructureError) as exc:
-            validate(AlphaTree(alpha=0.25, root=root))
+            validate(tree_from_json({"alpha": 0.25, "root": root}))
         assert "root/0" in str(exc.value)
 
     def test_measure_sum_mismatch(self):
-        root = TreeNode(
-            1.0, children=[TreeNode(0.5, value=0.0), TreeNode(0.6, value=1.0)]
-        )
+        root = _node(1.0, _leaf(0.5, 0.0), _leaf(0.6, 1.0))
         with pytest.raises(StructureError):
-            validate(AlphaTree(alpha=0.5, root=root))
+            validate(tree_from_json({"alpha": 0.5, "root": root}))
 
 
 class TestStats:
     def test_two_leaf(self):
         tree = two_leaf_tree()
-        st = stats(tree)
-        assert st[0].mean == 0.0
-        assert st[0].mean_sq == 1.0
+        assert tree.mean[0] == 0.0
+        assert tree.mean_sq[0] == 1.0
 
     def test_constant(self):
         tree = two_leaf_tree(3.0, 3.0)
-        for s in stats(tree):
-            assert s.mean == 3.0
-            assert s.mean_sq == 9.0
+        for mean, mean_sq in zip(tree.mean, tree.mean_sq):
+            assert mean == 3.0
+            assert mean_sq == 9.0
         assert bmo_norm(tree) == 0.0
         assert blo_norm(tree) == 0.0
 
     def test_leaf_stats_are_values(self):
         tree = two_leaf_tree(2.0, -1.0)
-        st = stats(tree)
-        leaves = [st[i] for i in tree.leaf_idx]
-        assert {(s.mean, s.mean_sq) for s in leaves} == {(2.0, 4.0), (-1.0, 1.0)}
+        leaves = zip(tree.mean[tree.leaf_idx].tolist(), tree.mean_sq[tree.leaf_idx].tolist())
+        assert set(leaves) == {(2.0, 4.0), (-1.0, 1.0)}
 
     def test_norms_two_leaf(self):
         tree = two_leaf_tree()
@@ -104,7 +100,7 @@ class TestStats:
 class TestMaximal:
     def test_indicator_left_half(self):
         # phi = indicator of [0, 1/2) on a depth-2 dyadic tree
-        tree = AlphaTree(alpha=0.5, root=dyadic_tree([1.0, 1.0, 0.0, 0.0]))
+        tree = dyadic_tree([1.0, 1.0, 0.0, 0.0])
         n_vals = maximal(tree)
         # leaves in preorder: [0,1/4): ancestors have means 1/2, 1, 1
         assert n_vals[0] == 1.0
@@ -129,7 +125,7 @@ class TestMaximal:
 
 class TestKeyObservation:
     def test_indicator(self):
-        tree = AlphaTree(alpha=0.5, root=dyadic_tree([1.0, 1.0, 0.0, 0.0]))
+        tree = dyadic_tree([1.0, 1.0, 0.0, 0.0])
         # node [0, 1/4): ancestor sup = 1; min of N over its leaves = 1
         i = tree.leaf_idx[0]
         assert inf_maximal(tree, int(i)) == 1.0
@@ -156,21 +152,13 @@ class TestInduction:
     def test_constant_subtree_equality_exhibit(self, ctx_half):
         # A node whose subtree is constant sits on the lower parabola after
         # the shift: margin exactly 0 even with a nontrivial carried L.
-        root = TreeNode(
-            1.0,
-            children=[
-                TreeNode(0.5, value=2.0),
-                TreeNode(
-                    0.5,
-                    children=[TreeNode(0.25, value=-1.0), TreeNode(0.25, value=-1.0)],
-                ),
-            ],
-        )
-        tree = AlphaTree(alpha=0.5, root=root)
+        root = _node(1.0, _leaf(0.5, 2.0), _node(0.5, _leaf(0.25, -1.0), _leaf(0.25, -1.0)))
+        tree = tree_from_json({"alpha": 0.5, "root": root})
         scale = bmo_norm(tree)
         vals = np.array([2.0, -1.0, -1.0]) / scale
         tree = with_leaf_values(tree, vals)
-        margin = verify_induction(tree, tree.root.children[1], ctx_half)
+        # Node 2 in preorder is the root's second child.
+        margin = verify_induction(tree, 2, ctx_half)
         assert abs(margin) < 1e-12
 
     def test_precondition(self, ctx_half):
@@ -185,6 +173,24 @@ class TestInduction:
             tree = random_tree(alpha, rng)
             out = verify_all_nodes(tree, ctx)
             assert np.nanmin(out["induction"]) >= -1e-9
+
+
+class TestNodeArguments:
+    """A node is None (the root) or a preorder index, nothing else."""
+
+    @pytest.mark.parametrize("node", [1.5, "0", {"measure": 0.5, "value": 1.0}, True, -1, 3])
+    def test_bad_node_is_a_domain_error(self, ctx_half, node):
+        tree = two_leaf_tree(0.5, -0.5)
+        calls = (bmo_norm, inf_maximal, lambda t, n: verify_induction(t, n, ctx_half))
+        for call in calls:
+            with pytest.raises(DomainError, match="node does not belong to this tree"):
+                call(tree, node)
+
+    def test_indices(self, ctx_half):
+        tree = two_leaf_tree(0.5, -0.5)
+        assert bmo_norm(tree, np.int64(1)) == 0.0
+        assert inf_maximal(tree, 2) == 0.0
+        assert verify_induction(tree, None, ctx_half) == verify_induction(tree, 0, ctx_half)
 
 
 class TestMainTheorem:
@@ -216,7 +222,7 @@ class TestCovariance:
     def test_additive_shift(self, ctx_quarter, rng):
         tree = random_tree(0.25, rng)
         c = 3.7
-        shifted = shift_values(tree, c)
+        shifted = with_leaf_values(tree, tree.value[tree.leaf_idx] + c)
         # N shifts by c, L shifts by c; t, norms, and the margins are fixed
         assert np.allclose(
             maximal(shifted), maximal(tree) + c, rtol=0, atol=1e-12
@@ -249,17 +255,19 @@ class TestJson:
         tree = random_tree(0.25, rng)
         again = tree_from_json(json.dumps(tree_to_json(tree)))
         assert bmo_norm(again) == pytest.approx(bmo_norm(tree), abs=1e-15)
-        assert np.array_equal(leaf_measures(again), leaf_measures(tree))
+        assert np.array_equal(again.measure[again.leaf_idx], tree.measure[tree.leaf_idx])
 
     def test_matches_recursive_encoding(self, rng):
-        def enc(node):
-            if node.is_leaf:
-                return {"measure": node.measure, "value": node.value}
-            return {"measure": node.measure, "children": [enc(c) for c in node.children]}
+        def enc(tree, i):
+            m = float(tree.measure[i])
+            if tree.size[i] == 1:
+                return {"measure": m, "value": float(tree.value[i])}
+            kids = np.flatnonzero(tree.parent == i)
+            return {"measure": m, "children": [enc(tree, int(k)) for k in kids]}
 
         trees = [random_tree(alpha, rng) for alpha in (0.5, 0.25, 0.1) for _ in range(5)]
         for tree in [*trees, deep_unbalanced_tree(rng), two_leaf_tree()]:
-            assert tree_to_json(tree) == {"alpha": tree.alpha, "root": enc(tree.root)}
+            assert tree_to_json(tree) == {"alpha": tree.alpha, "root": enc(tree, 0)}
 
     def test_deep_comb_round_trip(self):
         # 600 levels: node 2d has a leaf child 2d+1 and carries on to 2d+2.
@@ -328,7 +336,8 @@ class TestGenerator:
 
 
 def reference_aggregates(root):
-    """The per-node aggregates by plain recursion over TreeNode, in preorder.
+    """The per-node aggregates by plain recursion over a JSON root node, in
+    preorder.
 
     A parent adds its children's integrals last child first, so the sums
     must agree with the tree's arrays bit for bit.
@@ -338,19 +347,21 @@ def reference_aggregates(root):
     def up(node):
         row = {}
         rows.append(row)
-        if node.is_leaf:
-            integ = node.measure * node.value
-            sums = [integ, integ * node.value, node.measure * abs(node.value)]
-            row["min_leaf"] = node.value
+        m = node["measure"]
+        if "value" in node:
+            v = node["value"]
+            integ = m * v
+            sums = [integ, integ * v, m * abs(v)]
+            row["min_leaf"] = v
             kids = []
         else:
-            kids = [up(c) for c in node.children]
+            kids = [up(c) for c in node["children"]]
             sums = [0.0, 0.0, 0.0]
             for kid in reversed(kids):
                 sums = [a + b for a, b in zip(sums, kid["sums"])]
             row["min_leaf"] = min(kid["min_leaf"] for kid in kids)
         row["sums"] = sums
-        row["mean"], row["mean_sq"], row["abs_mean"] = (s / node.measure for s in sums)
+        row["mean"], row["mean_sq"], row["abs_mean"] = (s / m for s in sums)
         var = max(row["mean_sq"] - row["mean"] * row["mean"], 0.0)
         row["sub_bmo_sq"] = max([var] + [kid["sub_bmo_sq"] for kid in kids])
         return row
@@ -362,7 +373,7 @@ def reference_aggregates(root):
         row = next(order)
         row["anc_max"] = anc = max(anc, row["mean"])
         row["abs_anc_max"] = abs_anc = max(abs_anc, row["abs_mean"])
-        for c in node.children or ():
+        for c in node.get("children", ()):
             down(c, anc, abs_anc)
 
     down(root, -math.inf, -math.inf)
@@ -371,22 +382,22 @@ def reference_aggregates(root):
 
 def deep_unbalanced_tree(rng, depth=300, alpha=0.25):
     """A comb: at every level one child carries on, its siblings are leaves."""
-    node = TreeNode(1.0, value=float(rng.normal()))
+    node = _leaf(1.0, float(rng.normal()))
     for _ in range(depth):
         a = int(rng.integers(2, 5))
-        fracs = alpha + (1.0 - a * alpha) * rng.dirichlet(np.ones(a))
-        kids = [TreeNode(f, value=float(rng.normal())) for f in fracs[1:]]
+        fracs = (alpha + (1.0 - a * alpha) * rng.dirichlet(np.ones(a))).tolist()
+        kids = [_leaf(f, float(rng.normal())) for f in fracs[1:]]
         _scale(node, fracs[0])
-        node = TreeNode(1.0, children=[*kids[:1], node, *kids[1:]])
-    return AlphaTree(alpha=alpha, root=node)
+        node = _node(1.0, *kids[:1], node, *kids[1:])
+    return tree_from_json({"alpha": alpha, "root": node})
 
 
 def _scale(node, factor):
     stack = [node]
     while stack:
         nd = stack.pop()
-        nd.measure *= factor
-        stack.extend(nd.children or ())
+        nd["measure"] *= factor
+        stack.extend(nd.get("children", ()))
 
 
 AGGREGATES = (
@@ -396,7 +407,7 @@ AGGREGATES = (
 
 class TestArraysAgainstRecursion:
     def _check(self, tree):
-        rows = reference_aggregates(tree.root)
+        rows = reference_aggregates(tree_to_json(tree)["root"])
         assert len(rows) == len(tree)
         for key in AGGREGATES:
             assert np.array_equal(getattr(tree, key), [r[key] for r in rows]), key
@@ -414,14 +425,6 @@ class TestArraysAgainstRecursion:
         tree = deep_unbalanced_tree(rng)
         assert tree.depth.max() == 300
         self._check(tree)
-
-
-def _leaf(m, v):
-    return TreeNode(m, value=v)
-
-
-def _node(m, *children):
-    return TreeNode(m, children=children)
 
 
 class TestValidatePaths:
@@ -457,16 +460,6 @@ class TestValidatePaths:
             ),
             (
                 0.5,
-                _node(1.0, _node(0.5, _leaf(0.25, 1.0), _leaf(0.25, 3.0)), _node(0.5, _leaf(0.25, 0.0), TreeNode(0.25))),
-                "root/1/1: leaf carries no finite value",
-            ),
-            (
-                0.5,
-                _node(1.0, _node(0.5, _leaf(0.25, 1.0), _leaf(0.25, 3.0)), _node(0.5, _node(0.25), _leaf(0.25, 0.0))),
-                "root/1/0: internal node has no children",
-            ),
-            (
-                0.5,
                 _node(1.0, _leaf(0.5, 1.0), _node(0.5, _node(0.5, _node(0.4, _leaf(0.4, 1.0))))),
                 "root/1/0: children measures sum to 0.4, parent has 0.5",
             ),
@@ -474,7 +467,7 @@ class TestValidatePaths:
     )
     def test_tree_nodes(self, alpha, root, message):
         with pytest.raises(StructureError) as exc:
-            validate(AlphaTree(alpha=alpha, root=root))
+            validate(tree_from_json({"alpha": alpha, "root": root}))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
