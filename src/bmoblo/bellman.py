@@ -58,10 +58,12 @@ from .geometry import (
 
 # Residual target of the folded-frame foliation equation.
 _RESIDUAL_TOL = 1e-11
-_BISECT_ITERS = 80
-# Points bisected together: small enough that the temporaries stay in cache.
-_BISECT_CHUNK = 16384
-_NEWTON_ITERS = 3
+# Points solved together: small enough that the temporaries stay in cache.
+_SOLVE_CHUNK = 16384
+# A point retires once its last step moved z by at most _STEP_RTOL * z;
+# _MAX_PASSES is only a safety net.
+_STEP_RTOL = 1e-13
+_MAX_PASSES = 100
 # Smallest normal float: the scale of B below which its digits run out.
 _TINY = np.finfo(float).tiny
 
@@ -96,103 +98,73 @@ class Foliation:
 
 
 def _zx_residual(z, y1, y2, mu):
-    return (
-        2.0 * (z - mu) * y1
-        - 0.75 * z * z
-        + 2.0 * mu * z
-        + 0.5
-        - mu * mu
-        + 0.25 / (z * z)
-        - y2
-    )
+    return (2.0 * (z - mu) * y1 - 0.75 * z * z + 2.0 * mu * z + 0.5 - mu * mu
+            + 0.25 / (z * z) - y2)
 
 
-def _zx_derivative(z, y1, mu):
-    return 2.0 * y1 - 1.5 * z + 2.0 * mu - 0.5 / (z * z * z)
+def _newton(lo, hi, f_lo, f_hi, y1, y2, mu):
+    """Safeguarded Newton on the brackets [lo, hi] (rtsafe of Press et al.,
+    Numerical Recipes); the residual is f_lo > 0 at lo and f_hi < 0 at hi.
 
-
-def _bisect(lo, hi, y1, y2, mu):
-    """Bisect [lo, hi] on the sign of the residual until every midpoint
-    equals an endpoint, at most _BISECT_ITERS times; returns the midpoint.
-
-    From that step on the bisection is at a fixed point: a midpoint equal
-    to an endpoint recomputes that endpoint's residual sign, so neither
-    endpoint moves again (or both collapse onto the midpoint), and running
-    out the cap would return the same bits.  lo and hi are updated in place.
+    It starts from the false-position point of the bracket residuals.  Each
+    pass moves the bracket end on z's side of the root to z, then takes the
+    Newton step, or the bracket midpoint where that step leaves the bracket
+    or fails to halve the previous step.  Every operation is elementwise
+    and a retired point is frozen, so a point's z does not depend on the
+    rest of the batch.  Points whose f_lo, f_hi do not bracket take no pass.
     """
-    lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            return mid
-        # All ones where the residual is non-negative, so the midpoint
-        # replaces lo there and hi elsewhere: an exact, branch-free select.
-        take_lo = -(_zx_residual(mid, y1, y2, mu) >= 0.0).astype(np.int64)
-        mid_bits = mid.view(np.int64)
-        lo_bits ^= (lo_bits ^ mid_bits) & take_lo
-        hi_bits ^= (hi_bits ^ mid_bits) & ~take_lo
-    return 0.5 * (lo + hi)
-
-
-def _bisect_point(lo, hi, y1, y2, mu):
-    """_bisect for one point, on Python floats: the same operations in the
-    same order, hence the same bits, without numpy's per-call cost."""
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if _zx_residual(mid, y1, y2, mu) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # r = (a - t) z + w + b and r' = (a - t) - t - 2 w / z, with t = 3 z / 4
+    # and w = 1 / (4 z^2): _zx_residual regrouped to share terms.
+    a = 2.0 * (y1 + mu)
+    b = 0.5 - mu * mu - 2.0 * mu * y1 - y2
+    lo, hi = lo.copy(), hi.copy()  # the caller's brackets serve the snap
+    z = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+    step = hi - lo
+    active = (f_lo > 0.0) & (f_hi < 0.0)
+    for _ in range(_MAX_PASSES):
+        t = 0.75 * z
+        w = 0.25 / (z * z)
+        p = a - t
+        r = p * z + w + b
+        up = r >= 0.0
+        np.copyto(lo, z, where=up)
+        np.copyto(hi, z, where=~up)
+        newton = r / (p - t - (w + w) / z)
+        z_new = z - newton
+        keep = (lo <= z_new) & (z_new <= hi) & (np.abs(newton) <= 0.5 * step)
+        z_new = np.where(keep, z_new, 0.5 * (lo + hi))
+        step = np.abs(z_new - z)
+        np.copyto(z, z_new, where=active)
+        active &= step > _STEP_RTOL * z
+        if not active.any():
+            break
+    return z
 
 
 def _solve_frame(y1, y2, mu, z_lo, z_hi):
-    """Bracketed root of the segment equation on [z_lo, z_hi] (arrays ok).
+    """Root of the segment equation in [z_lo, z_hi] (1-d arrays of one size).
 
     The residual is positive at z_lo and negative at z_hi for interior
-    points; bisection to float resolution guarantees convergence and a few
-    Newton steps polish the root to machine accuracy.
+    points; a root on or marginally outside an endpoint snaps to it.
     """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    lo = np.broadcast_to(np.asarray(z_lo, dtype=float), y1.shape).copy()
-    hi = np.broadcast_to(np.asarray(z_hi, dtype=float), y1.shape).copy()
-    f_lo = _zx_residual(lo, y1, y2, mu)
-    f_hi = _zx_residual(hi, y1, y2, mu)
+    f_lo = _zx_residual(z_lo, y1, y2, mu)
+    f_hi = _zx_residual(z_hi, y1, y2, mu)
+    z = np.empty(y1.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, y1.size, _SOLVE_CHUNK):
+            c = slice(i, i + _SOLVE_CHUNK)
+            z[c] = _newton(*(a[c] for a in (z_lo, z_hi, f_lo, f_hi, y1, y2, mu)))
     # Roots that sit on a bracket endpoint can fall marginally outside due
     # to rounding of the inputs; snap them back.
     lo_is_root = f_lo <= 0.0
-    hi_is_root = f_hi >= 0.0
-    # Python floats raise on 0.25 / (z * z) == 0.25 / 0 where numpy only
-    # warns (they overflow to inf and carry NaN as numpy does), so the
-    # one-point loop takes brackets whose z * z stays positive.
-    if y1.size == 1 and min(lo.flat[0], hi.flat[0]) > 1e-150:
-        point = (float(np.ravel(a)[0]) for a in (lo, hi, y1, y2, mu))
-        z = np.full(y1.shape, _bisect_point(*point))
-    else:
-        # Bisection is elementwise, so splitting the points changes no bit.
-        flat = [lo.reshape(-1), hi.reshape(-1)]
-        flat += [np.broadcast_to(a, y1.shape).ravel() for a in (y1, y2, mu)]
-        z = np.empty(y1.size)
-        for i in range(0, y1.size, _BISECT_CHUNK):
-            c = slice(i, i + _BISECT_CHUNK)
-            z[c] = _bisect(*(a[c] for a in flat))
-        z = z.reshape(y1.shape)
-    for _ in range(_NEWTON_ITERS):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = _zx_residual(z, y1, y2, mu) / _zx_derivative(z, y1, mu)
-        step = np.where(np.isfinite(step), step, 0.0)
-        z = np.clip(z - step, np.asarray(z_lo, dtype=float), np.asarray(z_hi, dtype=float))
-    z = np.where(lo_is_root, np.broadcast_to(z_lo, y1.shape), z)
-    z = np.where(hi_is_root & ~lo_is_root, np.broadcast_to(z_hi, y1.shape), z)
+    z = np.where(lo_is_root, z_lo, z)
+    z = np.where((f_hi >= 0.0) & ~lo_is_root, z_hi, z)
     resid = _zx_residual(z, y1, y2, mu)
     if np.any(np.abs(resid) > _RESIDUAL_TOL):
         i = int(np.argmax(np.abs(resid)))
         raise ConvergenceError(
-            f"foliation solve residual {float(np.ravel(resid)[i]):.3e} exceeds "
-            f"{_RESIDUAL_TOL} at folded point ({float(np.ravel(y1)[i])}, {float(np.ravel(y2)[i])})"
+            f"foliation solve residual {float(resid[i]):.3e} exceeds "
+            f"{_RESIDUAL_TOL} at folded point ({float(y1[i])}, {float(y2[i])})"
         )
     return z
 
@@ -404,6 +376,11 @@ def eval_b(p, ctx: AlphaContext):
     return float(out[0]) if scalar else out
 
 
+def _arc_slope(eta):
+    """Segment parameter z = (eta + sqrt(eta^2 + 3)) / 3 on a cubic arc."""
+    return (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+
+
 def eval_b_prime(v, ctx: AlphaContext):
     """One-sided-consistent derivative of the trace b.
 
@@ -421,8 +398,7 @@ def eval_b_prime(v, ctx: AlphaContext):
         vn = v[neg]
         k, use_f = _b_window(vn, ctx)
         ak = np.power(ctx.alpha, k)
-        eta = vn + k * ctx.tau + 1.0
-        z = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        z = _arc_slope(vn + k * ctx.tau + 1.0)
         out[neg] = np.where(use_f, ak * z * z, ak * ctx.alpha)
     return float(out[0]) if scalar else out
 
@@ -443,8 +419,7 @@ def gamma1_foliation(v, ctx: AlphaContext):
     pos = v >= 0.0
     if np.any(pos):
         # Continuation of the first cubic arc: same formula with k = 0.
-        eta = v[pos] + 1.0
-        z = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        z = _arc_slope(v[pos] + 1.0)
         s[pos] = z
         u[pos] = v[pos] - z
     neg = ~pos
@@ -452,8 +427,7 @@ def gamma1_foliation(v, ctx: AlphaContext):
         vn = v[neg]
         k, use_f = _b_window(vn, ctx)
         ak = np.power(ctx.alpha, k)
-        eta = vn + k * ctx.tau + 1.0
-        z_odd = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        z_odd = _arc_slope(vn + k * ctx.tau + 1.0)
         mu = (k + 1.0) * ctx.tau + 1.0
         c = vn + mu
         z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))

@@ -32,6 +32,8 @@ from .optimizers import m_norm_report, report_to_csv
 from . import trees as trees_mod
 
 _FMT = ".17g"
+# Most points a --grid may ask for.
+_GRID_MAX_POINTS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -72,8 +74,11 @@ def _grid(spec: str):
         raise DomainError(f"grid spec {spec!r} is not finite")
     if step <= 0 or hi < lo:
         raise DomainError(f"grid spec {spec!r} is empty or has non-positive step")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(n)]
+    # floor(span) + 1 points; a span that overflows to inf fails too.
+    span = (hi - lo) / step + 1e-9
+    if not span < _GRID_MAX_POINTS:
+        raise DomainError(f"grid spec {spec!r} has more than {_GRID_MAX_POINTS} points")
+    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _rows_to_text(rows, header, args) -> str:

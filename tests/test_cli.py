@@ -54,6 +54,16 @@ class TestEval:
         assert out == ""
         assert f"point ({float(x[0])}, {float(x[1])}) is not finite" in err
 
+    def test_tangency_corner_evaluates(self, capsys):
+        # Within 1e-13 of the even cells' tangency corner (-tau, tau^2 + 1).
+        code, out, _ = run(
+            capsys, ["eval", "--alpha", "0.5", "--x", "-0.7071067811866473", "1.500000000000141"]
+        )
+        assert code == 0
+        record = dict(line.split(" = ") for line in out.splitlines())
+        assert record["region"] == "Omega_2"
+        assert abs(float(record["B"]) - 0.5) <= 1e-12
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_usage_error(self, capsys, tol):
         code, _, err = run(
@@ -129,6 +139,15 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert err == f"error: grid spec {grid!r} is not finite\n"
+
+    @pytest.mark.parametrize("grid", ["0:1e12:1", "-1e308:1e308:1", "0:1000000:1"])
+    def test_too_many_grid_points_is_a_domain_error(self, capsys, grid):
+        # Rejected before any list is built: 1e12 floats, or a span that
+        # overflows to inf.
+        code, out, err = run(capsys, ["table", "--alpha", "0.5", "--kind", "b", f"--grid={grid}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid spec {grid!r} has more than 1000000 points\n"
 
 
 class TestConcavity:
