@@ -109,18 +109,22 @@ def _newton(lo, hi, f_lo, f_hi, y1, y2, mu):
     It starts from the false-position point of the bracket residuals.  Each
     pass moves the bracket end on z's side of the root to z, then takes the
     Newton step, or the bracket midpoint where that step leaves the bracket
-    or fails to halve the previous step.  Every operation is elementwise
-    and a retired point is frozen, so a point's z does not depend on the
-    rest of the batch.  Points whose f_lo, f_hi do not bracket take no pass.
+    or fails to halve the previous step.  Points whose f_lo, f_hi do not
+    bracket keep the start and take no pass.  The passes run on the
+    bracketing points only, gathered once, and the working arrays are
+    compacted to the points still active whenever at most half of them
+    are; a retired point is frozen until then.  Every operation is
+    elementwise, so a point's z does not depend on the rest of the batch.
     """
+    out = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+    idx = np.flatnonzero((f_lo > 0.0) & (f_hi < 0.0))
+    lo, hi, z, y1, y2, mu = (v[idx] for v in (lo, hi, out, y1, y2, mu))
     # r = (a - t) z + w + b and r' = (a - t) - t - 2 w / z, with t = 3 z / 4
     # and w = 1 / (4 z^2): _zx_residual regrouped to share terms.
     a = 2.0 * (y1 + mu)
     b = 0.5 - mu * mu - 2.0 * mu * y1 - y2
-    lo, hi = lo.copy(), hi.copy()  # the caller's brackets serve the snap
-    z = lo + f_lo * (hi - lo) / (f_lo - f_hi)
     step = hi - lo
-    active = (f_lo > 0.0) & (f_hi < 0.0)
+    active = np.ones(idx.size, dtype=bool)
     for _ in range(_MAX_PASSES):
         t = 0.75 * z
         w = 0.25 / (z * z)
@@ -136,9 +140,16 @@ def _newton(lo, hi, f_lo, f_hi, y1, y2, mu):
         step = np.abs(z_new - z)
         np.copyto(z, z_new, where=active)
         active &= step > _STEP_RTOL * z
-        if not active.any():
-            break
-    return z
+        n = np.count_nonzero(active)
+        if 2 * n <= active.size:
+            out[idx] = z
+            if not n:
+                return out
+            live = np.flatnonzero(active)
+            idx, lo, hi, z, step, a, b = (v[live] for v in (idx, lo, hi, z, step, a, b))
+            active = active[live]
+    out[idx] = z
+    return out
 
 
 def _solve_frame(y1, y2, mu, z_lo, z_hi):
@@ -246,29 +257,31 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
     seg = {name: np.full_like(x1, np.nan) for name in ("s", "z", "u", "v")}
     under = np.zeros(x1.shape, dtype=bool)
 
-    plus = code == RegionId.PLUS_INDEX
-    if np.any(plus):
-        gap = x2[plus] - x1[plus] ** 2
+    plus = np.flatnonzero(code == RegionId.PLUS_INDEX)
+    if plus.size:
+        p1 = x1[plus]
+        gap = x2[plus] - p1 ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             sig = np.sqrt(gap)
-            value[plus] = x1[plus] + sig
-            grad1[plus] = 1.0 - x1[plus] / sig
+            value[plus] = p1 + sig
+            grad1[plus] = 1.0 - p1 / sig
             grad2[plus] = 0.5 / sig
 
-    zero = code == RegionId.ZERO_INDEX
-    if np.any(zero):
+    zero = np.flatnonzero(code == RegionId.ZERO_INDEX)
+    if zero.size:
         with np.errstate(divide="ignore"):
             rt = np.sqrt(x2[zero])
             value[zero] = x1[zero] + rt
             grad1[zero] = 1.0
             grad2[zero] = 0.5 / rt
 
-    chain = code >= 1
-    if np.any(chain):
-        z, s, u, v, val, under[chain] = _chain(code[chain], x1[chain], x2[chain], ctx)
+    chain = np.flatnonzero(code >= 1)
+    if chain.size:
+        c1, c2 = x1[chain], x2[chain]
+        z, s, u, v, val, under[chain] = _chain(code[chain], c1, c2, ctx)
         # Points on the lower parabola carry B = 0 exactly; the generic
         # formula only reproduces this up to rounding in u.
-        on_gamma0 = (x2[chain] - x1[chain] ** 2) <= ctx.tol
+        on_gamma0 = (c2 - c1 ** 2) <= ctx.tol
         value[chain] = np.where(on_gamma0, 0.0, val)
         grad1[chain] = -u * s
         grad2[chain] = 0.5 * s

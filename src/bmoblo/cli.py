@@ -32,8 +32,8 @@ from .optimizers import m_norm_report, report_to_csv
 from . import trees as trees_mod
 
 _FMT = ".17g"
-# Most points a --grid may ask for.
-_GRID_MAX_POINTS = 10**6
+# Most points a --grid, and most --samples or --kmax rows, a command may ask for.
+_MAX_COUNT = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -76,9 +76,15 @@ def _grid(spec: str):
         raise DomainError(f"grid spec {spec!r} is empty or has non-positive step")
     # floor(span) + 1 points; a span that overflows to inf fails too.
     span = (hi - lo) / step + 1e-9
-    if not span < _GRID_MAX_POINTS:
-        raise DomainError(f"grid spec {spec!r} has more than {_GRID_MAX_POINTS} points")
+    if not span < _MAX_COUNT:
+        raise DomainError(f"grid spec {spec!r} has more than {_MAX_COUNT} points")
     return [lo + i * step for i in range(int(math.floor(span)) + 1)]
+
+
+def _count(flag: str, n: int) -> int:
+    if not 1 <= n <= _MAX_COUNT:
+        raise DomainError(f"{flag} must lie in 1..{_MAX_COUNT}, got {n}")
+    return n
 
 
 def _rows_to_text(rows, header, args) -> str:
@@ -145,7 +151,7 @@ def cmd_table(args) -> int:
         rows = [(float(p), float(eval_b(p, ctx))) for p in ps]
         return _finish_table(rows, ("p", "b"), args)
     if args.kind == "boundary-regions":
-        kmax = args.kmax
+        kmax = _count("--kmax", args.kmax)
         rows = []
         for k in range(1, kmax + 1):
             rows.append(
@@ -167,8 +173,9 @@ def _finish_table(rows, header, args) -> int:
 
 def cmd_concavity(args) -> int:
     ctx = _context(args)
-    if args.samples <= 0:
-        raise DomainError("--samples must be positive")
+    _count("--samples", args.samples)
+    if args.seed < 0:
+        raise DomainError(f"--seed must be at least 0, got {args.seed}")
     report = sweep(ctx, args.samples, args.seed)
     _emit(report.to_json() + "\n" if args.format == "json" else report.to_text(), args)
     return 0 if report.min_margin >= -1e-9 else 1
@@ -189,6 +196,12 @@ def cmd_tree(args) -> int:
         tree = trees_mod.tree_from_json(_read_utf8(args.path))
     except RecursionError:
         raise StructureError(args.path, "document is nested too deeply to read") from None
+    except ValueError as exc:
+        # json.loads refuses an integer literal longer than the interpreter's
+        # digit limit (4300 by default) with a plain ValueError.
+        if isinstance(exc, (BmobloError, json.JSONDecodeError)):
+            raise
+        raise StructureError(args.path, "an integer literal has too many digits") from None
     ctx = make_context(tree.alpha, tol=ctx_tol)
     norm = trees_mod.bmo_norm(tree)
     work = tree

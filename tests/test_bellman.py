@@ -613,3 +613,163 @@ class TestMongeAmpere:
         assert np.all(res <= tol)
         assert np.all(b11[ok] <= 1e-6)
         assert np.all(b22[ok] <= 1e-6)
+
+
+def _newton_reference(lo, hi, f_lo, f_hi, y1, y2, mu):
+    """The full-width safeguarded Newton that _newton replaced: every pass
+    runs over the whole chunk until its slowest point retires, and a
+    retired point stays frozen."""
+    a = 2.0 * (y1 + mu)
+    b = 0.5 - mu * mu - 2.0 * mu * y1 - y2
+    lo, hi = lo.copy(), hi.copy()
+    z = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+    step = hi - lo
+    active = (f_lo > 0.0) & (f_hi < 0.0)
+    for _ in range(bellman._MAX_PASSES):
+        t = 0.75 * z
+        w = 0.25 / (z * z)
+        p = a - t
+        r = p * z + w + b
+        up = r >= 0.0
+        np.copyto(lo, z, where=up)
+        np.copyto(hi, z, where=~up)
+        newton = r / (p - t - (w + w) / z)
+        z_new = z - newton
+        keep = (lo <= z_new) & (z_new <= hi) & (np.abs(newton) <= 0.5 * step)
+        z_new = np.where(keep, z_new, 0.5 * (lo + hi))
+        step = np.abs(z_new - z)
+        np.copyto(z, z_new, where=active)
+        active &= step > bellman._STEP_RTOL * z
+        if not active.any():
+            break
+    return z
+
+
+def _eval_arrays_reference(x1, x2, ctx):
+    """eval_arrays as it was before each region was gathered once by index:
+    boolean masks, with x1[plus] gathered three times and the chain
+    coordinates twice."""
+    from bmoblo.geometry import clamp_gap, classify_codes
+
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
+    code = classify_codes(x1, x2, ctx)
+    value = np.empty_like(x1)
+    grad1 = np.empty_like(x1)
+    grad2 = np.empty_like(x1)
+    seg = {name: np.full_like(x1, np.nan) for name in ("s", "z", "u", "v")}
+    under = np.zeros(x1.shape, dtype=bool)
+    plus = code == RegionId.PLUS_INDEX
+    if np.any(plus):
+        gap = x2[plus] - x1[plus] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sig = np.sqrt(gap)
+            value[plus] = x1[plus] + sig
+            grad1[plus] = 1.0 - x1[plus] / sig
+            grad2[plus] = 0.5 / sig
+    zero = code == RegionId.ZERO_INDEX
+    if np.any(zero):
+        with np.errstate(divide="ignore"):
+            rt = np.sqrt(x2[zero])
+            value[zero] = x1[zero] + rt
+            grad1[zero] = 1.0
+            grad2[zero] = 0.5 / rt
+    chain = code >= 1
+    if np.any(chain):
+        z, s, u, v, val, under[chain] = bellman._chain(code[chain], x1[chain], x2[chain], ctx)
+        on_gamma0 = (x2[chain] - x1[chain] ** 2) <= ctx.tol
+        value[chain] = np.where(on_gamma0, 0.0, val)
+        grad1[chain] = -u * s
+        grad2[chain] = 0.5 * s
+        for name, arr in zip("szuv", (s, z, u, v)):
+            seg[name][chain] = arr
+    return {"value": value, "grad1": grad1, "grad2": grad2, "region": code, **seg,
+            "underflow": under}
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _outcome(evaluate, x1, x2, ctx):
+    """The fields of evaluate(x1, x2, ctx), or the text of its ConvergenceError."""
+    try:
+        return evaluate(x1, x2, ctx)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, str):
+        return got == want
+    return (not isinstance(got, str) and got.keys() == want.keys()
+            and all(_same_bits(got[name], want[name]) for name in want))
+
+
+class TestEvalArraysReference:
+    """The compacting _newton and the index-gathering eval_arrays keep every
+    bit of the full-width solve and the mask-gathering body."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 1.0 / 16.0, 0.3])
+    def test_every_field_bit_equal(self, alpha, rng, monkeypatch):
+        ctx = make_context(alpha)
+        x1, x2 = sample_strip(rng, 4000, 12.0 * ctx.tau, ctx)
+        x2[::7] = x1[::7] ** 2
+        x2[1::7] = x1[1::7] ** 2 + 1.0
+        b1, b2 = boundary_points(ctx)
+        x1, x2 = np.concatenate([x1, b1]), np.concatenate([x2, b2])
+        # Far to the left, down to x1 = -1e6, where the deepest cells
+        # underflow; on Gamma1 there some points fail the absolute residual
+        # gate, and must fail it alike.  As a batch and one at a time.
+        f1 = -np.geomspace(1.0, 1e6, 60)
+        f2 = f1 * f1 + np.where(np.arange(f1.size) % 4 == 0, 1.0, rng.uniform(0.0, 1.0, f1.size))
+        far = [(f1, f2)] + [(f1[i:i + 1], f2[i:i + 1]) for i in range(f1.size)]
+        got = [_outcome(eval_arrays, *pts, ctx) for pts in [(x1, x2)] + far]
+        # Cut brackets, batched and one point at a time.
+        codes = got[0]["region"]
+        cut = {k: bellman._chain(k, x1[codes > k], x2[codes > k], ctx, cut=True)
+               for k in (1, 2)}
+        picked = rng.choice(np.flatnonzero(codes > 3), 15, replace=False)
+        majorants = [eval_majorant(OmegaPoint(float(x1[i]), float(x2[i])), 0.3, k, ctx)
+                     for i in picked for k in (1, 2, 3)]
+        monkeypatch.setattr(bellman, "_newton", _newton_reference)
+        want = [_outcome(_eval_arrays_reference, *pts, ctx) for pts in [(x1, x2)] + far]
+        assert all(_same_outcome(g, w) for g, w in zip(got, want))
+        alone = [w for w in want[2:] if not isinstance(w, str)]
+        assert sum(w["underflow"][0] for w in alone) > 5
+        assert len(alone) > 30
+        for k, arrays in cut.items():
+            ref = bellman._chain(k, x1[codes > k], x2[codes > k], ctx, cut=True)
+            assert all(_same_bits(g, w) for g, w in zip(arrays, ref)), k
+        ref = [eval_majorant(OmegaPoint(float(x1[i]), float(x2[i])), 0.3, k, ctx)
+               for i in picked for k in (1, 2, 3)]
+        assert _same_bits(np.array(majorants), np.array(ref))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_slow_corner_roots_in_an_easy_chunk(self, alpha, rng, monkeypatch):
+        # The near-triple roots at the tangency corners take 25 and more
+        # passes; the easy points around them retire after a handful, so the
+        # working arrays are compacted many times around the slow ones.
+        ctx = make_context(alpha)
+        b1, b2 = np.unique(np.stack(boundary_points(ctx)), axis=1)
+        corner = _tangency_corners(b1, b2, ctx)
+        n = np.count_nonzero(corner)
+        x1 = rng.uniform(-10.0 * ctx.tau, -0.2, bellman._SOLVE_CHUNK - n)
+        x2 = x1 * x1 + rng.uniform(0.0, 1.0, x1.size)
+        x1, x2 = np.concatenate([b1[corner], x1]), np.concatenate([b2[corner], x2])
+        calls = []
+        newton = bellman._newton
+
+        def recording(*args):
+            calls.append((args, newton(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bellman, "_newton", recording)
+        eval_arrays(x1, x2, ctx)
+        (args, z), = [c for c in calls if c[0][0].size > 1]
+        assert z.size > bellman._SOLVE_CHUNK // 2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            assert _same_bits(z, _newton_reference(*args))
+            for i in np.concatenate([np.arange(n), rng.choice(np.arange(n, z.size), 200)]):
+                alone = newton(*(a[i:i + 1] for a in args))
+                assert _same_bits(alone, z[i:i + 1]), i

@@ -124,6 +124,14 @@ class TestTable:
         assert float(first[1]) == -1.25
         assert float(first[2]) == -1.5
 
+    @pytest.mark.parametrize("command", [["regions"], ["table", "--kind", "boundary-regions"]])
+    @pytest.mark.parametrize("kmax", ["100000000", "-3", "0"])
+    def test_kmax_out_of_range_is_a_domain_error(self, capsys, command, kmax):
+        code, out, err = run(capsys, [*command, "--alpha", "0.25", "--kmax", kmax])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --kmax must lie in 1..1000000, got {kmax}\n"
+
     def test_bad_grid(self, capsys):
         code, _, err = run(
             capsys, ["table", "--n", "2", "--kind", "phi", "--grid", "3:1:0.5"]
@@ -167,6 +175,21 @@ class TestConcavity:
     def test_zero_samples_usage_error(self, capsys):
         code, _, err = run(capsys, ["concavity", "--n", "2", "--samples", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["--samples", "1000000000"], "--samples must lie in 1..1000000, got 1000000000"),
+        ],
+    )
+    def test_out_of_range_integers_are_domain_errors(self, capsys, monkeypatch, flags, message):
+        # Rejected before the sweep draws a single sample.
+        monkeypatch.setattr("bmoblo.cli.sweep", lambda *a: pytest.fail("sweep ran"))
+        code, out, err = run(capsys, ["concavity", "--n", "2", *flags])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestTree:
@@ -296,6 +319,23 @@ class TestTree:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"alpha": 0.5, "root": {"measure": %s, "value": 1.0}}',
+            '{"alpha": %s, "root": {"measure": 1.0, "value": 1.0}}',
+        ],
+    )
+    def test_huge_integer_literal_is_a_structure_error(self, capsys, tmp_path, doc):
+        # Past the interpreter's 4300-digit limit json.loads raises a plain
+        # ValueError; the limit itself is left as it is.
+        path = tmp_path / "huge.json"
+        path.write_text(doc % ("1" + "0" * 5000))
+        code, out, err = run(capsys, ["tree", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: an integer literal has too many digits\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])
