@@ -58,7 +58,8 @@ from .geometry import (
 
 # Residual target of the folded-frame foliation equation.
 _RESIDUAL_TOL = 1e-11
-# Points solved together: small enough that the temporaries stay in cache.
+# Points eval_arrays evaluates together: small enough that the temporaries
+# stay in cache.
 _SOLVE_CHUNK = 16384
 # A point retires once its last step moved z by at most _STEP_RTOL * z;
 # _MAX_PASSES is only a safety net.
@@ -160,11 +161,8 @@ def _solve_frame(y1, y2, mu, z_lo, z_hi):
     """
     f_lo = _zx_residual(z_lo, y1, y2, mu)
     f_hi = _zx_residual(z_hi, y1, y2, mu)
-    z = np.empty(y1.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, y1.size, _SOLVE_CHUNK):
-            c = slice(i, i + _SOLVE_CHUNK)
-            z[c] = _newton(*(a[c] for a in (z_lo, z_hi, f_lo, f_hi, y1, y2, mu)))
+        z = _newton(z_lo, z_hi, f_lo, f_hi, y1, y2, mu)
     # Roots that sit on a bracket endpoint can fall marginally outside due
     # to rounding of the inputs; snap them back.
     lo_is_root = f_lo <= 0.0
@@ -246,16 +244,30 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
     segment data s, z, u, v (NaN outside the chain cells), plus an
     `underflow` mask for cells so deep that alpha^(folds) leaves the normal
     range; B, its gradient and s are 0 there.
+
+    Every point is checked against the strip first; the rest runs on blocks
+    of _SOLVE_CHUNK points, small enough that the temporaries stay in cache,
+    so a region-search or solver failure names a point of the first block
+    that meets one.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
-    code = classify_codes(x1, x2, ctx)
+    out = {"value": np.empty_like(x1), "grad1": np.empty_like(x1),
+           "grad2": np.empty_like(x1), "region": np.empty(x1.shape, dtype=np.int64),
+           **{name: np.full_like(x1, np.nan) for name in "szuv"},
+           "underflow": np.zeros(x1.shape, dtype=bool)}
+    for i in range(0, x1.size, _SOLVE_CHUNK):
+        c = slice(i, i + _SOLVE_CHUNK)
+        _eval_block(x1[c], x2[c], ctx, {name: a[c] for name, a in out.items()})
+    return out
 
-    value = np.empty_like(x1)
-    grad1 = np.empty_like(x1)
-    grad2 = np.empty_like(x1)
-    seg = {name: np.full_like(x1, np.nan) for name in ("s", "z", "u", "v")}
-    under = np.zeros(x1.shape, dtype=bool)
+
+def _eval_block(x1, x2, ctx: AlphaContext, out):
+    """eval_arrays on clamped points, written into the views `out` of its
+    fields (segment data pre-filled with NaN, underflow with False)."""
+    code = classify_codes(x1, x2, ctx)
+    out["region"][...] = code
+    value, grad1, grad2 = out["value"], out["grad1"], out["grad2"]
 
     plus = np.flatnonzero(code == RegionId.PLUS_INDEX)
     if plus.size:
@@ -278,7 +290,7 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
     chain = np.flatnonzero(code >= 1)
     if chain.size:
         c1, c2 = x1[chain], x2[chain]
-        z, s, u, v, val, under[chain] = _chain(code[chain], c1, c2, ctx)
+        z, s, u, v, val, out["underflow"][chain] = _chain(code[chain], c1, c2, ctx)
         # Points on the lower parabola carry B = 0 exactly; the generic
         # formula only reproduces this up to rounding in u.
         on_gamma0 = (c2 - c1 ** 2) <= ctx.tol
@@ -286,10 +298,7 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
         grad1[chain] = -u * s
         grad2[chain] = 0.5 * s
         for name, arr in zip("szuv", (s, z, u, v)):
-            seg[name][chain] = arr
-
-    return {"value": value, "grad1": grad1, "grad2": grad2, "region": code, **seg,
-            "underflow": under}
+            out[name][chain] = arr
 
 
 def eval_B(x: OmegaPoint, ctx: AlphaContext) -> BellmanValue:

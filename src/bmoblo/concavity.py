@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bellman import (
+    _SOLVE_CHUNK,
     eval_arrays,
     eval_b,
     eval_b_prime,
@@ -130,9 +131,9 @@ def chord_margin(
 def _chord_margins_vec(xm1, xm2, xp1, xp2, beta, ctx: AlphaContext):
     m1 = (1.0 - beta) * xm1 + beta * xp1
     m2 = (1.0 - beta) * xm2 + beta * xp2
-    bm = eval_arrays(xm1, xm2, ctx)["value"]
-    bp = eval_arrays(xp1, xp2, ctx)["value"]
-    bmid = eval_arrays(m1, m2, ctx)["value"]
+    # One call on the stacked (x-, x+, mid) points.
+    b = eval_arrays(np.stack([xm1, xp1, m1]).ravel(), np.stack([xm2, xp2, m2]).ravel(), ctx)
+    bm, bp, bmid = b["value"].reshape(3, -1)
     return bmid - (1.0 - beta) * bm - beta * bp
 
 
@@ -260,10 +261,11 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
     window = 6.0 * ctx.tau
     report = SweepReport(alpha=ctx.alpha, seed=seed, samples=n_samples)
 
-    # Family 1: restricted-concavity chords.
+    # Family 1: restricted-concavity chords.  The chords are drawn first,
+    # rejecting combinations that leave the strip, then evaluated in blocks
+    # whose three points per chord make one eval_arrays block.
     got = 0
-    margins = np.empty(n_samples)
-    arg = np.empty((n_samples, 5))
+    chords = np.empty((5, n_samples))
     while got < n_samples:
         want = n_samples - got
         draw = max(2048, int(1.5 * want))
@@ -272,24 +274,17 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
         beta = rng.uniform(ctx.alpha, 0.5, draw)
         m1 = (1.0 - beta) * xm1 + beta * xp1
         m2 = (1.0 - beta) * xm2 + beta * xp2
-        ok = (m2 - m1 * m1) <= 1.0
-        take = min(int(np.count_nonzero(ok)), want)
-        if take == 0:
-            continue
-        idx = np.flatnonzero(ok)[:take]
-        sl = slice(got, got + take)
-        margins[sl] = _chord_margins_vec(
-            xm1[idx], xm2[idx], xp1[idx], xp2[idx], beta[idx], ctx
-        )
-        arg[sl] = np.column_stack(
-            [xm1[idx], xm2[idx], xp1[idx], xp2[idx], beta[idx]]
-        )
-        got += take
+        idx = np.flatnonzero((m2 - m1 * m1) <= 1.0)[:want]
+        chords[:, got:got + idx.size] = [xm1[idx], xm2[idx], xp1[idx], xp2[idx], beta[idx]]
+        got += idx.size
+    margins = np.empty(n_samples)
+    block = _SOLVE_CHUNK // 3
+    for j in range(0, n_samples, block):
+        margins[j:j + block] = _chord_margins_vec(*chords[:, j:j + block], ctx)
     i = int(np.argmin(margins))
+    xm1, xm2, xp1, xp2, beta = chords[:, i]
     report.min_margins["chords"] = float(margins[i])
-    report.argmins["chords"] = ChordSample(
-        (arg[i, 0], arg[i, 1]), (arg[i, 2], arg[i, 3]), arg[i, 4], float(margins[i])
-    )
+    report.argmins["chords"] = ChordSample((xm1, xm2), (xp1, xp2), beta, float(margins[i]))
 
     # Family 2: directional derivatives along the upper parabola.
     p = rng.uniform(-window, 2.0, n_samples)

@@ -433,8 +433,8 @@ def _walk(root):
 
     An object of the common shape -- a float measure and exactly one of a
     float value or a non-empty children list -- is read inline;
-    _read_json_node decides every other node, so it raises its own errors
-    and maps integers beyond the float range to +-inf.
+    _read_json_node decides every other node, so it raises its own errors,
+    among them for integers beyond the float range.
     """
     parent, depth, measure, value = [], [], [], []
     add_parent, add_depth = parent.append, depth.append
@@ -487,7 +487,7 @@ def _number(x, what: str) -> float:
     try:
         return float(x)
     except OverflowError:  # an integer literal beyond the float range
-        return math.inf if x > 0 else -math.inf
+        raise _BadNode(f"{what} is beyond the float range") from None
 
 
 def _read_json_node(obj):

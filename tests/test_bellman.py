@@ -646,9 +646,9 @@ def _newton_reference(lo, hi, f_lo, f_hi, y1, y2, mu):
 
 
 def _eval_arrays_reference(x1, x2, ctx):
-    """eval_arrays as it was before each region was gathered once by index:
-    boolean masks, with x1[plus] gathered three times and the chain
-    coordinates twice."""
+    """eval_arrays as it was before each region was gathered once by index
+    and the input split into blocks: boolean masks over the whole input,
+    with x1[plus] gathered three times and the chain coordinates twice."""
     from bmoblo.geometry import clamp_gap, classify_codes
 
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
@@ -773,3 +773,61 @@ class TestEvalArraysReference:
             for i in np.concatenate([np.arange(n), rng.choice(np.arange(n, z.size), 200)]):
                 alone = newton(*(a[i:i + 1] for a in args))
                 assert _same_bits(alone, z[i:i + 1]), i
+
+
+class TestEvalArraysBlocks:
+    """An input longer than _SOLVE_CHUNK is evaluated one block at a time."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    def test_every_field_bit_equal(self, alpha, rng):
+        ctx = make_context(alpha)
+        chunk = bellman._SOLVE_CHUNK
+        n = 2 * chunk + 123
+        b1, b2 = boundary_points(ctx)
+        pick = rng.choice(b1.size, 3000, replace=False)
+        # Far to the left, where the deepest cells underflow.
+        f1 = -np.geomspace(1.0, 1e6, 200)
+        f2 = f1 * f1 + rng.uniform(0.05, 0.95, f1.size)
+        x1, x2 = sample_strip(rng, n - pick.size - f1.size, 12.0 * ctx.tau, ctx)
+        x2[::7] = x1[::7] ** 2
+        x2[1::7] = x1[1::7] ** 2 + 1.0
+        x1 = np.concatenate([x1, b1[pick], f1])
+        x2 = np.concatenate([x2, b2[pick], f2])
+        order = rng.permutation(n)
+        x1, x2 = x1[order], x2[order]
+        # Block edges: an underflowing point, a Gamma1 and a Gamma0 chain
+        # point, the tangency point -tau on Gamma1 and a point of Omega_0.
+        edges = [chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1]
+        x1[edges] = [-1e6, -2.5 * ctx.tau, -3.5 * ctx.tau, -ctx.tau, -0.5]
+        x2[edges] = [1e12 + 0.5, x1[chunk] ** 2 + 1.0, x1[2 * chunk - 1] ** 2,
+                     ctx.tau ** 2 + 1.0, 0.5]
+        got = eval_arrays(x1, x2, ctx)
+        assert _same_outcome(got, _eval_arrays_reference(x1, x2, ctx))
+        assert set(range(-1, 25)) <= set(got["region"].tolist())
+        assert got["underflow"][chunk - 1] and np.count_nonzero(got["underflow"]) > 20
+        for i in np.concatenate([edges, rng.choice(n, 150, replace=False)]):
+            alone = eval_arrays(x1[i:i + 1], x2[i:i + 1], ctx)
+            assert all(_same_bits(alone[name], got[name][i:i + 1]) for name in got), i
+
+    def test_first_failing_block_names_its_worst_point(self, rng):
+        ctx = make_context(0.1)
+        chunk = bellman._SOLVE_CHUNK
+        x1, x2 = sample_strip(rng, 2 * chunk + 123, 12.0 * ctx.tau, ctx)
+        # Far-left Gamma1 points whose folded residual misses the gate: the
+        # reproducer in block 2 and a worse one in block 3.
+        x1[chunk + 5], x2[chunk + 5] = -793.9095916748047, 630293.4397532551
+        x1[2 * chunk + 7] = -2356.0280197951406
+        x2[2 * chunk + 7] = x1[2 * chunk + 7] ** 2 + 1.0
+        with pytest.raises(ConvergenceError) as whole:
+            eval_arrays(x1, x2, ctx)
+        block = slice(chunk, 2 * chunk)
+        with pytest.raises(ConvergenceError) as alone:
+            eval_arrays(x1[block], x2[block], ctx)
+        assert str(whole.value) == str(alone.value)
+        assert "residual -1.376e-11" in str(whole.value)
+        with pytest.raises(ConvergenceError, match="residual -3.874e-10"):
+            eval_arrays(x1[2 * chunk:], x2[2 * chunk:], ctx)
+        # Every point is checked against the strip before any block runs.
+        x2[-1] = x1[-1] ** 2 + 1.5
+        with pytest.raises(DomainError, match="violates x2 <= x1"):
+            eval_arrays(x1, x2, ctx)

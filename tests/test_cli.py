@@ -337,6 +337,16 @@ class TestTree:
         assert out == ""
         assert err == f"error: {path}: an integer literal has too many digits\n"
 
+    def test_root_measure_beyond_float_range_is_named(self, capsys, tmp_path):
+        # Below the 4300-digit limit json.loads reads the integer, which no
+        # float can hold.
+        path = tmp_path / "big.json"
+        path.write_text('{"alpha": 0.5, "root": {"measure": %s, "value": 1.0}}' % ("1" + "0" * 400))
+        code, out, err = run(capsys, ["tree", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: root: measure is beyond the float range\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])
         assert code == 2

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bmoblo.bellman import eval_b
+from bmoblo.bellman import _SOLVE_CHUNK, eval_arrays, eval_b
 from bmoblo.concavity import (
     FAMILIES,
+    ChordSample,
+    SweepReport,
+    _chord_H_vec,
+    _dirder_margins_vec,
+    _sample_omega,
     check_C2,
     chord_H,
     chord_margin,
@@ -200,6 +205,73 @@ class TestSweep:
         for fam in FAMILIES:
             assert f"min_margin.{fam}" in text
             assert f"probe_abs_margin.{fam}" in text
+
+
+def _reference_sweep(ctx, n_samples, seed):
+    """sweep as it was before the chords were drawn first: each rejection
+    round evaluates its accepted chords at once, with one eval_arrays call
+    for each of x-, x+ and the midpoint."""
+    rng = np.random.default_rng(seed)
+    window = 6.0 * ctx.tau
+    report = SweepReport(alpha=ctx.alpha, seed=seed, samples=n_samples)
+    got = 0
+    margins = np.empty(n_samples)
+    arg = np.empty((n_samples, 5))
+    while got < n_samples:
+        want = n_samples - got
+        draw = max(2048, int(1.5 * want))
+        xm1, xm2 = _sample_omega(rng, draw, window, ctx)
+        xp1, xp2 = _sample_omega(rng, draw, window, ctx)
+        beta = rng.uniform(ctx.alpha, 0.5, draw)
+        m1 = (1.0 - beta) * xm1 + beta * xp1
+        m2 = (1.0 - beta) * xm2 + beta * xp2
+        ok = (m2 - m1 * m1) <= 1.0
+        take = min(int(np.count_nonzero(ok)), want)
+        if take == 0:
+            continue
+        idx = np.flatnonzero(ok)[:take]
+        sl = slice(got, got + take)
+        bm = eval_arrays(xm1[idx], xm2[idx], ctx)["value"]
+        bp = eval_arrays(xp1[idx], xp2[idx], ctx)["value"]
+        bmid = eval_arrays(m1[idx], m2[idx], ctx)["value"]
+        margins[sl] = bmid - (1.0 - beta[idx]) * bm - beta[idx] * bp
+        arg[sl] = np.column_stack([xm1[idx], xm2[idx], xp1[idx], xp2[idx], beta[idx]])
+        got += take
+    i = int(np.argmin(margins))
+    report.min_margins["chords"] = float(margins[i])
+    report.argmins["chords"] = ChordSample(
+        (arg[i, 0], arg[i, 1]), (arg[i, 2], arg[i, 3]), arg[i, 4], float(margins[i])
+    )
+    p = rng.uniform(-window, 2.0, n_samples)
+    q = p + rng.uniform(0.0, ctx.tau, n_samples)
+    margins = _dirder_margins_vec(p, q, ctx)
+    i = int(np.argmin(margins))
+    report.min_margins["dirder"] = float(margins[i])
+    report.argmins["dirder"] = ChordSample(
+        (p[i], p[i] ** 2 + 1.0), (q[i], q[i] ** 2 + 1.0), 0.5, float(margins[i])
+    )
+    p = rng.uniform(-window, 2.0, n_samples)
+    q = p + rng.uniform(-ctx.tau, ctx.tau, n_samples)
+    margins = _chord_H_vec(p, q, ctx)
+    i = int(np.argmin(margins))
+    report.min_margins["chord_H"] = float(margins[i])
+    report.argmins["chord_H"] = ChordSample(
+        (p[i], p[i] ** 2 + 1.0), (q[i], q[i] ** 2 + 1.0), ctx.alpha, float(margins[i])
+    )
+    report.probes = equality_probes(ctx)
+    return report
+
+
+class TestSweepReference:
+    """Drawing every chord first and evaluating them in blocks reports what
+    the round-by-round loop reported."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    @pytest.mark.parametrize("samples", [1, _SOLVE_CHUNK // 3, _SOLVE_CHUNK // 3 + 1, 20_000])
+    def test_same_report(self, alpha, samples):
+        ctx = make_context(alpha)
+        got = sweep(ctx, samples, seed=19)
+        assert got.to_json() == _reference_sweep(ctx, samples, 19).to_json()
 
 
 class TestEqualityProbes:

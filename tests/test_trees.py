@@ -582,7 +582,7 @@ _MALFORMED = {
     "root not an object": ('{"alpha": 0.5, "root": [1.0]}', "root: node must be a JSON object"),
     "root null": ('{"alpha": 0.5, "root": null}', "root: node must be a JSON object"),
     "alpha true": ('{"alpha": true, "root": {"measure": 1.0, "value": 1.0}}', "root: alpha must be a number"),
-    "alpha beyond float range": ('{"alpha": %s, "root": {"measure": 1.0, "value": 1.0}}' % _BIG, "root: alpha=inf outside (0, 1/2]"),
+    "alpha beyond float range": ('{"alpha": %s, "root": {"measure": 1.0, "value": 1.0}}' % _BIG, "root: alpha is beyond the float range"),
     "measure sum": (_two('{"measure": 0.6, "value": 0.0}'), "root: children measures sum to 1.1, parent has 1.0"),
     "non-object in children": (_two('{"measure": 0.5, "children": [{"measure": 0.25, "value": 0.0}, 7]}'), "root/1/1: node must be a JSON object"),
     "null in children": (_two("null"), "root/1: node must be a JSON object"),
@@ -590,8 +590,8 @@ _MALFORMED = {
     "list in children": (_two("[0.5, 1.0]"), "root/1: node must be a JSON object"),
     "no measure": (_two('{"measure": 0.5, "value": 1.0}', first='{"measure": 0.5, "children": [{"value": 0.0}, {"measure": 0.25, "value": 0.0}]}'), "root/0/0: node lacks a measure"),
     "empty object": (_two("{}"), "root/1: node lacks a measure"),
-    "measure beyond float range": (_two('{"measure": %s, "value": 1.0}' % _BIG), "root: children measures sum to inf, parent has 1.0"),
-    "value beyond float range": (_two('{"measure": 0.5, "value": -%s}' % _BIG), "root/1: leaf carries no finite value"),
+    "measure beyond float range": (_two('{"measure": %s, "value": 1.0}' % _BIG), "root/1: measure is beyond the float range"),
+    "value beyond float range": (_two('{"measure": 0.5, "value": -%s}' % _BIG), "root/1: leaf value is beyond the float range"),
     "measure true": (_two('{"measure": true, "value": 1.0}'), "root/1: measure must be a number"),
     "measure string": (_two('{"measure": "0.5", "value": 1.0}'), "root/1: measure must be a number"),
     "measure NaN": (_two('{"measure": NaN, "value": 1.0}'), "root/1: measure nan is not positive"),
