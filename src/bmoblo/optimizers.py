@@ -23,7 +23,8 @@ then theirs, each generation in its parents' order), one generation per
 array step.  Expansion stops at a depth cap and a leaf budget: the budget
 admits the first floor((budget-1)/j) states in that order whose resolved
 piece fits the cap.  Whatever remains unresolved is tracked exactly by
-measure and offset.  Cell positions are int64, so the depth is at most 63.
+measure and offset.  A cell is kept as its (depth, offset) pair alone, in
+int8, so the depth is at most 63; the statistics read nothing else.
 
 Statistics are reported as enclosures.  Truncation alone cannot give tight
 two-sided bounds (the unresolved measure decays only like
@@ -51,15 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .trees import AlphaTree, tree_from_json
 
 # Interval fixed-point contraction count and the rounding pad added to
 # every reported enclosure endpoint.
 _N_ITER = 20000
 _PAD = 1e-12
 
-# Deepest cell: positions below 2^depth must fit in int64.  The cell
-# masses 2^-depth come from an exact table.
+# Deepest cell: build_psi keeps depths and offsets in int8, and a depth
+# plus the scale index must fit.  The cell masses 2^-depth come from an
+# exact table.
 _MAX_DEPTH = 63
 _CELL_MASS = np.ldexp(1.0, -np.arange(_MAX_DEPTH + 1))
 
@@ -106,20 +107,20 @@ class Enclosure:
 class PsiFunction:
     """Adaptive-partition representation of one optimizer function.
 
-    Leaves are recorded as (depth, offset, position): the cell is the
-    dyadic interval (pos * 2^-depth, (pos+1) * 2^-depth], the function on a
-    resolved cell is the constant -gamma + offset*delta, and an unresolved
-    cell carries an exact copy of the whole function shifted by
-    offset*delta (its placeholder value is the cell infimum
-    -gamma + offset*delta).
+    Leaves are recorded as (depth, offset) pairs: a leaf is a dyadic
+    interval of length 2^-depth, the function on a resolved leaf is the
+    constant -gamma + offset*delta, and an unresolved leaf carries an exact
+    copy of the whole function shifted by offset*delta (its placeholder
+    value is the cell infimum -gamma + offset*delta).  Where each leaf
+    lies in (0, 1] is not kept: no statistic depends on it.
     """
 
     def __init__(self, params, depth, res, unres, leaf_count):
         self.params = params
         self.j = params.j
         self.depth = depth
-        self.res_depth, self.res_offset, self.res_pos = res
-        self.unres_depth, self.unres_offset, self.unres_pos = unres
+        self.res_depth, self.res_offset = res
+        self.unres_depth, self.unres_offset = unres
         self.leaf_count = leaf_count
         self.res_mass = _CELL_MASS[self.res_depth]
         self.unres_mass = _CELL_MASS[self.unres_depth]
@@ -133,59 +134,6 @@ class PsiFunction:
     def delta(self) -> float:
         return self.params.delta
 
-    def leaf_values(self, unresolved_mode: str = "inf"):
-        """Values of all leaves (resolved then unresolved).
-
-        unresolved_mode "inf" assigns the placeholder (cell infimum)
-        -gamma + c*delta; "mean" assigns the exact cell average c*delta.
-        """
-        res = -self.gamma + self.res_offset * self.delta
-        if unresolved_mode == "inf":
-            un = -self.gamma + self.unres_offset * self.delta
-        elif unresolved_mode == "mean":
-            un = self.unres_offset * self.delta
-        else:
-            raise DomainError(f"unknown unresolved_mode {unresolved_mode!r}")
-        return res, un
-
-    def value_grid(self, unresolved_mode: str = "inf"):
-        """Step-function values on the uniform grid of 2^depth cells."""
-        if self.depth > 24:
-            raise ResourceError("value grid limited to depth <= 24")
-        n = 1 << self.depth
-        grid = np.empty(n)
-        res_v, un_v = self.leaf_values(unresolved_mode)
-        for dep, pos, val in zip(self.res_depth, self.res_pos, res_v):
-            w = 1 << (self.depth - int(dep))
-            grid[int(pos) * w : (int(pos) + 1) * w] = val
-        for dep, pos, val in zip(self.unres_depth, self.unres_pos, un_v):
-            w = 1 << (self.depth - int(dep))
-            grid[int(pos) * w : (int(pos) + 1) * w] = val
-        return grid
-
-    def as_alpha_tree(self, unresolved_mode: str = "mean") -> AlphaTree:
-        """The binary partition as a measure-1 half-tree on (0, 1]."""
-        if self.leaf_count > (1 << 16):
-            raise ResourceError("tree materialization limited to 2^16 leaves")
-        res_v, un_v = self.leaf_values(unresolved_mode)
-        table = {}
-        for dep, pos, val in zip(self.res_depth, self.res_pos, res_v):
-            table[(int(dep), int(pos))] = float(val)
-        for dep, pos, val in zip(self.unres_depth, self.unres_pos, un_v):
-            table[(int(dep), int(pos))] = float(val)
-
-        def build(d, pos):
-            key = (d, pos)
-            if key in table:
-                return {"measure": math.ldexp(1.0, -d), "value": table[key]}
-            return {
-                "measure": math.ldexp(1.0, -d),
-                "children": [build(d + 1, 2 * pos), build(d + 1, 2 * pos + 1)],
-            }
-
-        return tree_from_json({"alpha": 0.5, "root": build(0, 0)})
-
-
 def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
     """Expand the recursion into an adaptive partition.
 
@@ -195,14 +143,16 @@ def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
     accounting, so both caps degrade the enclosure widths, never
     correctness.  States are taken in generation order, and the budget
     expands the first floor((node_budget-1)/j) of them whose resolved piece
-    fits within `depth`.  Positions are int64, so `depth` is at most 63.
+    fits within `depth`.  Depths and offsets are int8, so `depth` is at
+    most 63.
     """
     params = psi_params(j)
     if depth < j:
         raise DomainError(f"depth {depth} is below the scale index {j}")
     if depth > _MAX_DEPTH:
         raise DomainError(
-            f"depth {depth} exceeds {_MAX_DEPTH}: cell positions must fit in int64"
+            f"depth {depth} exceeds {_MAX_DEPTH}: a cell depth plus the scale index "
+            "must fit in int8"
         )
     if node_budget < j + 1:
         raise ResourceError(
@@ -210,14 +160,15 @@ def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
         )
     budget = (node_budget - 1) // j
     left = budget
-    # One pass per generation.  Child i = 1..j of a state (d, c, pos) is
-    # (d+i, c+[i == 1], (pos<<i)+1): the offset+1 copy on the right half,
-    # then the copies on the pieces (2^-i, 2^(1-i)] of the leftmost chain;
-    # below them sits the resolved piece (0, 2^-j].  Raveling the
-    # (parents, j) block row by row keeps the parents' order.
-    steps = np.arange(1, j + 1, dtype=np.int64)
-    bumps = (steps == 1).astype(np.int64)
-    d = c = pos = np.zeros(1, dtype=np.int64)
+    # One pass per generation.  Child i = 1..j of a state (d, c) is
+    # (d+i, c+[i == 1]): the offset+1 copy on the right half, then the
+    # copies on the pieces (2^-i, 2^(1-i)] of the leftmost chain; below
+    # them sits the resolved piece (0, 2^-j] at (d+j, c).  Raveling the
+    # (parents, j) block row by row keeps the parents' order.  Every state
+    # has d <= depth <= 63 and c <= d, so the int8 sum d + j <= 126.
+    steps = np.arange(1, j + 1, dtype=np.int8)
+    bumps = (steps == 1).astype(np.int8)
+    d = c = np.zeros(1, dtype=np.int8)
     res, unres = [], []
     while d.size:
         grow = d + j <= depth
@@ -226,12 +177,11 @@ def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
             grow[np.flatnonzero(grow)[left:]] = False
         left -= int(np.count_nonzero(grow))
         stay = ~grow
-        unres.append((d[stay], c[stay], pos[stay]))
-        d, c, pos = d[grow], c[grow], pos[grow]
-        res.append((d + j, c, pos << j))
+        unres.append((d[stay], c[stay]))
+        d, c = d[grow], c[grow]
+        res.append((d + j, c))
         d = (d[:, None] + steps).ravel()
         c = (c[:, None] + bumps).ravel()
-        pos = ((pos[:, None] << steps) + 1).ravel()
     return PsiFunction(
         params,
         depth,
@@ -286,11 +236,13 @@ def psi_stats(psi: PsiFunction) -> PsiStats:
             "so the fixed point divides by zero"
         )
     res_val = -g + psi.res_offset * dlt
-    a = float(np.sum(psi.res_mass * res_val)) + dlt * float(
-        np.sum(psi.unres_mass * psi.unres_offset)
-    )
-    cu = float(np.sum(psi.unres_mass * psi.unres_offset))
-    cu2 = float(np.sum(psi.unres_mass * psi.unres_offset**2))
+    # m*c and m*c*c in float64, never c*c in the offsets' int8: with
+    # m = 2^-d and c <= 63 both products are exact, so the sums keep their
+    # bits whatever the offsets' integer type.
+    mc = psi.unres_mass * psi.unres_offset
+    cu = float(np.sum(mc))
+    cu2 = float(np.sum(mc * psi.unres_offset))
+    a = float(np.sum(psi.res_mass * res_val)) + dlt * cu
     bb = float(np.sum(psi.res_mass * res_val**2)) + dlt * dlt * cu2
 
     w = mU**_N_ITER
@@ -346,59 +298,6 @@ def tensor_stats(psi: PsiFunction, n: int) -> PsiStats:
     if n < 1 or n != int(n):
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
     return psi_stats(psi)
-
-
-def dyadic_interval_bmo_sq(values):
-    """Max variance over all dyadic subintervals of a 2^d step-function grid."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    best = 0.0
-    s = values.copy()
-    s2 = values * values
-    width = 1
-    while True:
-        mean = s / width
-        var = np.maximum(s2 / width - mean * mean, 0.0)
-        best = max(best, float(var.max()))
-        if s.size == 1:
-            break
-        s = s[0::2] + s[1::2]
-        s2 = s2[0::2] + s2[1::2]
-        width *= 2
-    return best
-
-
-def dyadic_square_bmo_sq(values):
-    """Max variance over all dyadic squares for the two-variable extension.
-
-    `values` is the first-coordinate grid; the extension is constant in
-    the second coordinate.  Literal enumeration over every square of the
-    grid's depth, via 2D prefix sums.
-    """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if n > 256:
-        raise ResourceError("square enumeration limited to grids of depth <= 8")
-    grid = np.broadcast_to(v[:, None], (n, n))
-    s = np.zeros((n + 1, n + 1))
-    s2 = np.zeros((n + 1, n + 1))
-    s[1:, 1:] = np.cumsum(np.cumsum(grid, axis=0), axis=1)
-    s2[1:, 1:] = np.cumsum(np.cumsum(grid * grid, axis=0), axis=1)
-
-    def box(pref, i0, i1, j0, j1):
-        return pref[i1, j1] - pref[i0, j1] - pref[i1, j0] + pref[i0, j0]
-
-    best = 0.0
-    size = n
-    while size >= 1:
-        for i0 in range(0, n, size):
-            for j0 in range(0, n, size):
-                area = size * size
-                m = box(s, i0, i0 + size, j0, j0 + size) / area
-                q = box(s2, i0, i0 + size, j0, j0 + size) / area
-                best = max(best, q - m * m)
-        size //= 2
-    return best
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from bmoblo.optimizers import (
     Enclosure,
     PsiFunction,
     build_psi,
-    dyadic_interval_bmo_sq,
-    dyadic_square_bmo_sq,
     m_norm_report,
     psi_params,
     psi_stats,
@@ -19,6 +17,7 @@ from bmoblo.optimizers import (
     tensor_stats,
 )
 from bmoblo.trees import maximal, validate
+from oracles import as_alpha_tree, dyadic_interval_bmo_sq, dyadic_square_bmo_sq, value_grid
 
 
 class TestParams:
@@ -52,17 +51,17 @@ class TestBuild:
             build_psi(4, 24, node_budget=3)
 
     def test_leftmost_cell_resolved(self):
-        psi = build_psi(3, 12)
+        psi, _, (res_pos, _) = _located_build(3, 12)
         # the cell (0, 2^-j] is resolved at offset 0
-        sel = (psi.res_depth == 3) & (psi.res_pos == 0)
+        sel = (psi.res_depth == 3) & (res_pos == 0)
         assert sel.sum() == 1
         assert psi.res_offset[sel][0] == 0
 
     def test_first_scale_values(self):
         # j = 1: value on (1 - 2^-m, 1 - 2^-m-1] is -gamma + m delta;
         # equivalently the offset counts leading one-bits.
-        psi = build_psi(1, 10)
-        grid = psi.value_grid("inf")
+        psi, _, positions = _located_build(1, 10)
+        grid = value_grid(psi, positions, "inf")
         g, d = psi.gamma, psi.delta
         n = grid.size
         for m in range(0, 9):
@@ -72,7 +71,8 @@ class TestBuild:
         # sum m 2^-m-1 = 1 and sum m^2 2^-m-1 = 3 make both normalizations
         assert sum(m * 2.0 ** (-m - 1) for m in range(60)) == pytest.approx(1.0)
         assert sum(m * m * 2.0 ** (-m - 1) for m in range(60)) == pytest.approx(3.0)
-        assert -g + d == pytest.approx(0.0, abs=1e-15) or True
+        # at j = 1, delta = 2^0 gamma = gamma exactly
+        assert -g + d == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("j,depth", [(1, 20), (2, 12), (2, 20), (3, 21), (12, 24)])
     def test_mass_decay_bound(self, j, depth):
@@ -88,21 +88,24 @@ class TestBuild:
     def test_self_similarity_right_half(self):
         # leaves in (1/2, 1] of a depth-D build match the depth-(D-1) build
         # shifted one offset up: the recursion's third line, leaf by leaf.
-        deep = build_psi(2, 14)
-        shallow = build_psi(2, 13)
-        half = deep.res_pos >= (1 << (deep.res_depth - 1)).astype(deep.res_pos.dtype)
+        # Shifts by depth use the reference's int64 depths: an int8 shift
+        # would overflow.
+        _, deep, (deep_pos, _) = _located_build(2, 14)
+        _, shallow, (shallow_pos, _) = _located_build(2, 13)
+        half_width = 1 << (deep.res_depth - 1)
+        half = deep_pos >= half_width
         mapped = set(
             zip(
                 (deep.res_depth[half] - 1).tolist(),
                 (deep.res_offset[half] - 1).tolist(),
-                (deep.res_pos[half] - (1 << (deep.res_depth[half] - 1))).tolist(),
+                (deep_pos[half] - half_width[half]).tolist(),
             )
         )
         expected = set(
             zip(
                 shallow.res_depth.tolist(),
                 shallow.res_offset.tolist(),
-                shallow.res_pos.tolist(),
+                shallow_pos.tolist(),
             )
         )
         assert mapped == expected
@@ -114,8 +117,18 @@ class TestBuild:
         assert small.unresolved_mass > big.unresolved_mass
 
 
+# A cell state's depth and offset: int8 in build_psi, int64 in the reference.
+_STATE_ARRAYS = ("res_depth", "res_offset", "unres_depth", "unres_offset")
+_MASS_ARRAYS = ("res_mass", "unres_mass")
+
+
 def _reference_build(j, depth, node_budget):
-    """The one-state-at-a-time breadth-first build, as the reference."""
+    """The one-state-at-a-time breadth-first build, as the reference.
+
+    Returns the reference PsiFunction, whose depths and offsets are int64,
+    and the int64 positions (res_pos, unres_pos) of its leaves: leaf i of
+    depth d is the cell (pos * 2^-d, (pos+1) * 2^-d].
+    """
     res_d, res_c, res_p = [], [], []
     unres_d, unres_c, unres_p = [], [], []
     queue = deque([(0, 0, 0)])
@@ -134,29 +147,33 @@ def _reference_build(j, depth, node_budget):
         res_d.append(d + j)
         res_c.append(c)
         res_p.append(pos << j)
-    res = tuple(np.array(x, dtype=np.int64) for x in (res_d, res_c, res_p))
-    unres = tuple(np.array(x, dtype=np.int64) for x in (unres_d, unres_c, unres_p))
+    res = tuple(np.array(x, dtype=np.int64) for x in (res_d, res_c))
+    unres = tuple(np.array(x, dtype=np.int64) for x in (unres_d, unres_c))
     psi = PsiFunction(psi_params(j), depth, res, unres, leaves)
     # masses as np.ldexp computes them, not from the table
     psi.res_mass = np.ldexp(1.0, -psi.res_depth)
     psi.unres_mass = np.ldexp(1.0, -psi.unres_depth)
     psi.unresolved_mass = float(np.sum(psi.unres_mass))
-    return psi
+    positions = tuple(np.array(x, dtype=np.int64) for x in (res_p, unres_p))
+    return psi, positions
 
 
-_BUILD_ARRAYS = (
-    "res_depth",
-    "res_offset",
-    "res_pos",
-    "res_mass",
-    "unres_depth",
-    "unres_offset",
-    "unres_pos",
-    "unres_mass",
-)
+def _located_build(j, depth, node_budget=1 << 17):
+    """build_psi's result, the reference and the reference's positions,
+    after checking that both builds list the same leaves in the same order."""
+    psi = build_psi(j, depth, node_budget=node_budget)
+    ref, positions = _reference_build(j, depth, node_budget)
+    for name in _STATE_ARRAYS:
+        assert np.array_equal(getattr(psi, name), getattr(ref, name)), name
+    return psi, ref, positions
 
 
-def _stats_bits(st):
+def _stats_bits(psi):
+    """The bits of psi_stats(psi), or its error where it raises one."""
+    try:
+        st = psi_stats(psi)
+    except DomainError as exc:
+        return str(exc)
     out = []
     for field in dataclasses.fields(st):
         v = getattr(st, field.name)
@@ -171,14 +188,18 @@ def _stats_bits(st):
 
 def _assert_same_build(j, depth, node_budget):
     psi = build_psi(j, depth, node_budget=node_budget)
-    ref = _reference_build(j, depth, node_budget)
-    for name in _BUILD_ARRAYS:
+    ref, _ = _reference_build(j, depth, node_budget)
+    for name in _STATE_ARRAYS:
+        a, b = getattr(psi, name), getattr(ref, name)
+        assert a.dtype == np.int8 and b.dtype == np.int64, (j, depth, node_budget, name)
+        assert np.array_equal(a, b), (j, depth, node_budget, name)
+    for name in _MASS_ARRAYS:
         a, b = getattr(psi, name), getattr(ref, name)
         assert a.dtype == b.dtype, (j, depth, node_budget, name)
         assert a.tobytes() == b.tobytes(), (j, depth, node_budget, name)
     assert psi.leaf_count == ref.leaf_count
     assert psi.unresolved_mass.hex() == ref.unresolved_mass.hex()
-    assert _stats_bits(psi_stats(psi)) == _stats_bits(psi_stats(ref))
+    assert _stats_bits(psi) == _stats_bits(ref)
 
 
 class TestBuildReference:
@@ -196,6 +217,11 @@ class TestBuildReference:
         _assert_same_build(1, 63, 1 << 17)
         _assert_same_build(3, 63, 2000)
 
+    # The int8 edges: depth and offset 63, depth + j = 126.
+    @pytest.mark.parametrize("j", [63, 32, 2])
+    def test_bitwise_equal_at_int8_edges(self, j):
+        _assert_same_build(j, 63, 1 << 17)
+
     @pytest.mark.parametrize("j,node_budget", [(3, 101), (3, 1001), (5, 103), (5, 2003)])
     def test_budget_expands_first_eligible_states(self, j, node_budget):
         assert (node_budget - 1) % j != 0
@@ -212,11 +238,11 @@ class TestDepthLimit:
             build_psi(1, 64)
 
     def test_depth_63_positions_fit(self):
-        psi = build_psi(1, 63)
-        for deps, poss in ((psi.res_depth, psi.res_pos), (psi.unres_depth, psi.unres_pos)):
+        _, ref, (res_pos, unres_pos) = _located_build(1, 63)
+        for deps, poss in ((ref.res_depth, res_pos), (ref.unres_depth, unres_pos)):
             assert all(0 <= p < 2**d for d, p in zip(deps.tolist(), poss.tolist()))
         # the rightmost cell at depth 63
-        assert int(psi.unres_pos.max()) == 2**63 - 1
+        assert int(unres_pos.max()) == 2**63 - 1
 
 
 class TestUnresolvedMassLimit:
@@ -246,12 +272,12 @@ class TestMaximalIdentity:
         # N psi = psi + gamma on every resolved cell, with the ambient
         # function zero outside (0, 1]: ancestor-chain maxima computed by
         # the tree machinery on exact cell averages.
-        psi = build_psi(j, depth)
-        tree = psi.as_alpha_tree("mean")
+        psi, _, positions = _located_build(j, depth)
+        tree = as_alpha_tree(psi, positions, "mean")
         validate(tree)
         n_vals = maximal(tree, "natural", outside=0.0)
         table = {}
-        for dep, pos, off in zip(psi.res_depth, psi.res_pos, psi.res_offset):
+        for dep, pos, off in zip(psi.res_depth, positions[0], psi.res_offset):
             table[(int(dep), int(pos))] = int(off)
         # leaves in preorder: recover (depth,pos) from the parent array; in
         # preorder a parent's first child comes before its second
@@ -272,8 +298,8 @@ class TestMaximalIdentity:
         assert max(errs) <= 2 * math.ulp(1.0)
 
     def test_inf_of_maximal_is_zero(self):
-        psi = build_psi(2, 12)
-        tree = psi.as_alpha_tree("mean")
+        psi, _, positions = _located_build(2, 12)
+        tree = as_alpha_tree(psi, positions, "mean")
         n_vals = maximal(tree, "natural", outside=0.0)
         assert min(n_vals) == 0.0
 
@@ -328,8 +354,8 @@ class TestStats:
         # depth-6 grid: BMO over all dyadic squares equals BMO over dyadic
         # intervals for the tensor extension, by literal enumeration
         for j in (1, 2):
-            psi = build_psi(j, 6)
-            grid = psi.value_grid("inf")
+            psi, _, positions = _located_build(j, 6)
+            grid = value_grid(psi, positions, "inf")
             assert dyadic_square_bmo_sq(grid) == pytest.approx(
                 dyadic_interval_bmo_sq(grid), abs=1e-12
             )
