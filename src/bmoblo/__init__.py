@@ -36,7 +36,6 @@ from .geometry import (
     OmegaPoint,
     RegionId,
     classify,
-    envelope_point,
     make_context,
     shift,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "chord_H",
     "chord_margin",
     "classify",
-    "envelope_point",
     "eval_A",
     "eval_B",
     "eval_F",

@@ -511,11 +511,3 @@ def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
         return L + eval_B(OmegaPoint(y1, y2), ctx).value
     value = _chain(int(k), np.array([y1], dtype=float), np.array([y2]), ctx, cut=True)[4]
     return L + float(value[0])
-
-
-def fd_gradient(x: OmegaPoint, ctx: AlphaContext, h: float = 1e-6) -> tuple[float, float]:
-    """Central-difference gradient of B (tests' oracle for the closed form)."""
-    f = lambda x1, x2: eval_B(OmegaPoint(x1, x2), ctx).value
-    g1 = (f(x.x1 + h, x.x2) - f(x.x1 - h, x.x2)) / (2.0 * h)
-    g2 = (f(x.x1, x.x2 + h) - f(x.x1, x.x2 - h)) / (2.0 * h)
-    return g1, g2

@@ -181,35 +181,6 @@ def chord_H(p: float, q: float, ctx: AlphaContext) -> float:
     return float(np.ravel(_chord_H_vec(np.float64(p), np.float64(q), ctx))[0])
 
 
-def w_surface(xi: float, theta: float, ctx: AlphaContext, vregion: int = 2) -> float:
-    """The margin H re-parametrized by the extremal trajectory through R.
-
-    xi in [sqrt(alpha), 1] is the horizontal extent v - u of the trajectory,
-    theta in [0, 1] the position of R on it, and vregion in {1, 2} selects
-    which primitive cell the trajectory's upper endpoint lies in.  With
-    delta = tau sqrt((1-theta)(1-xi^2 theta)) the boundary pair is
-
-        p = v - (1-theta) xi + alpha delta/(1-alpha),   q = p + delta.
-
-    The surface vanishes on theta = 1 and, for vregion = 2, on theta = 0
-    (where R hits the lower parabola and the recursion b(v) = alpha b(v+tau)
-    applies); for vregion = 1 the theta = 0 edge is strictly positive.
-    """
-    if not (ctx.sqrt_alpha - ctx.tol <= xi <= 1.0 + ctx.tol):
-        raise DomainError(f"xi={xi} outside [sqrt(alpha), 1]")
-    if not (-ctx.tol <= theta <= 1.0 + ctx.tol):
-        raise DomainError(f"theta={theta} outside [0, 1]")
-    if vregion == 1:
-        v = 0.5 * (3.0 * xi - 1.0 / xi) - 1.0
-    elif vregion == 2:
-        v = 0.5 * (xi + 1.0 / xi) - ctx.tau - 1.0
-    else:
-        raise DomainError("vregion must be 1 or 2")
-    delta = ctx.tau * math.sqrt(max((1.0 - theta) * (1.0 - xi * xi * theta), 0.0))
-    p = v - (1.0 - theta) * xi + ctx.alpha * delta / (1.0 - ctx.alpha)
-    return chord_H(p, p + delta, ctx)
-
-
 def equality_probes(ctx: AlphaContext) -> dict:
     """Deterministic near-equality configurations, one per check family.
 

@@ -36,6 +36,8 @@ from .errors import DomainError, PreconditionError, StructureError
 from .geometry import AlphaContext
 
 _REL_TOL = 1e-12
+# The induction step needs subtree BMO norm at most 1, up to rounding.
+_UNIT_NORM_SQ = (1.0 + 1e-12) ** 2
 
 
 class AlphaTree:
@@ -52,10 +54,17 @@ class AlphaTree:
     def _aggregate(self):
         m, leaf = self.measure, self.leaf_idx
         v = self.value[leaf]
-        integ = m[leaf] * v
-        self.mean = _subtree_sum(self, integ) / m
-        self.mean_sq = _subtree_sum(self, integ * v) / m
-        self.abs_mean = _subtree_sum(self, m[leaf] * np.abs(v)) / m
+        with np.errstate(over="ignore", invalid="ignore"):
+            integ = m[leaf] * v
+            self.mean = _subtree_sum(self, integ) / m
+            self.mean_sq = _subtree_sum(self, integ * v) / m
+            self.abs_mean = _subtree_sum(self, m[leaf] * np.abs(v)) / m
+        bad = ~(np.isfinite(self.mean) & np.isfinite(self.mean_sq) & np.isfinite(self.abs_mean))
+        if bad.any():
+            # Name where the overflow starts: the first bad cell with no bad child.
+            bad[self.parent[1:][bad[1:]]] = False
+            i = int(np.argmax(bad))
+            raise StructureError(_path(self.parent, i), "cell moments leave the float range")
         self.min_leaf = _subtree_min(self, v)
         self.anc_max = _fold_down(self, self.mean.copy())
         self.abs_anc_max = _fold_down(self, self.abs_mean.copy())
@@ -181,6 +190,15 @@ def blo_norm(tree: AlphaTree) -> float:
     return float(np.max(tree.mean - tree.min_leaf))
 
 
+def _chain_max(tree: AlphaTree, kind: str):
+    """Per-node sup over ancestors-or-self of the averages N (or M) takes."""
+    if kind == "natural":
+        return tree.anc_max
+    if kind == "classical":
+        return tree.abs_anc_max
+    raise DomainError(f"unknown maximal operator kind {kind!r}")
+
+
 def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None):
     """Per-leaf values of the maximal operator, in leaf preorder.
 
@@ -191,13 +209,7 @@ def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None
     sets equal the leaf value, so the supremum is a finite maximum over the
     ancestor chain including the leaf itself.
     """
-    if kind == "natural":
-        chain = tree.anc_max
-    elif kind == "classical":
-        chain = tree.abs_anc_max
-    else:
-        raise DomainError(f"unknown maximal operator kind {kind!r}")
-    vals = chain[tree.leaf_idx]
+    vals = _chain_max(tree, kind)[tree.leaf_idx]
     if outside is not None:
         vals = np.maximum(vals, outside)
     return vals
@@ -211,15 +223,7 @@ def inf_maximal(tree: AlphaTree, node=None, kind: str = "natural") -> float:
     tests), not an assumption of this routine's callers.
     """
     i = _node_index(tree, node)
-    return float(tree.anc_max[i] if kind == "natural" else tree.abs_anc_max[i])
-
-
-def _mean_maximal_under(tree: AlphaTree, i: int, chain) -> float:
-    """Measure-weighted average over node i of the maximal function whose
-    per-node chain maxima are `chain`; node i's leaves are contiguous."""
-    lo, hi = np.searchsorted(tree.leaf_idx, [i, i + tree.size[i]])
-    leaves = tree.leaf_idx[lo:hi]
-    return float(np.dot(tree.measure[leaves], chain[leaves]) / tree.measure[i])
+    return float(_chain_max(tree, kind)[i])
 
 
 def verify_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
@@ -230,16 +234,22 @@ def verify_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
     """
     i = _node_index(tree, node)
     norm_sq = tree.sub_bmo_sq[i]
-    if norm_sq > (1.0 + 1e-12) ** 2:
+    if norm_sq > _UNIT_NORM_SQ:
         raise PreconditionError(
             f"subtree BMO norm {math.sqrt(norm_sq)} exceeds 1; rescale first"
         )
-    L = float(tree.anc_max[i])
+    mean_n = _subtree_mean(tree, tree.anc_max[tree.leaf_idx])
+    return float(_induction(tree, i, mean_n, ctx)[0])
+
+
+def _induction(tree: AlphaTree, sel, mean_n, ctx: AlphaContext):
+    """Induction margins A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K at
+    the nodes `sel` (an index or a slice), given <N phi> at every node."""
+    mean = tree.mean[sel]
     # Rounding can leave the cell point a few ulps above the strip when the
     # norm sits exactly at 1; the clamp is within the precondition slack.
-    x2 = min(float(tree.mean_sq[i]), float(tree.mean[i]) ** 2 + 1.0)
-    rhs = float(eval_A_arrays(tree.mean[i], x2, L, ctx)[0])
-    return rhs - _mean_maximal_under(tree, i, tree.anc_max)
+    x2 = np.minimum(tree.mean_sq[sel], mean**2 + 1.0)
+    return eval_A_arrays(mean, x2, tree.anc_max[sel], ctx) - mean_n[sel]
 
 
 @dataclass(frozen=True)
@@ -266,17 +276,6 @@ class TheoremMargins:
         return min(self.margin_n, self.margin_m, self.blo_margin_n, self.blo_margin_m)
 
 
-def subtree(tree: AlphaTree, node) -> AlphaTree:
-    """The subtree at a node as a tree of its own (slices of the arrays)."""
-    i = _node_index(tree, node)
-    s = slice(i, i + int(tree.size[i]))
-    parent = tree.parent[s] - i
-    parent[0] = -1
-    return _from_arrays(
-        tree.alpha, parent, tree.measure[s], tree.value[s], tree.depth[s] - tree.depth[i]
-    )
-
-
 def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
     """The tree carrying new leaf values (leaf preorder); the copy shares
     the structural arrays and recomputes the aggregates."""
@@ -296,59 +295,48 @@ def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
     return out
 
 
+def _margins(tree: AlphaTree, ctx: AlphaContext) -> dict:
+    """Every per-node margin but the induction one; evaluates no A."""
+    norm = np.sqrt(tree.sub_bmo_sq)
+    out = {}
+    for k, chain, mean in (("n", tree.anc_max, tree.mean), ("m", tree.abs_anc_max, tree.abs_mean)):
+        vals = chain[tree.leaf_idx]
+        out[f"mean_{k.upper()}"] = mean_max = _subtree_mean(tree, vals)
+        min_max = _subtree_min(tree, vals)
+        t = np.maximum(chain - mean, 0.0)
+        if k == "n":
+            out["t_n"], out["key_obs"] = t, np.abs(chain - min_max)
+        out[f"main_{k}"] = chain + eval_F(t, ctx) * norm - mean_max
+        # BLO norm of the maximal function on a subtree: its largest mean - min.
+        out[f"blo_{k}"] = norm - _fold_up(tree, mean_max - min_max, np.maximum)
+    return out
+
+
 def verify_main_theorem(tree: AlphaTree, node, ctx: AlphaContext) -> TheoremMargins:
     """Decay-inequality and norm-corollary margins at one node."""
     i = _node_index(tree, node)
-    norm = math.sqrt(tree.sub_bmo_sq[i])
-    under = slice(i, i + int(tree.size[i]))
-    out = []
-    for chain, mean in ((tree.anc_max, tree.mean), (tree.abs_anc_max, tree.abs_mean)):
-        L = float(chain[i])
-        t = max(L - float(mean[i]), 0.0)
-        margin = L + float(eval_F(t, ctx)) * norm - _mean_maximal_under(tree, i, chain)
-        # The BLO norm over the subtree is the largest spread mean - min of
-        # the maximal function over the slice of nodes under i.
-        vals = chain[tree.leaf_idx]
-        spread = _subtree_mean(tree, vals) - _subtree_min(tree, vals)
-        out.append((margin, norm - float(np.max(spread[under])), L, t))
-    (margin_n, blo_n, L_n, t_n), (margin_m, blo_m, _, _) = out
-    return TheoremMargins(margin_n, margin_m, blo_n, blo_m, L=L_n, t=t_n, norm=norm)
+    m = _margins(tree, ctx)
+    return TheoremMargins(
+        *(float(m[key][i]) for key in ("main_n", "main_m", "blo_n", "blo_m")),
+        L=float(tree.anc_max[i]),
+        t=float(m["t_n"][i]),
+        norm=bmo_norm(tree, i),
+    )
 
 
-def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext):
-    """Vectorized per-node margins for whole-tree verification.
+def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext) -> dict:
+    """Every per-node margin in one pass, as arrays over preorder nodes.
 
-    Returns dict with arrays over preorder nodes: induction margin (where
-    the subtree BMO norm is at most 1; NaN elsewhere), the N/M decay
-    margins, and the key-observation residual
-    |ancestor max - min over leaves below of N phi|.
+    `induction` (NaN where the subtree BMO norm exceeds 1), the decay
+    margins `main_n`/`main_m` (for N at t = `t_n`), the BLO corollary
+    margins `blo_n`/`blo_m`, the means `mean_N`/`mean_M` of N phi/M phi,
+    and the key-observation residual `key_obs` = |ancestor max - min over
+    leaves below of N phi|.
     """
-    # Mean of N phi and M phi and min of N phi over each node.
-    chain_n = tree.anc_max[tree.leaf_idx]
-    mean_n = _subtree_mean(tree, chain_n)
-    mean_m = _subtree_mean(tree, tree.abs_anc_max[tree.leaf_idx])
-    min_n = _subtree_min(tree, chain_n)
-
-    ind_ok = tree.sub_bmo_sq <= (1.0 + 1e-12) ** 2
-    x2 = np.minimum(tree.mean_sq, tree.mean**2 + 1.0)
-    rhs = eval_A_arrays(tree.mean, x2, tree.anc_max, ctx)
-    induction = np.where(ind_ok, rhs - mean_n, np.nan)
-
-    norm = np.sqrt(tree.sub_bmo_sq)
-    t_n = np.maximum(tree.anc_max - tree.mean, 0.0)
-    t_m = np.maximum(tree.abs_anc_max - tree.abs_mean, 0.0)
-    main_n = tree.anc_max + eval_F(t_n, ctx) * norm - mean_n
-    main_m = tree.abs_anc_max + eval_F(t_m, ctx) * norm - mean_m
-
-    key_obs = np.abs(tree.anc_max - min_n)
-    return {
-        "induction": induction,
-        "main_n": main_n,
-        "main_m": main_m,
-        "key_obs": key_obs,
-        "mean_N": mean_n,
-        "mean_M": mean_m,
-    }
+    out = _margins(tree, ctx)
+    ok = tree.sub_bmo_sq <= _UNIT_NORM_SQ
+    out["induction"] = np.where(ok, _induction(tree, slice(None), out["mean_N"], ctx), np.nan)
+    return out
 
 
 def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
@@ -365,20 +353,15 @@ def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
     return _from_arrays(tree.alpha, parent, tree.measure[keep], value, tree.depth[keep])
 
 
-def random_tree(
-    alpha: float,
-    rng: np.random.Generator,
-    max_depth: int = 6,
-    leaf_prob: float = 0.35,
-    target_bmo: float = 1.0,
-) -> AlphaTree:
-    """Random alpha-tree with a normalized step function.
+def random_tree(alpha: float, rng: np.random.Generator, max_depth: int = 6) -> AlphaTree:
+    """Random alpha-tree with a step function of BMO norm 1.
 
     Arity 2..min(4, floor(1/alpha)); child fractions alpha + (1 - a*alpha)
     times a Dirichlet sample, which keeps every fraction >= alpha (plain
     rejection never terminates at alpha = 1/2, where the only valid split
-    is exactly even).  Leaf values are standard normal, then affinely
-    rescaled about the root mean so the BMO norm equals target_bmo.
+    is exactly even).  A node below the root is a leaf with probability
+    0.35.  Leaf values are standard normal, then affinely rescaled about
+    the root mean so the BMO norm equals 1.
     """
     max_arity = min(4, int(1.0 / alpha + 1e-9))
     parent, measure, value, depth = [], [], [], []
@@ -389,7 +372,7 @@ def random_tree(
         # The fractions on the path multiply from the cell itself upwards.
         measure.append(math.prod(reversed(path), start=1.0))
         depth.append(d)
-        if d >= max_depth or (d > 0 and rng.uniform() < leaf_prob):
+        if d >= max_depth or (d > 0 and rng.uniform() < 0.35):
             value.append(float(rng.normal()))
             return
         value.append(math.nan)
@@ -399,22 +382,19 @@ def random_tree(
 
     build(-1, [])
     tree = _from_arrays(alpha, *map(np.array, (parent, measure, value, depth)), check=True)
-    if target_bmo is None:
-        return tree
     for _ in range(64):
         if bmo_norm(tree) >= 1e-6:
             break
         vals = rng.normal(size=len(tree.leaf_idx))
         tree = with_leaf_values(tree, vals)
     # Two exact rescales about the root mean, then a hair of shrinkage so
-    # accumulated rounding cannot push any cell's variance above the target
-    # (the induction step feeds cell points to the strip evaluator).
+    # accumulated rounding cannot push any cell's variance above 1 (the
+    # induction step feeds cell points to the strip evaluator).
     for shrink in (1.0, 1.0 - 1e-11):
         norm = bmo_norm(tree)
         mean = tree.mean[0]
-        lam = shrink * target_bmo / norm
         vals = tree.value[tree.leaf_idx]
-        tree = with_leaf_values(tree, mean + lam * (vals - mean))
+        tree = with_leaf_values(tree, mean + shrink / norm * (vals - mean))
     return tree
 
 

@@ -1,19 +1,33 @@
-"""Test oracles for the optimizer functions.
+"""Test oracles: reference implementations the tests compare against.
 
-`bmoblo.optimizers` keeps each leaf of psi_j as a (depth, offset) pair and
-never where the leaf lies in (0, 1].  The helpers here need that place:
-they take the leaves' int64 positions, (res_pos, unres_pos), listed in the
-order of psi's arrays, so that leaf i of depth d is the dyadic interval
-(pos * 2^-d, (pos+1) * 2^-d].  The breadth-first reference build in
-`test_optimizers.py` yields them.
+Nothing in `bmoblo` calls these.  They are kept apart from the package so
+that an oracle cannot share a code path, and so a defect, with the code it
+checks.
+
+Optimizer oracles.  `bmoblo.optimizers` keeps each leaf of psi_j as a
+(depth, offset) pair and never where the leaf lies in (0, 1].  The helpers
+below need that place: they take the leaves' int64 positions, (res_pos,
+unres_pos), listed in the order of psi's arrays, so that leaf i of depth d
+is the dyadic interval (pos * 2^-d, (pos+1) * 2^-d].  The breadth-first
+reference build in `test_optimizers.py` yields them.
 """
 
 import math
 
 import numpy as np
 
-from bmoblo.errors import DomainError, ResourceError
-from bmoblo.trees import AlphaTree, tree_from_json
+from bmoblo.bellman import eval_A_arrays, eval_B, eval_F
+from bmoblo.concavity import chord_H
+from bmoblo.errors import DomainError, PreconditionError, ResourceError
+from bmoblo.geometry import AlphaContext, OmegaPoint, RegionId, shift_xy
+from bmoblo.trees import (
+    AlphaTree,
+    TheoremMargins,
+    _node_index,
+    _subtree_mean,
+    _subtree_min,
+    tree_from_json,
+)
 
 
 def leaf_values(psi, unresolved_mode: str = "inf"):
@@ -122,3 +136,150 @@ def dyadic_square_bmo_sq(values):
                 best = max(best, q - m * m)
         size //= 2
     return best
+
+
+# ---------------------------------------------------------------------------
+# Tree margins one node at a time: <N phi>_K as a dot product over the
+# node's leaves and the BLO spread as a maximum over the slice of nodes
+# under K.  `trees.verify_all_nodes` folds both up the levels instead.
+# ---------------------------------------------------------------------------
+
+
+def mean_maximal_under(tree: AlphaTree, i: int, chain) -> float:
+    """Measure-weighted average over node i of the maximal function whose
+    per-node chain maxima are `chain`; node i's leaves are contiguous."""
+    lo, hi = np.searchsorted(tree.leaf_idx, [i, i + tree.size[i]])
+    leaves = tree.leaf_idx[lo:hi]
+    return float(np.dot(tree.measure[leaves], chain[leaves]) / tree.measure[i])
+
+
+def reference_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
+    """Margin A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K at one node."""
+    i = _node_index(tree, node)
+    norm_sq = tree.sub_bmo_sq[i]
+    if norm_sq > (1.0 + 1e-12) ** 2:
+        raise PreconditionError(
+            f"subtree BMO norm {math.sqrt(norm_sq)} exceeds 1; rescale first"
+        )
+    L = float(tree.anc_max[i])
+    x2 = min(float(tree.mean_sq[i]), float(tree.mean[i]) ** 2 + 1.0)
+    rhs = float(eval_A_arrays(tree.mean[i], x2, L, ctx)[0])
+    return rhs - mean_maximal_under(tree, i, tree.anc_max)
+
+
+def reference_main_theorem(tree: AlphaTree, node, ctx: AlphaContext) -> TheoremMargins:
+    """Decay-inequality and norm-corollary margins at one node."""
+    i = _node_index(tree, node)
+    norm = math.sqrt(tree.sub_bmo_sq[i])
+    under = slice(i, i + int(tree.size[i]))
+    out = []
+    for chain, mean in ((tree.anc_max, tree.mean), (tree.abs_anc_max, tree.abs_mean)):
+        L = float(chain[i])
+        t = max(L - float(mean[i]), 0.0)
+        margin = L + float(eval_F(t, ctx)) * norm - mean_maximal_under(tree, i, chain)
+        vals = chain[tree.leaf_idx]
+        spread = _subtree_mean(tree, vals) - _subtree_min(tree, vals)
+        out.append((margin, norm - float(np.max(spread[under])), L, t))
+    (margin_n, blo_n, L_n, t_n), (margin_m, blo_m, _, _) = out
+    return TheoremMargins(margin_n, margin_m, blo_n, blo_m, L=L_n, t=t_n, norm=norm)
+
+
+# ---------------------------------------------------------------------------
+# Strip and Bellman-function oracles.
+# ---------------------------------------------------------------------------
+
+
+def fd_gradient(x: OmegaPoint, ctx: AlphaContext, h: float = 1e-6) -> tuple[float, float]:
+    """Central-difference gradient of B, an oracle for the closed form."""
+    f = lambda x1, x2: eval_B(OmegaPoint(x1, x2), ctx).value
+    g1 = (f(x.x1 + h, x.x2) - f(x.x1 - h, x.x2)) / (2.0 * h)
+    g2 = (f(x.x1, x.x2 + h) - f(x.x1, x.x2 - h)) / (2.0 * h)
+    return g1, g2
+
+
+def region_inequalities(x: OmegaPoint, region: RegionId, ctx: AlphaContext) -> list[float]:
+    """Slack of the defining inequalities of `region` at `x` (>= 0 means satisfied).
+
+    Used by tests to confirm that near-boundary points satisfy both adjacent
+    regions' constraints within tolerance.
+    """
+    x1, x2 = x.x1, x.x2
+    gap = x2 - x1 * x1
+    base = [gap, 1.0 - gap]
+    if region.is_plus:
+        return base + [x1]
+    if region.is_zero:
+        return base + [-x1, 1.0 - x2]
+    m = region.index
+    g = (m - 1) // 2
+    y1, y2 = shift_xy(-g * ctx.tau, x1, x2)
+    if m % 2 == 1:
+        return base + [-y1, y2 - 1.0, ctx.chord_line(y1) - y2]
+    return base + [
+        -y1,
+        y2 - ctx.chord_line(y1),
+        max(ctx.tangent_line(y1) - y2, y1 + ctx.tau),
+    ]
+
+
+def envelope_point(s: float, region: RegionId, ctx: AlphaContext) -> OmegaPoint:
+    """Tangency point of the extremal segment with parameter s on the envelope.
+
+    Only the first two chain cells carry a primitive envelope (the rest are
+    parabolic shifts of these); s must lie in [sqrt(alpha), 1] for Omega_1
+    and in [alpha, sqrt(alpha)] for Omega_2.  Diagnostic only: the envelope
+    is external to the strip except for the touching point (0, 1).
+    """
+    a = ctx.alpha
+    if region.index == 1:
+        if not (ctx.sqrt_alpha - ctx.tol <= s <= 1.0 + ctx.tol):
+            raise DomainError(
+                f"envelope parameter {s} outside [sqrt(alpha), 1] for Omega_1"
+            )
+        x1 = 0.25 / s**3 - 1.0 + 0.75 * s
+        x2 = -(2.0 - 3.0 * s - 6.0 * s**3 + 6.0 * s**4 - 3.0 * s**5) / (4.0 * s**3)
+        return OmegaPoint(x1, x2)
+    if region.index == 2:
+        if not (a - ctx.tol <= s <= ctx.sqrt_alpha + ctx.tol):
+            raise DomainError(
+                f"envelope parameter {s} outside [alpha, sqrt(alpha)] for Omega_2"
+            )
+        # Tangency with the segment family x2 = m(s) x1 + c(s) requires
+        # x1 = -c'(s)/m'(s) = 3s/(4a) + a^3/(4 s^3) - tau - 1.
+        x1 = 0.75 * s / a + 0.25 * a**3 / s**3 - ctx.tau - 1.0
+        x2 = (
+            (ctx.tau + 1.0) ** 2
+            - (3.0 * s**4 + a**4) / (2.0 * s**3 * a) * (ctx.tau + 1.0)
+            + (3.0 * s**4 + 2.0 * s**2 * a**2 + 3.0 * a**4) / (4.0 * s**2 * a**2)
+        )
+        return OmegaPoint(x1, x2)
+    raise DomainError(f"no envelope is defined for {region}")
+
+
+def w_surface(xi: float, theta: float, ctx: AlphaContext, vregion: int = 2) -> float:
+    """The margin H re-parametrized by the extremal trajectory through R.
+
+    xi in [sqrt(alpha), 1] is the horizontal extent v - u of the trajectory,
+    theta in [0, 1] the position of R on it, and vregion in {1, 2} selects
+    which primitive cell the trajectory's upper endpoint lies in.  With
+    delta = tau sqrt((1-theta)(1-xi^2 theta)) the boundary pair is
+
+        p = v - (1-theta) xi + alpha delta/(1-alpha),   q = p + delta.
+
+    The surface vanishes on theta = 1 and, for vregion = 2, on theta = 0
+    (where R hits the lower parabola and the recursion b(v) = alpha b(v+tau)
+    applies); for vregion = 1 the theta = 0 edge is strictly positive.
+    """
+    if not (ctx.sqrt_alpha - ctx.tol <= xi <= 1.0 + ctx.tol):
+        raise DomainError(f"xi={xi} outside [sqrt(alpha), 1]")
+    if not (-ctx.tol <= theta <= 1.0 + ctx.tol):
+        raise DomainError(f"theta={theta} outside [0, 1]")
+    if vregion == 1:
+        v = 0.5 * (3.0 * xi - 1.0 / xi) - 1.0
+    elif vregion == 2:
+        v = 0.5 * (xi + 1.0 / xi) - ctx.tau - 1.0
+    else:
+        raise DomainError("vregion must be 1 or 2")
+    delta = ctx.tau * math.sqrt(max((1.0 - theta) * (1.0 - xi * xi * theta), 0.0))
+    p = v - (1.0 - theta) * xi + ctx.alpha * delta / (1.0 - ctx.alpha)
+    return chord_H(p, p + delta, ctx)

@@ -17,7 +17,6 @@ from bmoblo.bellman import (
     eval_F,
     eval_majorant,
     eval_Phi,
-    fd_gradient,
     gamma1_foliation,
     solve_s,
 )
@@ -25,6 +24,7 @@ from bmoblo.errors import ConvergenceError, DomainError
 from bmoblo.geometry import OmegaPoint, RegionId, classify, make_context, shift
 
 from conftest import boundary_points, sample_strip
+from oracles import fd_gradient
 
 
 class TestSolveS:

@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 
 import pytest
 
@@ -71,6 +72,27 @@ class TestEval:
         )
         assert code == 2
         assert "tol must be finite and non-negative" in err
+
+    @pytest.mark.parametrize("n", ["-2000", "0", "1075", "2000"])
+    def test_n_out_of_range_is_a_domain_error(self, capsys, n):
+        # 2^2000 overflows and 2^-1075 rounds to 0: --n is named, not alpha.
+        code, out, err = run(capsys, ["eval", "--n", n, "--x", "-1", "1.5"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n must lie in 1..1074, got {n}\n"
+
+    def test_least_alpha_evaluates(self, capsys):
+        code, out, _ = run(capsys, ["eval", "--n", "1074", "--x", "0", "1"])
+        assert code == 0
+        assert "B = 1" in out
+
+    def test_overflowing_point_is_a_domain_error_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eval", "--alpha", "0.25", "--x", "1e200", "1e300"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: point (1e+200, 1e+300) violates x2 >= x1^2 by more than tol=1e-12\n"
 
     def test_chain_s_is_twice_grad2(self, capsys):
         # s and grad2 = s/2 come from one evaluation, so they agree exactly.
@@ -156,6 +178,15 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert err == f"error: grid spec {grid!r} has more than 1000000 points\n"
+
+
+    def test_phi_grid_far_past_the_knots_is_a_domain_error(self, capsys):
+        # 11 grid points, but about 7e299 knot rows k*tau below the last.
+        grid = "0:1e300:1e299"
+        code, out, err = run(capsys, ["table", "--n", "2", "--kind", "phi", f"--grid={grid}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grid {grid!r} spans more than 1000000 knots k*tau\n"
 
 
 class TestConcavity:
@@ -311,6 +342,26 @@ class TestTree:
         assert code == 2
         assert out == ""
         assert err.startswith("error: root")
+
+    @pytest.mark.parametrize(
+        "measure,values",
+        [(1.0, (1e200, -1e200)), (1e300, (1e200, 1.0))],
+        ids=["values-1e200", "measure-1e300"],
+    )
+    def test_overflowing_moments_are_named(self, capsys, tmp_path, measure, values):
+        doc = {
+            "alpha": 0.5,
+            "root": {
+                "measure": 2 * measure,
+                "children": [{"measure": measure, "value": v} for v in values],
+            },
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["tree", self._write(tmp_path, doc)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: root/0: cell moments leave the float range\n"
 
     def test_deep_nesting_is_a_structure_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -16,10 +16,11 @@ from bmoblo.concavity import (
     chord_margin,
     equality_probes,
     sweep,
-    w_surface,
 )
 from bmoblo.errors import DomainError
 from bmoblo.geometry import OmegaPoint, make_context
+
+from oracles import w_surface
 
 
 class TestChordMargin:

@@ -13,13 +13,12 @@ from bmoblo.geometry import (
     clamp_gap,
     classify,
     classify_codes,
-    envelope_point,
     make_context,
-    region_inequalities,
     shift,
 )
 
 from conftest import boundary_points, sample_strip
+from oracles import envelope_point, region_inequalities
 
 
 class TestContext:

@@ -12,7 +12,6 @@ from bmoblo.trees import (
     inf_maximal,
     maximal,
     random_tree,
-    subtree,
     tree_from_json,
     tree_to_json,
     truncate,
@@ -26,6 +25,8 @@ from bmoblo.trees import (
     _number,
     _path,
 )
+
+from oracles import reference_induction, reference_main_theorem
 
 
 def _leaf(m, v):
@@ -121,6 +122,9 @@ class TestMaximal:
     def test_constant(self):
         tree = two_leaf_tree(2.0, 2.0)
         assert np.all(maximal(tree) == 2.0)
+        for call in (maximal, inf_maximal):
+            with pytest.raises(DomainError, match="unknown maximal operator kind 'bogus'"):
+                call(tree, kind="bogus")
 
 
 class TestKeyObservation:
@@ -218,6 +222,64 @@ class TestMainTheorem:
             assert rep.min_margin >= -1e-9
 
 
+class TestMarginsAgainstReference:
+    """The one-pass margins against the per-node references, which take
+    <N phi>_K as a dot product over the node's leaves and the BLO spread as
+    a maximum over the slice of nodes under K."""
+
+    def _check(self, tree, ctx):
+        out = verify_all_nodes(tree, ctx)
+        for i in range(len(tree)):
+            ref = reference_main_theorem(tree, i, ctx)
+            rep = verify_main_theorem(tree, i, ctx)
+            # Maxima, differences and square roots of the same arrays: exact.
+            assert rep.blo_margin_n == out["blo_n"][i] == ref.blo_margin_n
+            assert rep.blo_margin_m == out["blo_m"][i] == ref.blo_margin_m
+            assert (rep.L, rep.t, rep.norm) == (ref.L, ref.t, ref.norm)
+            # The means are sums in another order than the dot product.
+            for got in (rep.margin_n, out["main_n"][i]):
+                assert got == pytest.approx(ref.margin_n, abs=1e-12)
+            for got in (rep.margin_m, out["main_m"][i]):
+                assert got == pytest.approx(ref.margin_m, abs=1e-12)
+            if tree.sub_bmo_sq[i] <= (1.0 + 1e-12) ** 2:
+                want = reference_induction(tree, i, ctx)
+                for got in (verify_induction(tree, i, ctx), out["induction"][i]):
+                    assert got == pytest.approx(want, abs=1e-12)
+            else:
+                assert np.isnan(out["induction"][i])
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_random_trees(self, alpha, rng):
+        ctx = make_context(alpha)
+        for k in range(26):
+            tree = random_tree(alpha, rng, max_depth=4)
+            if k % 2:
+                # Norm 2.5, checked as it is and then rescaled the way the
+                # tree command rescales before the induction check.
+                vals, mean = tree.value[tree.leaf_idx], tree.mean[0]
+                tree = with_leaf_values(tree, mean + 2.5 * (vals - mean))
+                self._check(tree, ctx)
+                vals, mean = tree.value[tree.leaf_idx], tree.mean[0]
+                scale = (1.0 - 1e-11) / bmo_norm(tree)
+                tree = with_leaf_values(tree, mean + (vals - mean) * scale)
+            self._check(tree, ctx)
+
+    def test_offset_tree_needs_no_A(self, ctx_quarter, rng):
+        # At offset 1e6, mean_sq - mean^2 cancels and some cell point falls
+        # below the lower parabola, so A cannot be evaluated there; the decay
+        # and BLO margins do not need it.
+        tree = random_tree(0.25, rng)
+        tree = with_leaf_values(tree, tree.value[tree.leaf_idx] + 1e6)
+        with pytest.raises(DomainError, match=r"violates x2 >= x1\^2"):
+            verify_all_nodes(tree, ctx_quarter)
+        rep = verify_main_theorem(tree, None, ctx_quarter)
+        ref = reference_main_theorem(tree, None, ctx_quarter)
+        assert (rep.blo_margin_n, rep.blo_margin_m) == (ref.blo_margin_n, ref.blo_margin_m)
+        assert (rep.L, rep.t, rep.norm) == (ref.L, ref.t, ref.norm)
+        assert rep.margin_n == pytest.approx(ref.margin_n, abs=1e-9)
+        assert rep.margin_m == pytest.approx(ref.margin_m, abs=1e-9)
+
+
 class TestCovariance:
     def test_additive_shift(self, ctx_quarter, rng):
         tree = random_tree(0.25, rng)
@@ -298,6 +360,26 @@ class TestJson:
         }
         tree = tree_from_json(doc)
         assert bmo_norm(tree) == pytest.approx(1.0, abs=1e-15)
+
+    def test_overflowing_moments_name_the_cell(self):
+        # Leaf moments beyond the float range name the first such leaf;
+        # finite leaves whose sums overflow name the cell the sum overflows in.
+        big = 0.85e308
+        cases = [
+            (_node(2.0, _leaf(1.0, 1e200), _leaf(1.0, -1e200)), "root/0"),
+            (_node(2e300, _leaf(1e300, 1e200), _leaf(1e300, 1.0)), "root/0"),
+            (_node(1.0, _leaf(0.5, 1.0), _node(0.5, _leaf(0.25, 1.0), _leaf(0.25, 1e160))), "root/1/1"),
+            (_node(2 * big, _node(big, _leaf(big / 2, 1.06), _leaf(big / 2, 1.06)), _leaf(big, 1.06)), "root"),
+        ]
+        for root, path in cases:
+            message = f"{path}: cell moments leave the float range"
+            with pytest.raises(StructureError) as exc:
+                tree_from_json({"alpha": 0.5, "root": root})
+            assert str(exc.value) == message
+        tree = two_leaf_tree()
+        with pytest.raises(StructureError) as exc:
+            with_leaf_values(tree, [1.0, 1e200])
+        assert str(exc.value) == "root/1: cell moments leave the float range"
 
     def test_malformed_documents(self):
         with pytest.raises(StructureError):
