@@ -24,10 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bellman import eval_A, eval_arrays, eval_b, eval_F
+from .bellman import eval_arrays, eval_b, eval_F
 from .concavity import sweep
 from .errors import BmobloError, DomainError, StructureError
-from .geometry import OmegaPoint, RegionId, make_context
+from .geometry import OmegaPoint, RegionId, make_context, shift_xy
 from .optimizers import m_norm_report, report_to_csv
 from . import trees as trees_mod
 
@@ -82,7 +82,7 @@ def _grid(spec: str):
     span = (hi - lo) / step + 1e-9
     if not span < _MAX_COUNT:
         raise DomainError(f"grid spec {spec!r} has more than {_MAX_COUNT} points")
-    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
+    return lo + np.arange(int(math.floor(span)) + 1) * step
 
 
 def _count(flag: str, n: int) -> int:
@@ -118,7 +118,20 @@ def _emit_record(record: dict, args) -> None:
 def cmd_eval(args) -> int:
     ctx = _context(args)
     x = OmegaPoint(args.x[0], args.x[1])
-    out = eval_arrays(x.x1, x.x2, ctx)
+    x1, x2 = [x.x1], [x.x2]
+    if args.L is not None:
+        # A(x; L) = L + B(T_L x): T_L x rides in the same call as x.  A
+        # shift that overflows gives a non-finite point, a domain error.
+        y1, y2 = shift_xy(args.L, x.x1, x.x2)
+        x1.append(y1)
+        x2.append(y2)
+    try:
+        out = eval_arrays(x1, x2, ctx)
+    except BmobloError:
+        if args.L is not None:
+            # A fault of x itself is reported before one of T_L x.
+            eval_arrays(x.x1, x.x2, ctx)
+        raise
     region = RegionId(int(out["region"][0]))
     record = {
         "x1": x.x1,
@@ -131,7 +144,7 @@ def cmd_eval(args) -> int:
     if region.is_chain:
         record["s"] = float(out["s"][0])
     if args.L is not None:
-        record["A"] = eval_A(x, args.L, ctx)
+        record["A"] = float(args.L + out["value"][1])
         record["L"] = args.L
     _emit_record(record, args)
     return 0
@@ -140,22 +153,20 @@ def cmd_eval(args) -> int:
 def cmd_table(args) -> int:
     ctx = _context(args)
     if args.kind == "phi":
-        ts = _grid(args.grid) if args.grid else [i * ctx.tau / 20 for i in range(101)]
+        ts = _grid(args.grid) if args.grid else np.arange(101) * ctx.tau / 20
         # Knot rows t = k*tau carry the exact values alpha^k; make sure they
         # are present whatever the grid.
-        span = max(ts) / ctx.tau + 1e-9
+        span = ts.max() / ctx.tau + 1e-9
         if not span < _MAX_COUNT:
             raise DomainError(f"--grid {args.grid!r} spans more than {_MAX_COUNT} knots k*tau")
-        knots = [k * ctx.tau for k in range(int(math.floor(span)) + 1)]
-        ts = sorted(set(float(t) for t in ts) | set(knots))
-        rows = [(t, float(eval_F(t, ctx))) for t in ts if t >= 0]
-        return _finish_table(rows, ("t", "phi"), args)
+        ts = np.union1d(ts, np.arange(int(math.floor(span)) + 1) * ctx.tau)
+        ts = ts[ts >= 0]
+        return _finish_table(zip(ts.tolist(), eval_F(ts, ctx).tolist()), ("t", "phi"), args)
     if args.kind == "b":
-        ps = _grid(args.grid) if args.grid else [-5 * ctx.tau + i * ctx.tau / 20 for i in range(141)]
-        if not any(abs(p) < 1e-15 for p in ps):
-            ps = sorted(set(ps) | {0.0})
-        rows = [(float(p), float(eval_b(p, ctx))) for p in ps]
-        return _finish_table(rows, ("p", "b"), args)
+        ps = _grid(args.grid) if args.grid else -5 * ctx.tau + np.arange(141) * ctx.tau / 20
+        if not np.any(np.abs(ps) < 1e-15):
+            ps = np.union1d(ps, [0.0])
+        return _finish_table(zip(ps.tolist(), eval_b(ps, ctx).tolist()), ("p", "b"), args)
     if args.kind == "boundary-regions":
         kmax = _count("--kmax", args.kmax)
         rows = []

@@ -1,10 +1,14 @@
 import gc
 import json
+import math
 import warnings
 
 import pytest
 
+from bmoblo import bellman, cli
+from bmoblo.bellman import eval_A, eval_arrays, eval_b, eval_F
 from bmoblo.cli import main
+from bmoblo.geometry import OmegaPoint, make_context
 
 
 def run(capsys, argv):
@@ -187,6 +191,140 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert err == f"error: --grid {grid!r} spans more than 1000000 knots k*tau\n"
+
+
+SPELLINGS = [("--n", "1"), ("--alpha", "0.5"), ("--n", "2"), ("--alpha", "0.25"),
+             ("--alpha", "0.1"), ("--alpha", "0.3")]
+
+
+def spelled_context(spelling):
+    flag, value = spelling
+    return make_context(2.0 ** -int(value) if flag == "--n" else float(value))
+
+
+def table_rows(out, fmt):
+    if fmt == "json":
+        return [tuple(row.values()) for row in json.loads(out)]
+    return [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+
+
+def reference_abscissas(kind, ctx, grid):
+    """The rows a table lists, built one Python float at a time."""
+    if grid:
+        lo, hi, step = map(float, grid.split(":"))
+        pts = [lo + i * step for i in range(int(math.floor((hi - lo) / step + 1e-9)) + 1)]
+    if kind == "phi":
+        ts = pts if grid else [i * ctx.tau / 20 for i in range(101)]
+        knots = [k * ctx.tau for k in range(int(math.floor(max(ts) / ctx.tau + 1e-9)) + 1)]
+        return [t for t in sorted(set(ts) | set(knots)) if t >= 0]
+    ps = pts if grid else [-5 * ctx.tau + i * ctx.tau / 20 for i in range(141)]
+    return ps if any(abs(p) < 1e-15 for p in ps) else sorted(set(ps) | {0.0})
+
+
+class TestTableRows:
+    """A table is one array call; every row must still be bit-equal to the
+    scalar trace at its abscissa, whatever the table's length (numpy's
+    array loops may round differently at different lengths)."""
+
+    def check(self, capsys, spelling, kind, grid, fmt):
+        argv = ["table", *spelling, "--kind", kind, "--format", fmt]
+        code, out, err = run(capsys, argv + ([f"--grid={grid}"] if grid else []))
+        assert (code, err) == (0, "")
+        ctx = spelled_context(spelling)
+        rows = table_rows(out, fmt)
+        assert [r[0] for r in rows] == reference_abscissas(kind, ctx, grid)
+        scalar = eval_F if kind == "phi" else eval_b
+        bad = [(x, y) for x, y in rows if y != scalar(x, ctx)]
+        assert not bad
+        return rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [("phi", None), ("phi", "0:3:0.1"), ("phi", "-1:7.3:0.0173"),
+         ("b", None), ("b", "-7:2:0.05"), ("b", "-3.3:-0.1:0.0371")],
+    )
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_rows_match_scalar_trace(self, capsys, spelling, kind, grid, fmt):
+        self.check(capsys, spelling, kind, grid, fmt)
+
+    @pytest.mark.parametrize(
+        "spelling, kind, grid",
+        [(("--alpha", "0.1"), "b", "-40:2:0.004"), (("--alpha", "0.3"), "phi", "0:60:0.005")],
+    )
+    def test_long_table_matches_scalar_trace(self, capsys, spelling, kind, grid):
+        assert len(self.check(capsys, spelling, kind, grid, "csv")) >= 10**4
+
+    @pytest.mark.parametrize("kind, fn", [("phi", "eval_F"), ("b", "eval_b")])
+    def test_one_trace_call(self, capsys, monkeypatch, kind, fn):
+        calls = []
+        orig = getattr(cli, fn)
+        monkeypatch.setattr(cli, fn, lambda *a: calls.append(a) or orig(*a))
+        code, _, _ = run(capsys, ["table", "--alpha", "0.25", "--kind", kind])
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestEvalWithL:
+    """eval --L evaluates x and T_L x in one call; it prints what evaluating
+    x, then A(x; L), in turn prints, and fails the same way."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("L", ["0", "0.25", "-3", "1000", "x1"])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            ("0.5", "0.5"),  # Omega_plus
+            ("-0.5", "0.75"),  # Omega_0
+            ("-1.5", "2.25"),  # Gamma_0
+            ("-1.5", "3.25"),  # Gamma_1
+            ("-1000", "1000000.5"),  # far-left chain cell
+            ("-31622.5", "999982507"),  # farther left, gap 0.75
+        ],
+    )
+    @pytest.mark.parametrize("spelling", [("--n", "1"), ("--alpha", "0.25"), ("--alpha", "0.1")])
+    def test_matches_two_call_path(self, capsys, spelling, x, L, fmt):
+        L = x[0] if L == "x1" else L
+        base = ["eval", *spelling, "--x", *x, "--format", fmt]
+        code, out, err = run(capsys, base + ["--L", L])
+        code_x, out_x, _ = run(capsys, base)
+        assert (code, err, code_x) == (0, "", 0)
+        ctx = spelled_context(spelling)
+        A = eval_A(OmegaPoint(float(x[0]), float(x[1])), float(L), ctx)
+        if fmt == "json":
+            assert json.loads(out) == {**json.loads(out_x), "A": A, "L": float(L)}
+        else:
+            assert out == out_x + f"A = {A:.17g}\nL = {float(L):.17g}\n"
+
+    def test_one_eval_arrays_call(self, capsys, monkeypatch):
+        calls = []
+        for module in (cli, bellman):
+            monkeypatch.setattr(module, "eval_arrays", lambda *a: calls.append(a) or eval_arrays(*a))
+        code, _, _ = run(capsys, ["eval", "--alpha", "0.25", "--x", "-1.5", "3.25", "--L", "1"])
+        assert code == 0
+        assert len(calls) == 1
+
+    GAMMA1 = ["--alpha", "0.1", "--x", "-793.9095916748047", "630293.4397532551"]
+    GAMMA1_ERR = ("error: foliation solve residual -1.376e-11 exceeds 1e-11 at folded "
+                  "point (-2.707721100676281, 8.331753559061326)\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # x off the strip, and T_L x not finite: x's fault comes first.
+            (["--alpha", "0.25", "--x", "0", "2.5", "--L", "1e200"],
+             "error: point (0.0, 2.5) violates x2 <= x1^2 + 1 by more than tol=1e-12\n"),
+            (["--alpha", "0.25", "--x", "-1.5", "3.25", "--L", "1e200"],
+             "error: point (-1e+200, inf) is not finite\n"),
+            # The Gamma_1 defect of ROADMAP item 1: the solve fails at x
+            # itself, with or without --L.
+            (GAMMA1, GAMMA1_ERR),
+            (GAMMA1 + ["--L", "1"], GAMMA1_ERR),
+            (GAMMA1 + ["--L", "1e200"], GAMMA1_ERR),
+        ],
+    )
+    def test_errors_name_x_first(self, capsys, argv, err):
+        assert run(capsys, ["eval", *argv]) == (2, "", err)
 
 
 class TestConcavity:
