@@ -367,16 +367,21 @@ def eval_f(y):
 def _b_window(p, ctx: AlphaContext):
     """Split negative abscissas into their trace windows.
 
-    Returns (k, use_f) with k the window index (p in (-(k+1) tau, -k tau])
-    and use_f true on the cubic arc [p_{k+1}, -k tau], false on the affine
-    arc [-(k+1) tau, p_{k+1}).
+    Returns (k, use_f, ak, eta) with k the window index (p in
+    (-(k+1) tau, -k tau]), use_f true on the cubic arc [p_{k+1}, -k tau],
+    false on the affine arc [-(k+1) tau, p_{k+1}), ak = alpha^k, and the
+    cubic arc's argument eta = p + k tau + 1.  Where alpha^k underflows, k tau
+    is inexact and eta leaves its window (its cube can overflow), so eta is
+    0 there.
     """
     p = np.asarray(p, dtype=float)
     k = np.floor(-p / ctx.tau)
     k = np.maximum(k, 0.0)
     p_k1 = ctx.p0 - (k + 1.0) * ctx.tau
     use_f = p >= p_k1
-    return k, use_f
+    ak = np.power(ctx.alpha, k)
+    eta = np.where(ak > 0.0, p + k * ctx.tau + 1.0, 0.0)
+    return k, use_f, ak, eta
 
 
 def eval_b(p, ctx: AlphaContext):
@@ -390,11 +395,11 @@ def eval_b(p, ctx: AlphaContext):
     neg = ~pos
     if np.any(neg):
         pn = p[neg]
-        k, use_f = _b_window(pn, ctx)
-        ak = np.power(ctx.alpha, k)
-        val_f = ak * eval_f(pn + k * ctx.tau + 1.0)
+        k, use_f, ak, eta = _b_window(pn, ctx)
+        val_f = ak * eval_f(eta)
         val_aff = ak * ctx.alpha * (pn + (k + 1.0) * ctx.tau + 1.0)
-        out[neg] = np.where(use_f, val_f, val_aff)
+        # b <= alpha^k, so b is 0 where alpha^k underflows.
+        out[neg] = np.where(ak > 0.0, np.where(use_f, val_f, val_aff), 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -418,9 +423,8 @@ def eval_b_prime(v, ctx: AlphaContext):
     neg = ~pos
     if np.any(neg):
         vn = v[neg]
-        k, use_f = _b_window(vn, ctx)
-        ak = np.power(ctx.alpha, k)
-        z = _arc_slope(vn + k * ctx.tau + 1.0)
+        k, use_f, ak, eta = _b_window(vn, ctx)
+        z = _arc_slope(eta)
         out[neg] = np.where(use_f, ak * z * z, ak * ctx.alpha)
     return float(out[0]) if scalar else out
 
@@ -447,8 +451,7 @@ def gamma1_foliation(v, ctx: AlphaContext):
     neg = ~pos
     if np.any(neg):
         vn = v[neg]
-        k, use_f = _b_window(vn, ctx)
-        ak = np.power(ctx.alpha, k)
+        k, use_f, ak, _ = _b_window(vn, ctx)
         z_odd = _arc_slope(vn + k * ctx.tau + 1.0)
         mu = (k + 1.0) * ctx.tau + 1.0
         c = vn + mu

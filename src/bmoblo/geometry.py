@@ -224,6 +224,11 @@ def classify_codes(x1, x2, ctx: AlphaContext):
 
     idx = np.flatnonzero(code == -2)
     if idx.size:
+        if math.isinf(ctx.tau * ctx.tau):
+            # The frame lines take tau^2: from alpha = 2^-1024 on they overflow.
+            raise DomainError(
+                f"alpha={ctx.alpha}: tau^2 overflows, so no chain cell can be evaluated"
+            )
         # Pair g holds only points with -g tau - tau - 1 <= x1 <= -g tau (up
         # to tol).  Where x1 + g tau <= -tau - 1 - eta, both frame tests fail
         # by at least 2 eta + eta^2, which with eta = tau/4 + tol exceeds tol

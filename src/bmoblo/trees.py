@@ -27,6 +27,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,47 +410,24 @@ class _BadNode(Exception):
 
 
 def _walk(root):
-    """(parent, measure, value, depth) preorder arrays of a JSON tree.
-
-    An object of the common shape -- a float measure and exactly one of a
-    float value or a non-empty children list -- is read inline;
-    _read_json_node decides every other node, so it raises its own errors,
-    among them for integers beyond the float range.
-    """
+    """(parent, measure, value, depth) preorder arrays of a parsed JSON tree;
+    _read_json_node reads every node, so it raises its own errors, among
+    them for integers beyond the float range."""
     parent, depth, measure, value = [], [], [], []
-    add_parent, add_depth = parent.append, depth.append
-    add_measure, add_value = measure.append, value.append
     stack = [(root, -1, 0)]
-    pop, push = stack.pop, stack.extend
-    nan = math.nan
     try:
         while stack:
-            node, p, d = pop()
-            add_parent(p)
-            add_depth(d)
-            if (
-                type(node) is dict
-                and len(node) == 2
-                and type(m := node.get("measure")) is float
-            ):
-                v = node.get("value")
-                if type(v) is float:
-                    add_measure(m)
-                    add_value(v)
-                    continue
-                kids = node.get("children")
-                if type(kids) is not list or not kids:
-                    m, v, kids = _read_json_node(node)
-            else:
-                m, v, kids = _read_json_node(node)
-            add_measure(m)
+            node, p, d = stack.pop()
+            parent.append(p)
+            depth.append(d)
+            m, v, kids = _read_json_node(node)
+            measure.append(m)
             if kids is None:
-                add_value(v)
+                value.append(v)
             else:
-                add_value(nan)
+                value.append(math.nan)
                 i = len(parent) - 1
-                d += 1
-                push([(kid, i, d) for kid in reversed(kids)])
+                stack.extend([(kid, i, d + 1) for kid in reversed(kids)])
     except _BadNode as exc:
         raise StructureError(_path(np.array(parent), len(parent) - 1), str(exc)) from None
     return (
@@ -486,33 +464,124 @@ def _read_json_node(obj):
     return measure, None, children
 
 
+def _read_document(doc):
+    """alpha and the preorder arrays of a parsed document; the one reader
+    that reports errors."""
+    if not isinstance(doc, dict) or "alpha" not in doc or "root" not in doc:
+        raise StructureError("root", "top level must carry alpha and root")
+    try:
+        alpha = _number(doc["alpha"], "alpha")
+    except _BadNode as exc:
+        raise StructureError("root", str(exc)) from None
+    return alpha, _walk(doc["root"])
+
+
+class _OffShape(Exception):
+    """A text document off the common shape, left to _read_document."""
+
+
+def _read_text(text):
+    """alpha and the preorder arrays of a text document of the common shape,
+    or None for any other text.
+
+    The common shape is a top level of exactly a float alpha and the root,
+    and nodes of exactly a float measure and one of a float value or a
+    non-empty children list.  json calls the hook on each object as soon as
+    it is parsed, innermost first, so nodes arrive in postorder.  The hook
+    stores a node's measure, value and subtree size, sets its children's
+    parent, and returns the token (i,) in place of the dict, which no JSON
+    value can be; so the document's object graph is never held.
+    """
+    measure, value, size, parent = array("d"), array("d"), array("q"), array("q")
+    add_measure, add_value, add_size, add_parent = (
+        measure.append, value.append, size.append, parent.append
+    )
+    nan = math.nan
+
+    def hook(obj):
+        if len(obj) != 2:
+            raise _OffShape
+        m = obj.get("measure")
+        if type(m) is not float:
+            if "alpha" in obj and "root" in obj:
+                return obj  # the top level, checked below
+            raise _OffShape
+        i, s, v = len(size), 1, obj.get("value")
+        if type(v) is not float:
+            kids = obj.get("children")
+            if type(kids) is not list or not kids:
+                raise _OffShape
+            for kid in kids:
+                if type(kid) is not tuple:
+                    raise _OffShape
+                j = kid[0]
+                parent[j] = i
+                s += size[j]
+            v = nan
+        add_measure(m)
+        add_value(v)
+        add_size(s)
+        add_parent(-1)
+        return (i,)
+
+    try:
+        doc = json.loads(text, object_hook=hook)
+    except (_OffShape, RecursionError, ValueError):
+        return None
+    # Every object lies in the top level's alpha or root, so with a float
+    # alpha and a token root, every node is in the root's subtree.
+    if type(doc) is not dict or type(doc["root"]) is not tuple:
+        return None
+    alpha = doc["alpha"]
+    if type(alpha) is not float:
+        return None
+    n = len(size)
+    # Postorder node v ends the slice [start(v), v] of its subtree.  Its
+    # ancestors are the nodes after v whose slices start at or before v, so
+    # depth(v) = #{u : start(u) <= v} - v - 1; in preorder v comes after
+    # them and after the start(v) nodes of earlier subtrees.
+    post = np.arange(n)
+    start = post - np.frombuffer(size, dtype=np.int64) + 1
+    depth = np.cumsum(np.bincount(start, minlength=n)) - post - 1
+    pre = start + depth
+    up = pre[np.frombuffer(parent, dtype=np.int64)]
+    up[-1] = -1  # the root, last in postorder
+    arrays = []
+    for post_order in (up, np.frombuffer(measure), np.frombuffer(value), depth):
+        a = np.empty_like(post_order)
+        a[pre] = post_order
+        arrays.append(a)
+    return alpha, tuple(arrays)
+
+
 def tree_from_json(obj) -> AlphaTree:
     """Parse and validate the JSON tree format.
 
-    `obj` is the document, as text (str or bytes) or already parsed.  The
-    cyclic garbage collector is paused while the document is parsed and
-    walked, and left as it was found: parsing builds one dict per node and
-    no reference cycles, and a running collector would rescan all of them
+    `obj` is the document, as text (str or bytes) or already parsed.  Text
+    of the common shape is read as it is parsed (_read_text).  Any other
+    text is parsed into dicts and read, like a parsed document, by
+    _read_document, so every error text comes from there.
+
+    The cyclic garbage collector is paused while such text is parsed and
+    read, and left as it was found: parsing builds one dict per node and no
+    reference cycles, and a running collector would rescan all of them
     again and again as they pile up, which more than doubles the time
     json.loads takes on a large tree.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
-        if not isinstance(obj, dict) or "alpha" not in obj or "root" not in obj:
-            raise StructureError("root", "top level must carry alpha and root")
+    text = isinstance(obj, (str, bytes))
+    read = _read_text(obj) if text else None
+    if read is None:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            alpha = _number(obj["alpha"], "alpha")
-        except _BadNode as exc:
-            raise StructureError("root", str(exc)) from None
-        arrays = _walk(obj["root"])
-        # A document parsed here is freed before the collector resumes.
-        del obj
-    finally:
-        if enabled:
-            gc.enable()
+            # json.loads runs in this frame, as a helper frame would lower
+            # its nesting limit; the document it builds is freed before the
+            # collector resumes.
+            read = _read_document(json.loads(obj) if text else obj)
+        finally:
+            if enabled:
+                gc.enable()
+    alpha, arrays = read
     return _from_arrays(alpha, *arrays, check=True)
 
 

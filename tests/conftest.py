@@ -55,3 +55,14 @@ def boundary_points(ctx, pairs=8):
     gap = x2 - x1 * x1
     keep = (gap >= -ctx.tol) & (gap <= 1.0 + ctx.tol)
     return x1[keep], x2[keep]
+
+
+def comb_text(depth):
+    """A comb of `depth` levels as JSON text (json.dumps recurses too)."""
+    text = '{"alpha": 0.5, "root": '
+    for d in range(depth):
+        text += '{"measure": %r, "children": [{"measure": %r, "value": 1.0}, ' % (
+            2.0**-d,
+            2.0 ** -(d + 1),
+        )
+    return text + '{"measure": %r, "value": -1.0}' % 2.0**-depth + "]}" * depth + "}"

@@ -305,6 +305,36 @@ class TestTraces:
             fd = (eval_b(v + h, ctx) - eval_b(v - h, ctx)) / (2 * h)
             assert fd == pytest.approx(eval_b_prime(v, ctx), rel=2e-8, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.49, 0.3, 0.25, 0.1])
+    def test_far_left_trace_is_zero(self, alpha):
+        # b <= alpha^k and b' <= alpha^k; where alpha^k underflows, k tau is
+        # inexact and p + k tau + 1 leaves its window, where f overflows.
+        ctx = make_context(alpha)
+        p = -np.logspace(100.0, 308.0, 200)
+        with np.errstate(over="raise", invalid="raise"):
+            for got in (eval_b(p, ctx), eval_b_prime(p, ctx), eval_b(-1e300, ctx)):
+                assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.49, 0.3, 0.1])
+    def test_trace_bits_where_alpha_power_is_positive(self, alpha):
+        # The windowed formulas without the underflow mask, at every p whose
+        # alpha^k is positive, and a little beyond.
+        ctx = make_context(alpha)
+        k_last = math.floor(1075 * math.log(2) / -math.log(alpha))
+        p = -np.linspace(0.0, 1.2 * (k_last + 1) * ctx.tau, 20001)[1:]
+        k = np.maximum(np.floor(-p / ctx.tau), 0.0)
+        ak = np.power(alpha, k)
+        use_f = p >= ctx.p0 - (k + 1.0) * ctx.tau
+        eta = p + k * ctx.tau + 1.0
+        b = np.where(use_f, ak * eval_f(eta), ak * alpha * (p + (k + 1.0) * ctx.tau + 1.0))
+        z = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        b_prime = np.where(use_f, ak * z * z, ak * alpha)
+        live = ak > 0.0
+        assert 0 < live.sum() < p.size
+        assert np.array_equal(_bits(eval_b(p, ctx)[live]), _bits(b[live]))
+        assert np.array_equal(_bits(eval_b_prime(p, ctx)[live]), _bits(b_prime[live]))
+        assert not np.any(eval_b(p, ctx)[~live])
+
     def test_gamma1_foliation_matches_solver(self, ctx_quarter):
         # away from the corner at the origin, where z is well-conditioned
         ctx = ctx_quarter

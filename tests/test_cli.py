@@ -10,22 +10,13 @@ from bmoblo.bellman import eval_A, eval_arrays, eval_b, eval_F
 from bmoblo.cli import main
 from bmoblo.geometry import OmegaPoint, make_context
 
+from conftest import comb_text
+
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def comb_text(depth):
-    """A comb of `depth` levels as JSON text (json.dumps recurses too)."""
-    text = '{"alpha": 0.5, "root": '
-    for d in range(depth):
-        text += '{"measure": %r, "children": [{"measure": %r, "value": 1.0}, ' % (
-            2.0**-d,
-            2.0 ** -(d + 1),
-        )
-    return text + '{"measure": %r, "value": -1.0}' % 2.0**-depth + "]}" * depth + "}"
 
 
 class TestEval:
@@ -90,6 +81,26 @@ class TestEval:
         assert code == 0
         assert "B = 1" in out
 
+    @pytest.mark.parametrize("n", ["1024", "1074"])
+    def test_overflowing_tau_squared_is_a_domain_error(self, capsys, n):
+        # From alpha = 2^-1024 on tau^2 overflows: chain cells exit 2 naming
+        # alpha, and Omega_0 still evaluates.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eval", "--n", n, "--x", "-3", "9.5"])
+            assert (code, out) == (2, "")
+            assert err == f"error: alpha={2.0 ** -int(n)}: tau^2 overflows, so no chain cell can be evaluated\n"
+            code, out, _ = run(capsys, ["eval", "--n", n, "--x", "-0.5", "0.5"])
+        assert code == 0
+        assert "region = Omega_0\n" in out
+
+    def test_largest_finite_tau_squared_evaluates(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, ["eval", "--n", "1023", "--x", "-3", "9.5"])
+        assert code == 0
+        assert "region = Omega_1\n" in out
+
     def test_overflowing_point_is_a_domain_error_without_warnings(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -132,6 +143,17 @@ class TestTable:
         # a knot row with the exact value is present at every multiple of tau
         for k, target in ((0, 1.0), (1, 0.5), (2, 0.25)):
             assert any(abs(t - k * tau) < 1e-9 and v == target for t, v in rows)
+
+    @pytest.mark.parametrize("alpha", ["0.49", "0.3"])
+    def test_far_left_trace_row_is_zero(self, capsys, alpha):
+        # alpha^k underflows long before p = -1e300, and b <= alpha^k.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, ["table", "--alpha", alpha, "--kind", "b", "--grid=-1e300:-1e300:1"]
+            )
+        assert (code, err) == (0, "")
+        assert out == "p,b\n-1.0000000000000001e+300,0\n0,1\n"
 
     def test_b_table_contains_origin(self, capsys):
         code, out, _ = run(
@@ -558,7 +580,7 @@ class TestTree:
 
 
 class TestTreeCollectorState:
-    """Reading a tree pauses the cyclic collector and leaves it as it was."""
+    """Reading a tree leaves the cyclic collector as it was."""
 
     DOCS = {
         "valid": ('{"alpha": 0.5, "root": {"measure": 1.0, "children": '

@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from bmoblo import trees
 from bmoblo.errors import DomainError, PreconditionError, StructureError
 from bmoblo.geometry import make_context
 from bmoblo.trees import (
@@ -26,6 +28,7 @@ from bmoblo.trees import (
     _path,
 )
 
+from conftest import comb_text
 from oracles import reference_induction, reference_main_theorem
 
 
@@ -689,6 +692,19 @@ _MALFORMED = {
     "neither": (_two('{"measure": 0.5, "values": 1.0}'), "root/1: node must have exactly one of children/value"),
     "extra key on a bad leaf": (_two('{"measure": 0.6, "value": -1.0, "note": null}'), "root: children measures sum to 1.1, parent has 1.0"),
     "duplicate key, last bad": (_two('{"measure": 0.5, "measure": null, "value": 1.0}'), "root/1: measure must be a number"),
+    # The text reader meets objects in postorder, the walk in preorder.
+    "bad node after a deeper irregular object": (_two('{"measure": 0.5, "value": null}', first='{"measure": 0.5, "children": [{"measure": 0.25, "value": 1, "note": {"x": [{"y": 2}]}}, {"measure": 0.25, "value": 1.0}]}'), "root/1: leaf value must be a number"),
+    "bad parent of an irregular leaf": (_two('{"measure": 0.5, "value": 1.0, "children": [{"measure": 0.5, "value": 1}]}'), "root/1: node must have exactly one of children/value"),
+    "node with a root key": (_two('{"measure": 0.5, "root": {"measure": 0.5, "value": 1.0}}'), "root/1: node must have exactly one of children/value"),
+    "nested alpha and root": (_two('{"alpha": 0.5, "root": {"measure": 0.5, "value": 1.0}}'), "root/1: node lacks a measure"),
+    "alpha and root as the root": ('{"alpha": 0.5, "root": {"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}}}', "root: node lacks a measure"),
+    "top level of two other keys": ('{"alpha": 0.5, "tree": {"measure": 1.0, "value": 1.0}}', "root: top level must carry alpha and root"),
+    "node-shaped top level": ('{"measure": 1.0, "value": 1.0}', "root: top level must carry alpha and root"),
+    "internal-node-shaped top level": ('{"measure": 1.0, "children": [{"measure": 1.0, "value": 1.0}]}', "root: top level must carry alpha and root"),
+    "top level in a list": ('[{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}}]', "root: top level must carry alpha and root"),
+    "alpha a node": ('{"alpha": {"measure": 1.0, "value": 1.0}, "root": {"measure": 1.0, "value": 1.0}}', "root: alpha must be a number"),
+    "node in a list in children": (_two('[{"measure": 0.5, "value": 1.0}]'), "root/1: node must be a JSON object"),
+    "integer alpha": ('{"alpha": 0, "root": {"measure": 1.0, "value": 2.0}}', "root: alpha=0.0 outside (0, 1/2]"),
 }
 
 # Documents off the common shape that the reader accepts.
@@ -699,7 +715,34 @@ _ACCEPTED = {
     "duplicate key, last good": _two('{"measure": 0.7, "measure": 0.5, "value": "x", "value": -1.0}'),
     "duplicate children": '{"alpha": 0.5, "root": {"measure": 1.0, "children": [], "children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}]}}',
     "root leaf": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}}',
+    "leaf with a root key": _two('{"measure": 0.5, "value": -1.0, "root": {"measure": 0.5, "value": 1.0}}'),
+    "top level with an extra key": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}, "note": {"measure": 1.0, "value": 2.0}}',
 }
+
+# Documents of the common shape, which the text reader reads on its own.
+_COMMON = {
+    "value before measure": _two('{"value": -1.0, "measure": 0.5}'),
+    "children before measure": '{"alpha": 0.5, "root": {"children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}], "measure": 1.0}}',
+    "root before alpha": '{"root": {"measure": 1.0, "value": 2.0}, "alpha": 0.5}',
+    "duplicate key, last good": _ACCEPTED["duplicate key, last good"],
+    "root leaf": _ACCEPTED["root leaf"],
+    "measure NaN": _MALFORMED["measure NaN"][0],
+    "measure sum": _MALFORMED["measure sum"][0],
+}
+
+
+@functools.cache
+def _balanced_text():
+    """The balanced binary tree of 2^17 - 1 nodes at alpha = 1/2, as text."""
+    rng = np.random.default_rng(17)
+    n = 2**17 - 1
+    idx = np.arange(n)
+    depth = np.floor(np.log2(idx + 1)).astype(np.int64)
+    value = np.full(n, np.nan)
+    value[n // 2 :] = rng.normal(size=n - n // 2)
+    # (0 - 1) // 2 == -1 marks the root.
+    tree = _from_arrays(0.5, (idx - 1) // 2, np.ldexp(1.0, -depth), value, depth, check=True)
+    return json.dumps(tree_to_json(tree))
 
 
 class TestIngestReference:
@@ -710,15 +753,8 @@ class TestIngestReference:
             got = _assert_same_ingest(json.dumps(tree_to_json(tree)))
             assert got == _ingest(lambda t: t, tree)
 
-    def test_balanced_depth_16(self, rng):
-        n = 2**17 - 1
-        idx = np.arange(n)
-        depth = np.floor(np.log2(idx + 1)).astype(np.int64)
-        value = np.full(n, np.nan)
-        value[n // 2 :] = rng.normal(size=n - n // 2)
-        # (0 - 1) // 2 == -1 marks the root.
-        tree = _from_arrays(0.5, (idx - 1) // 2, np.ldexp(1.0, -depth), value, depth, check=True)
-        _assert_same_ingest(json.dumps(tree_to_json(tree)))
+    def test_balanced_depth_16(self):
+        _assert_same_ingest(_balanced_text())
 
     def test_deep_comb(self):
         # 600 levels, too deep for json text: the parsed document is read.
@@ -740,3 +776,55 @@ class TestIngestReference:
     @pytest.mark.parametrize("text", list(_ACCEPTED.values()), ids=list(_ACCEPTED))
     def test_accepted_documents(self, text):
         assert not isinstance(_assert_same_ingest(text), str)
+
+    def test_common_shape_text_is_read_without_the_walk(self, monkeypatch, rng):
+        def walk(root):
+            raise AssertionError("common-shape text reached _walk")
+
+        docs = [json.dumps(tree_to_json(random_tree(a, rng, max_depth=8))) for a in (0.5, 0.25, 0.1)]
+        docs += [*_COMMON.values(), comb_text(300), _balanced_text()]
+        want = [_ingest(_reference_tree_from_json, doc) for doc in docs]
+        monkeypatch.setattr(trees, "_walk", walk)
+        assert [_ingest(tree_from_json, doc) for doc in docs] == want
+        # Bytes are read alike; anything else goes to the walk.
+        assert _ingest(tree_from_json, docs[0].encode()) == want[0]
+        with pytest.raises(AssertionError):
+            tree_from_json(_ACCEPTED["extra key on a leaf"])
+
+    def test_combs_at_the_nesting_limit(self):
+        # The deepest comb json.loads reads from here depends on the
+        # interpreter and the stack; both readers stop at the same depth.
+        def read(reader, levels):
+            try:
+                return _ingest(reader, comb_text(levels))
+            except RecursionError:
+                return None
+
+        lo, hi = 1, 64
+        while read(_reference_tree_from_json, hi) is not None:
+            lo, hi = hi, 2 * hi
+            if hi > 8192:
+                pytest.skip("json.loads reads combs of 8192 levels")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if read(_reference_tree_from_json, mid) is not None else (lo, mid)
+        for levels in (lo - 1, lo):
+            assert read(tree_from_json, levels) == read(_reference_tree_from_json, levels)
+        assert read(tree_from_json, hi) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}',
+            '{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}} x',
+            '{"alpha": 0.5, "root": {"measure": 1.0, "value": %s}}' % ("1" * 5000),
+            "",
+        ],
+        ids=["truncated", "trailing text", "too many digits", "empty"],
+    )
+    def test_invalid_json_raises_as_json_does(self, text):
+        with pytest.raises(ValueError) as want:
+            _reference_tree_from_json(text)
+        with pytest.raises(ValueError) as got:
+            tree_from_json(text)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
