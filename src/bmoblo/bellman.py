@@ -451,8 +451,8 @@ def gamma1_foliation(v, ctx: AlphaContext):
     neg = ~pos
     if np.any(neg):
         vn = v[neg]
-        k, use_f, ak, _ = _b_window(vn, ctx)
-        z_odd = _arc_slope(vn + k * ctx.tau + 1.0)
+        k, use_f, ak, eta = _b_window(vn, ctx)
+        z_odd = _arc_slope(eta)
         mu = (k + 1.0) * ctx.tau + 1.0
         c = vn + mu
         z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))

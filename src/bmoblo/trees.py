@@ -528,9 +528,10 @@ def _read_text(text):
         doc = json.loads(text, object_hook=hook)
     except (_OffShape, RecursionError, ValueError):
         return None
-    # Every object lies in the top level's alpha or root, so with a float
-    # alpha and a token root, every node is in the root's subtree.
-    if type(doc) is not dict or type(doc["root"]) is not tuple:
+    # A duplicate key drops an object the hook has already stored, so the
+    # root's subtree must hold every stored node; then the root is also
+    # last in postorder.
+    if type(doc) is not dict or type(doc["root"]) is not tuple or size[doc["root"][0]] != len(size):
         return None
     alpha = doc["alpha"]
     if type(alpha) is not float:

@@ -717,6 +717,11 @@ _ACCEPTED = {
     "root leaf": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}}',
     "leaf with a root key": _two('{"measure": 0.5, "value": -1.0, "root": {"measure": 0.5, "value": 1.0}}'),
     "top level with an extra key": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}, "note": {"measure": 1.0, "value": 2.0}}',
+    # A repeated key drops a node the text reader has already met.
+    "duplicate root": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}, "root": {"measure": 1.0, "value": 2.0}}',
+    "duplicate non-empty children": '{"alpha": 0.5, "root": {"measure": 1.0, "children": [{"measure": 1.0, "value": 3.0}], "children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}]}}',
+    "duplicate value, first a node": _two('{"measure": 0.5, "value": {"measure": 0.5, "value": 3.0}, "value": -1.0}'),
+    "duplicate alpha, first a node": '{"alpha": {"measure": 1.0, "value": 3.0}, "alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}}',
 }
 
 # Documents of the common shape, which the text reader reads on its own.
