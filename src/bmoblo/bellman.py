@@ -453,8 +453,8 @@ def gamma1_foliation(v, ctx: AlphaContext):
         vn = v[neg]
         k, use_f, ak, eta = _b_window(vn, ctx)
         z_odd = _arc_slope(eta)
-        mu = (k + 1.0) * ctx.tau + 1.0
-        c = vn + mu
+        # c leaves its window [1, p0 + 1) where alpha^k underflows, as eta does: hold it at 1.
+        c = np.where(ak > 0.0, vn + ((k + 1.0) * ctx.tau + 1.0), 1.0)
         z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
         s[neg] = np.where(use_f, ak * z_odd, ak * ctx.alpha * z_even)
         u[neg] = np.where(use_f, vn - z_odd, vn - 1.0 / z_even)

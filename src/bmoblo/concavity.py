@@ -230,6 +230,8 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
         raise DomainError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     window = 6.0 * ctx.tau
+    if math.isinf(window * window):
+        raise DomainError(f"alpha={ctx.alpha}: x1^2 overflows on the sampling window |x1| <= 6 tau")
     report = SweepReport(alpha=ctx.alpha, seed=seed, samples=n_samples)
 
     # Family 1: restricted-concavity chords.  The chords are drawn first,

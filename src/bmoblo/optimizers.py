@@ -19,12 +19,12 @@ cell carries an exact affine copy of psi shifted by offset*delta; one
 expansion turns a state at depth d into a resolved constant cell at depth
 d+j, same-offset copies at depths d+2..d+j and an offset+1 copy at depth
 d+1.  States expand in generation order (the root, then its j children,
-then theirs, each generation in its parents' order), one generation per
-array step.  Expansion stops at a depth cap and a leaf budget: the budget
-admits the first floor((budget-1)/j) states in that order whose resolved
-piece fits the cap.  Whatever remains unresolved is tracked exactly by
-measure and offset.  A cell is kept as its (depth, offset) pair alone, in
-int8, so the depth is at most 63; the statistics read nothing else.
+then theirs, each generation in its parents' order), each generation a
+table counting its states by (depth, offset), all the statistics read.
+Expansion stops at a depth cap and a leaf budget: the budget admits the
+first floor((budget-1)/j) states in that order whose resolved piece fits
+the cap.  Whatever remains unresolved is tracked exactly by measure and
+offset, and every sum over the cells is exact, then rounded once.
 
 Statistics are reported as enclosures.  Truncation alone cannot give tight
 two-sided bounds (the unresolved measure decays only like
@@ -58,11 +58,8 @@ from .errors import DomainError, ResourceError
 _N_ITER = 20000
 _PAD = 1e-12
 
-# Deepest cell: build_psi keeps depths and offsets in int8, and a depth
-# plus the scale index must fit.  The cell masses 2^-depth come from an
-# exact table.
+# Deepest cell: a build of depth D has fewer than 2^D cells to count in int64.
 _MAX_DEPTH = 63
-_CELL_MASS = np.ldexp(1.0, -np.arange(_MAX_DEPTH + 1))
 
 
 @dataclass(frozen=True)
@@ -107,24 +104,23 @@ class Enclosure:
 class PsiFunction:
     """Adaptive-partition representation of one optimizer function.
 
-    Leaves are recorded as (depth, offset) pairs: a leaf is a dyadic
-    interval of length 2^-depth, the function on a resolved leaf is the
-    constant -gamma + offset*delta, and an unresolved leaf carries an exact
-    copy of the whole function shifted by offset*delta (its placeholder
-    value is the cell infimum -gamma + offset*delta).  Where each leaf
-    lies in (0, 1] is not kept: no statistic depends on it.
+    Entry [d, c] of the int64 tables `res` and `unres` counts the resolved
+    (unresolved) cells of length 2^-d and offset c: the function is
+    -gamma + c*delta on a resolved cell, and an exact copy of itself
+    shifted by c*delta on an unresolved one.  Where a cell lies in (0, 1]
+    is not kept: no statistic depends on it.
     """
 
     def __init__(self, params, depth, res, unres, leaf_count):
         self.params = params
         self.j = params.j
         self.depth = depth
-        self.res_depth, self.res_offset = res
-        self.unres_depth, self.unres_offset = unres
+        self.res, self.unres = res, unres
         self.leaf_count = leaf_count
-        self.res_mass = _CELL_MASS[self.res_depth]
-        self.unres_mass = _CELL_MASS[self.unres_depth]
-        self.unresolved_mass = float(np.sum(self.unres_mass))
+        self.unres_depth = np.flatnonzero(unres.any(axis=1))
+        self.res_sums = _moments(res, depth)
+        self.unres_sums = _moments(unres, depth)
+        self.unresolved_mass = self.unres_sums[0] / (1 << depth)
 
     @property
     def gamma(self) -> float:
@@ -133,6 +129,54 @@ class PsiFunction:
     @property
     def delta(self) -> float:
         return self.params.delta
+
+
+def _moments(table, depth):
+    """Sums of n, n*c and n*c^2 over a count table's cells (d, c), each
+    weighted by 2^(depth - d): the mass moments times 2^depth, in exact ints."""
+    weights = np.array([1 << (depth - d) for d in range(depth + 1)], dtype=object)
+    col = (weights @ table.astype(object)).tolist()
+    return tuple(sum(n * c**k for c, n in enumerate(col)) for k in range(3))
+
+
+def _children(states, j, depth):
+    """Count table of the children of `states`, the rows d <= depth - j:
+    child i = 1..j of a state (d, c) is (d+i, c+[i == 1])."""
+    rows = states.shape[0]
+    out = np.zeros((depth + 1, depth + 1), dtype=np.int64)
+    out[1 : rows + 1, 1:] = states[:, :-1]
+    for i in range(2, j + 1):
+        out[i : rows + i] += states
+    return out
+
+
+def _leading_states(j, depth, gen, left):
+    """Count table of the first `left` expandable states of generation `gen`.
+
+    Generation order is lexicographic in the child indices along the path
+    from the root, so a descent steered by reach[r, d], the expandable
+    states r generations below a state at depth d (capped at left + 1),
+    finds the first state past them; the states before its path ride along.
+    """
+    top = depth - j
+    reach = np.zeros((gen + 1, depth + 1), dtype=np.int64)
+    reach[0, : top + 1] = 1
+    for r in range(1, gen + 1):
+        below = sum(reach[r - 1, i : i + top + 1] for i in range(1, j + 1))
+        reach[r, : top + 1] = np.minimum(below, left + 1)
+    before = np.zeros((depth + 1, depth + 1), dtype=np.int64)
+    d = c = 0
+    for r in range(gen, 0, -1):
+        before = _children(before[: top + 1], j, depth)
+        for i in range(1, j + 1):
+            kid = (d + i, c + (i == 1))
+            if left < reach[r - 1, kid[0]]:
+                break
+            left -= int(reach[r - 1, kid[0]])
+            before[kid] += 1
+        d, c = kid
+    return before[: top + 1]
+
 
 def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
     """Expand the recursion into an adaptive partition.
@@ -143,52 +187,36 @@ def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
     accounting, so both caps degrade the enclosure widths, never
     correctness.  States are taken in generation order, and the budget
     expands the first floor((node_budget-1)/j) of them whose resolved piece
-    fits within `depth`.  Depths and offsets are int8, so `depth` is at
-    most 63.
+    fits within `depth`, which is at most 63.
     """
     params = psi_params(j)
     if depth < j:
         raise DomainError(f"depth {depth} is below the scale index {j}")
     if depth > _MAX_DEPTH:
-        raise DomainError(
-            f"depth {depth} exceeds {_MAX_DEPTH}: a cell depth plus the scale index "
-            "must fit in int8"
-        )
+        raise DomainError(f"depth {depth} exceeds {_MAX_DEPTH}: cell counts could overflow int64")
     if node_budget < j + 1:
         raise ResourceError(
             f"node budget {node_budget} cannot hold a single expansion of scale {j}"
         )
-    budget = (node_budget - 1) // j
-    left = budget
-    # One pass per generation.  Child i = 1..j of a state (d, c) is
-    # (d+i, c+[i == 1]): the offset+1 copy on the right half, then the
-    # copies on the pieces (2^-i, 2^(1-i)] of the leftmost chain; below
-    # them sits the resolved piece (0, 2^-j] at (d+j, c).  Raveling the
-    # (parents, j) block row by row keeps the parents' order.  Every state
-    # has d <= depth <= 63 and c <= d, so the int8 sum d + j <= 126.
-    steps = np.arange(1, j + 1, dtype=np.int8)
-    bumps = (steps == 1).astype(np.int8)
-    d = c = np.zeros(1, dtype=np.int8)
-    res, unres = [], []
-    while d.size:
-        grow = d + j <= depth
-        if left < d.size:
-            # Only the first `left` eligible states fit within the budget.
-            grow[np.flatnonzero(grow)[left:]] = False
-        left -= int(np.count_nonzero(grow))
-        stay = ~grow
-        unres.append((d[stay], c[stay]))
-        d, c = d[grow], c[grow]
-        res.append((d + j, c))
-        d = (d[:, None] + steps).ravel()
-        c = (c[:, None] + bumps).ravel()
-    return PsiFunction(
-        params,
-        depth,
-        tuple(np.concatenate(col) for col in zip(*res)),
-        tuple(np.concatenate(col) for col in zip(*unres)),
-        1 + j * (budget - left),
-    )
+    budget = left = (node_budget - 1) // j
+    # An expanded state (d, c) leaves its resolved piece at (d+j, c).  Only
+    # one generation can outgrow the budget; nothing expands after it.
+    top = depth - j
+    gen = np.zeros((depth + 1, depth + 1), dtype=np.int64)
+    gen[0, 0] = 1
+    res, unres = np.zeros_like(gen), np.zeros_like(gen)
+    g = 0
+    while gen.any():
+        grow = gen[: top + 1]
+        if int(grow.sum()) > left:
+            grow = _leading_states(j, depth, g, left) if left else 0 * grow
+        res[j:] += grow
+        unres += gen
+        unres[: top + 1] -= grow
+        left -= int(grow.sum())
+        gen = _children(grow, j, depth)
+        g += 1
+    return PsiFunction(params, depth, res, unres, 1 + j * (budget - left))
 
 
 @dataclass(frozen=True)
@@ -218,6 +246,22 @@ def _interval_var(mean_lo, mean_hi, msq_lo, msq_hi):
     return msq_lo - sq_hi, msq_hi - sq_lo
 
 
+def _dyadic_sums(psi: PsiFunction):
+    """Sums over the cells with mass m = 2^-d, each exact and correctly
+    rounded: sum_res m*v and sum_res m*v^2 with v = -gamma + c*delta,
+    sum_unres m*c, sum_unres m*c^2 and the resolved mass sum_res m."""
+    (gn, gd), (dn, dd) = psi.gamma.as_integer_ratio(), psi.delta.as_integer_ratio()
+    q = max(gd, dd)  # both powers of two, so v = (c*dn - gn) / q
+    gn, dn = gn * (q // gd), dn * (q // dd)
+    (s0, s1, s2), (_, u1, u2) = psi.res_sums, psi.unres_sums
+    scale = 1 << psi.depth
+    return (
+        (dn * s1 - gn * s0) / (scale * q),
+        (gn * gn * s0 - 2 * gn * dn * s1 + dn * dn * s2) / (scale * q * q),
+        u1 / scale, u2 / scale, s0 / scale,
+    )
+
+
 def psi_stats(psi: PsiFunction) -> PsiStats:
     """Enclosures of the moments, norms and maximal-function average.
 
@@ -233,27 +277,21 @@ def psi_stats(psi: PsiFunction) -> PsiStats:
     if mU >= 1.0:
         raise DomainError(
             f"scale index {j} at depth {psi.depth}: the unresolved mass rounds to 1, "
-            "so the fixed point divides by zero"
+            "so the fixed point cannot contract"
         )
-    res_val = -g + psi.res_offset * dlt
-    # m*c and m*c*c in float64, never c*c in the offsets' int8: with
-    # m = 2^-d and c <= 63 both products are exact, so the sums keep their
-    # bits whatever the offsets' integer type.
-    mc = psi.unres_mass * psi.unres_offset
-    cu = float(np.sum(mc))
-    cu2 = float(np.sum(mc * psi.unres_offset))
-    a = float(np.sum(psi.res_mass * res_val)) + dlt * cu
-    bb = float(np.sum(psi.res_mass * res_val**2)) + dlt * dlt * cu2
+    res_v, res_v2, cu, cu2, res_mass = _dyadic_sums(psi)
+    a = res_v + dlt * cu
+    bb = res_v2 + dlt * dlt * cu2
 
     w = mU**_N_ITER
-    x_star = a / (1.0 - mU)
+    x_star = a / res_mass
     x_lo = x_star + w * (-g - x_star) - _PAD
     x_hi = x_star + w * (0.0 - x_star) + _PAD
     mean = Enclosure(x_lo, x_hi)
 
     y_ap_lo = max(0.0, 1.0 - 2.0 * g * g)
-    y_star_lo = (bb + 2.0 * dlt * cu * x_lo) / (1.0 - mU)
-    y_star_hi = (bb + 2.0 * dlt * cu * x_hi) / (1.0 - mU)
+    y_star_lo = (bb + 2.0 * dlt * cu * x_lo) / res_mass
+    y_star_hi = (bb + 2.0 * dlt * cu * x_hi) / res_mass
     y_lo = y_star_lo + w * (y_ap_lo - y_star_lo) - _PAD
     y_hi = y_star_hi + w * (1.0 - y_star_hi) + _PAD
     mean_sq = Enclosure(y_lo, y_hi)

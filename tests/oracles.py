@@ -4,12 +4,13 @@ Nothing in `bmoblo` calls these.  They are kept apart from the package so
 that an oracle cannot share a code path, and so a defect, with the code it
 checks.
 
-Optimizer oracles.  `bmoblo.optimizers` keeps each leaf of psi_j as a
-(depth, offset) pair and never where the leaf lies in (0, 1].  The helpers
-below need that place: they take the leaves' int64 positions, (res_pos,
-unres_pos), listed in the order of psi's arrays, so that leaf i of depth d
-is the dyadic interval (pos * 2^-d, (pos+1) * 2^-d].  The breadth-first
-reference build in `test_optimizers.py` yields them.
+Optimizer oracles.  `bmoblo.optimizers` keeps psi_j as counts of
+(depth, offset) pairs and never where a leaf lies in (0, 1].  The helpers
+below need that place, so they take the breadth-first reference build of
+`test_optimizers.py` in place of psi: its leaf arrays (res_depth,
+res_offset, unres_depth, unres_offset) and the leaves' int64 positions
+(res_pos, unres_pos), listed in the same order, so that leaf i of depth d
+is the dyadic interval (pos * 2^-d, (pos+1) * 2^-d].
 """
 
 import math
@@ -30,49 +31,49 @@ from bmoblo.trees import (
 )
 
 
-def leaf_values(psi, unresolved_mode: str = "inf"):
+def leaf_values(ref, unresolved_mode: str = "inf"):
     """Values of all leaves (resolved then unresolved).
 
     unresolved_mode "inf" assigns the placeholder (cell infimum)
     -gamma + c*delta; "mean" assigns the exact cell average c*delta.
     """
-    res = -psi.gamma + psi.res_offset * psi.delta
+    res = -ref.gamma + ref.res_offset * ref.delta
     if unresolved_mode == "inf":
-        un = -psi.gamma + psi.unres_offset * psi.delta
+        un = -ref.gamma + ref.unres_offset * ref.delta
     elif unresolved_mode == "mean":
-        un = psi.unres_offset * psi.delta
+        un = ref.unres_offset * ref.delta
     else:
         raise DomainError(f"unknown unresolved_mode {unresolved_mode!r}")
     return res, un
 
 
-def _located_values(psi, positions, unresolved_mode):
+def _located_values(ref, positions, unresolved_mode):
     """(depth, position, value) of every leaf, resolved then unresolved."""
-    res_v, un_v = leaf_values(psi, unresolved_mode)
+    res_v, un_v = leaf_values(ref, unresolved_mode)
     res_pos, unres_pos = positions
     for deps, poss, vals in (
-        (psi.res_depth, res_pos, res_v),
-        (psi.unres_depth, unres_pos, un_v),
+        (ref.res_depth, res_pos, res_v),
+        (ref.unres_depth, unres_pos, un_v),
     ):
         yield from zip(deps.tolist(), poss.tolist(), vals.tolist())
 
 
-def value_grid(psi, positions, unresolved_mode: str = "inf"):
+def value_grid(ref, positions, unresolved_mode: str = "inf"):
     """Step-function values on the uniform grid of 2^depth cells."""
-    if psi.depth > 24:
+    if ref.depth > 24:
         raise ResourceError("value grid limited to depth <= 24")
-    grid = np.empty(1 << psi.depth)
-    for dep, pos, val in _located_values(psi, positions, unresolved_mode):
-        w = 1 << (psi.depth - dep)
+    grid = np.empty(1 << ref.depth)
+    for dep, pos, val in _located_values(ref, positions, unresolved_mode):
+        w = 1 << (ref.depth - dep)
         grid[pos * w : (pos + 1) * w] = val
     return grid
 
 
-def as_alpha_tree(psi, positions, unresolved_mode: str = "mean") -> AlphaTree:
+def as_alpha_tree(ref, positions, unresolved_mode: str = "mean") -> AlphaTree:
     """The binary partition as a measure-1 half-tree on (0, 1]."""
-    if psi.leaf_count > (1 << 16):
+    if ref.leaf_count > (1 << 16):
         raise ResourceError("tree materialization limited to 2^16 leaves")
-    table = {(dep, pos): val for dep, pos, val in _located_values(psi, positions, unresolved_mode)}
+    table = {(dep, pos): val for dep, pos, val in _located_values(ref, positions, unresolved_mode)}
 
     def build(d, pos):
         key = (d, pos)

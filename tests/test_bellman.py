@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +335,37 @@ class TestTraces:
         assert np.array_equal(_bits(eval_b(p, ctx)[live]), _bits(b[live]))
         assert np.array_equal(_bits(eval_b_prime(p, ctx)[live]), _bits(b_prime[live]))
         assert not np.any(eval_b(p, ctx)[~live])
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.49, 0.3])
+    def test_far_left_gamma1_foliation(self, alpha):
+        # Where alpha^k underflows, the affine arc's c = v + (k+1) tau + 1
+        # leaves its window as eta does: c * c overflowed and 1 / z divided
+        # by zero.
+        ctx = make_context(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (-1e300, -np.logspace(100.0, 308.0, 200)):
+                s, u = gamma1_foliation(v, ctx)
+                assert np.all(s == 0.0) and np.all(np.isfinite(u))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.49, 0.3, 0.1])
+    def test_gamma1_foliation_bits_where_alpha_power_is_positive(self, alpha):
+        # The closed forms without the underflow mask.
+        ctx = make_context(alpha)
+        k_last = math.floor(1075 * math.log(2) / -math.log(alpha))
+        v = -np.linspace(0.0, 1.2 * (k_last + 1) * ctx.tau, 20001)[1:]
+        k = np.maximum(np.floor(-v / ctx.tau), 0.0)
+        ak = np.power(alpha, k)
+        live = ak > 0.0
+        v, k, ak = v[live], k[live], ak[live]
+        use_f = v >= ctx.p0 - (k + 1.0) * ctx.tau
+        eta = v + k * ctx.tau + 1.0
+        z_odd = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        c = v + ((k + 1.0) * ctx.tau + 1.0)
+        z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
+        s, u = gamma1_foliation(v, ctx)
+        assert np.array_equal(_bits(s), _bits(np.where(use_f, ak * z_odd, ak * alpha * z_even)))
+        assert np.array_equal(_bits(u), _bits(np.where(use_f, v - z_odd, v - 1.0 / z_even)))
 
     def test_gamma1_foliation_matches_solver(self, ctx_quarter):
         # away from the corner at the origin, where z is well-conditioned

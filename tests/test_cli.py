@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -367,6 +368,20 @@ class TestConcavity:
         code, _, err = run(capsys, ["concavity", "--n", "2", "--samples", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", [1019, 1024])
+    def test_overflowing_sampling_window_is_a_domain_error(self, capsys, n):
+        # From alpha = 2^-1019 on, x1^2 overflows for |x1| <= 6 tau: the
+        # sweep drew into overflow warnings and then ran for minutes.
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["concavity", "--n", str(n), "--samples", "2000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: alpha={2.0 ** -n}: x1^2 overflows on the sampling window |x1| <= 6 tau\n"
+        )
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -647,8 +662,8 @@ class TestOptimizer:
         assert err.startswith(f"error: depth {depth} ")
         assert "Traceback" not in err
 
-    # The first j whose unresolved mass rounds to 1: 54 at depth 54, 55 at 63.
-    @pytest.mark.parametrize("jmax,depth,j", [(54, 54, 54), (60, 63, 55)])
+    # The first j whose unresolved mass rounds to 1: 54 at depth 54, 57 at 63.
+    @pytest.mark.parametrize("jmax,depth,j", [(54, 54, 54), (60, 63, 57)])
     def test_unresolved_mass_of_one_is_a_domain_error(self, capsys, jmax, depth, j):
         code, out, err = run(
             capsys, ["optimizer", "--jmax", str(jmax), "--depth", str(depth)]
@@ -660,6 +675,11 @@ class TestOptimizer:
 
     def test_jmax_53_runs(self, capsys):
         code, out, _ = run(capsys, ["optimizer", "--jmax", "53", "--depth", "53"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 54
+
+    def test_jmax_53_at_depth_63_encloses_every_target(self, capsys):
+        code, out, _ = run(capsys, ["optimizer", "--jmax", "53", "--depth", "63"])
         assert code == 0
         assert len(out.strip().splitlines()) == 54
 

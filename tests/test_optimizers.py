@@ -1,14 +1,15 @@
-import dataclasses
 import math
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bmoblo.errors import DomainError, ResourceError
 from bmoblo.optimizers import (
-    Enclosure,
-    PsiFunction,
+    OptimizerRow,
+    _dyadic_sums,
     build_psi,
     m_norm_report,
     psi_params,
@@ -51,18 +52,18 @@ class TestBuild:
             build_psi(4, 24, node_budget=3)
 
     def test_leftmost_cell_resolved(self):
-        psi, _, (res_pos, _) = _located_build(3, 12)
+        ref, (res_pos, _) = _located_build(3, 12)
         # the cell (0, 2^-j] is resolved at offset 0
-        sel = (psi.res_depth == 3) & (res_pos == 0)
+        sel = (ref.res_depth == 3) & (res_pos == 0)
         assert sel.sum() == 1
-        assert psi.res_offset[sel][0] == 0
+        assert ref.res_offset[sel][0] == 0
 
     def test_first_scale_values(self):
         # j = 1: value on (1 - 2^-m, 1 - 2^-m-1] is -gamma + m delta;
         # equivalently the offset counts leading one-bits.
-        psi, _, positions = _located_build(1, 10)
-        grid = value_grid(psi, positions, "inf")
-        g, d = psi.gamma, psi.delta
+        ref, positions = _located_build(1, 10)
+        grid = value_grid(ref, positions, "inf")
+        g, d = ref.gamma, ref.delta
         n = grid.size
         for m in range(0, 9):
             lo = int((1 - 2.0**-m) * n)
@@ -88,10 +89,8 @@ class TestBuild:
     def test_self_similarity_right_half(self):
         # leaves in (1/2, 1] of a depth-D build match the depth-(D-1) build
         # shifted one offset up: the recursion's third line, leaf by leaf.
-        # Shifts by depth use the reference's int64 depths: an int8 shift
-        # would overflow.
-        _, deep, (deep_pos, _) = _located_build(2, 14)
-        _, shallow, (shallow_pos, _) = _located_build(2, 13)
+        deep, (deep_pos, _) = _located_build(2, 14)
+        shallow, (shallow_pos, _) = _located_build(2, 13)
         half_width = 1 << (deep.res_depth - 1)
         half = deep_pos >= half_width
         mapped = set(
@@ -117,17 +116,13 @@ class TestBuild:
         assert small.unresolved_mass > big.unresolved_mass
 
 
-# A cell state's depth and offset: int8 in build_psi, int64 in the reference.
-_STATE_ARRAYS = ("res_depth", "res_offset", "unres_depth", "unres_offset")
-_MASS_ARRAYS = ("res_mass", "unres_mass")
-
-
 def _reference_build(j, depth, node_budget):
     """The one-state-at-a-time breadth-first build, as the reference.
 
-    Returns the reference PsiFunction, whose depths and offsets are int64,
-    and the int64 positions (res_pos, unres_pos) of its leaves: leaf i of
-    depth d is the cell (pos * 2^-d, (pos+1) * 2^-d].
+    Returns the reference, which lists its leaves as int64 arrays in the
+    order the loop makes them, and the int64 positions (res_pos,
+    unres_pos) of those leaves: leaf i of depth d is the cell
+    (pos * 2^-d, (pos+1) * 2^-d].
     """
     res_d, res_c, res_p = [], [], []
     unres_d, unres_c, unres_p = [], [], []
@@ -147,59 +142,71 @@ def _reference_build(j, depth, node_budget):
         res_d.append(d + j)
         res_c.append(c)
         res_p.append(pos << j)
-    res = tuple(np.array(x, dtype=np.int64) for x in (res_d, res_c))
-    unres = tuple(np.array(x, dtype=np.int64) for x in (unres_d, unres_c))
-    psi = PsiFunction(psi_params(j), depth, res, unres, leaves)
-    # masses as np.ldexp computes them, not from the table
-    psi.res_mass = np.ldexp(1.0, -psi.res_depth)
-    psi.unres_mass = np.ldexp(1.0, -psi.unres_depth)
-    psi.unresolved_mass = float(np.sum(psi.unres_mass))
+    params = psi_params(j)
+    ref = SimpleNamespace(
+        j=j,
+        depth=depth,
+        gamma=params.gamma,
+        delta=params.delta,
+        leaf_count=leaves,
+        res_depth=np.array(res_d, dtype=np.int64),
+        res_offset=np.array(res_c, dtype=np.int64),
+        unres_depth=np.array(unres_d, dtype=np.int64),
+        unres_offset=np.array(unres_c, dtype=np.int64),
+    )
     positions = tuple(np.array(x, dtype=np.int64) for x in (res_p, unres_p))
-    return psi, positions
+    return ref, positions
+
+
+def _counts(depths, offsets, depth):
+    """The (depth, offset) count table of a list of leaves."""
+    n = depth + 1
+    return np.bincount(depths * n + offsets, minlength=n * n).reshape(n, n)
+
+
+def _fraction_sums(ref):
+    """_dyadic_sums' five sums over the reference's leaves in Fractions,
+    the unresolved mass, each correctly rounded, and the exact total mass."""
+    g, dlt = Fraction(ref.gamma), Fraction(ref.delta)
+    res_v = res_v2 = res_m = cu = cu2 = mU = Fraction(0)
+    for (d, c), n in Counter(zip(ref.res_depth.tolist(), ref.res_offset.tolist())).items():
+        m, v = Fraction(n, 1 << d), -g + c * dlt
+        res_v += m * v
+        res_v2 += m * v * v
+        res_m += m
+    for (d, c), n in Counter(zip(ref.unres_depth.tolist(), ref.unres_offset.tolist())).items():
+        m = Fraction(n, 1 << d)
+        cu += m * c
+        cu2 += m * c * c
+        mU += m
+    return tuple(float(x) for x in (res_v, res_v2, cu, cu2, res_m)), float(mU), res_m + mU
+
+
+def _assert_tables(psi, ref):
+    case = (ref.j, ref.depth)
+    assert np.array_equal(psi.res, _counts(ref.res_depth, ref.res_offset, ref.depth)), case
+    assert np.array_equal(psi.unres, _counts(ref.unres_depth, ref.unres_offset, ref.depth)), case
+    assert np.array_equal(psi.unres_depth, np.unique(ref.unres_depth)), case
+    assert psi.leaf_count == ref.leaf_count, case
 
 
 def _located_build(j, depth, node_budget=1 << 17):
-    """build_psi's result, the reference and the reference's positions,
-    after checking that both builds list the same leaves in the same order."""
-    psi = build_psi(j, depth, node_budget=node_budget)
+    """The reference and its leaves' positions, after checking that
+    build_psi's count tables tally the reference's leaves."""
     ref, positions = _reference_build(j, depth, node_budget)
-    for name in _STATE_ARRAYS:
-        assert np.array_equal(getattr(psi, name), getattr(ref, name)), name
-    return psi, ref, positions
-
-
-def _stats_bits(psi):
-    """The bits of psi_stats(psi), or its error where it raises one."""
-    try:
-        st = psi_stats(psi)
-    except DomainError as exc:
-        return str(exc)
-    out = []
-    for field in dataclasses.fields(st):
-        v = getattr(st, field.name)
-        if isinstance(v, Enclosure):
-            out += [v.lo.hex(), v.hi.hex()]
-        elif isinstance(v, float):
-            out.append(v.hex())
-        else:
-            out.append(v)
-    return out
+    _assert_tables(build_psi(j, depth, node_budget=node_budget), ref)
+    return ref, positions
 
 
 def _assert_same_build(j, depth, node_budget):
     psi = build_psi(j, depth, node_budget=node_budget)
     ref, _ = _reference_build(j, depth, node_budget)
-    for name in _STATE_ARRAYS:
-        a, b = getattr(psi, name), getattr(ref, name)
-        assert a.dtype == np.int8 and b.dtype == np.int64, (j, depth, node_budget, name)
-        assert np.array_equal(a, b), (j, depth, node_budget, name)
-    for name in _MASS_ARRAYS:
-        a, b = getattr(psi, name), getattr(ref, name)
-        assert a.dtype == b.dtype, (j, depth, node_budget, name)
-        assert a.tobytes() == b.tobytes(), (j, depth, node_budget, name)
-    assert psi.leaf_count == ref.leaf_count
-    assert psi.unresolved_mass.hex() == ref.unresolved_mass.hex()
-    assert _stats_bits(psi) == _stats_bits(ref)
+    _assert_tables(psi, ref)
+    sums, mU, total = _fraction_sums(ref)
+    assert total == 1, (j, depth, node_budget)
+    got = _dyadic_sums(psi)
+    assert [x.hex() for x in got] == [x.hex() for x in sums], (j, depth, node_budget)
+    assert psi.unresolved_mass.hex() == mU.hex(), (j, depth, node_budget)
 
 
 class TestBuildReference:
@@ -217,7 +224,7 @@ class TestBuildReference:
         _assert_same_build(1, 63, 1 << 17)
         _assert_same_build(3, 63, 2000)
 
-    # The int8 edges: depth and offset 63, depth + j = 126.
+    # Depth and offset 63, the edges of the former int8 leaf arrays.
     @pytest.mark.parametrize("j", [63, 32, 2])
     def test_bitwise_equal_at_int8_edges(self, j):
         _assert_same_build(j, 63, 1 << 17)
@@ -238,7 +245,7 @@ class TestDepthLimit:
             build_psi(1, 64)
 
     def test_depth_63_positions_fit(self):
-        _, ref, (res_pos, unres_pos) = _located_build(1, 63)
+        ref, (res_pos, unres_pos) = _located_build(1, 63)
         for deps, poss in ((ref.res_depth, res_pos), (ref.unres_depth, unres_pos)):
             assert all(0 <= p < 2**d for d, p in zip(deps.tolist(), poss.tolist()))
         # the rightmost cell at depth 63
@@ -246,14 +253,24 @@ class TestDepthLimit:
 
 
 class TestUnresolvedMassLimit:
-    """1 - 2^-j rounds to 1 for j >= 54, and psi_stats divides by 1 - mU."""
+    """1 - 2^-j rounds to 1 for j >= 54, and where the whole unresolved mass
+    does, the fixed point's contraction weight mU^N is 1."""
 
-    @pytest.mark.parametrize("j,depth", [(54, 54), (55, 63), (63, 63)])
+    @pytest.mark.parametrize("j,depth", [(54, 54), (57, 63), (63, 63)])
     def test_mass_of_one_rejected(self, j, depth):
         psi = build_psi(j, depth)
         assert psi.unresolved_mass == 1.0
         with pytest.raises(DomainError, match=f"scale index {j} at depth {depth}"):
             psi_stats(psi)
+
+    def test_mass_is_correctly_rounded_at_depth_63(self):
+        # The resolved mass at j = 55, depth 63 is 1.25 * 2^-53, so the
+        # unresolved mass rounds to 1 - 2^-53; a float sum of the leaf
+        # masses once rounded it to 1.
+        psi = build_psi(55, 63)
+        assert Fraction(psi.res_sums[0], 1 << 63) == Fraction(5, 1 << 55)
+        assert psi.unresolved_mass == 1.0 - 2.0**-53
+        assert OptimizerRow(55, psi_stats(psi)).targets_enclosed
 
     @pytest.mark.parametrize("j,depth", [(53, 53), (54, 56)])
     def test_mass_below_one_accepted(self, j, depth):
@@ -266,18 +283,43 @@ class TestUnresolvedMassLimit:
         )
 
 
+class TestEnclosuresAcrossRange:
+    """Every row's enclosures contain the targets at each supported scale
+    index, at shallow and deep builds, with and without a binding budget."""
+
+    @pytest.mark.parametrize("node_budget", [1 << 17, 2000])
+    def test_targets_enclosed(self, node_budget):
+        missed = []
+        for j in range(1, 54):
+            for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
+                if depth < j or node_budget < j + 1:
+                    continue
+                row = OptimizerRow(j, psi_stats(build_psi(j, depth, node_budget)))
+                if not row.targets_enclosed:
+                    missed.append((j, depth))
+        assert not missed
+
+    def test_fixed_point_divides_by_the_resolved_mass(self):
+        # A float mU keeps no bit below 2^-53, so 1 - mU is off by 1.5e-8
+        # relative here, which once put y* 1.4e-8 below 1.
+        psi = build_psi(30, 63)
+        res_mass = _dyadic_sums(psi)[4]
+        assert abs((1.0 - psi.unresolved_mass) / res_mass - 1.0) > 1e-9
+        assert psi_stats(psi).mean_sq.contains(1.0)
+
+
 class TestMaximalIdentity:
     @pytest.mark.parametrize("j,depth", [(1, 10), (2, 12), (3, 12)])
     def test_identity_on_resolved_leaves(self, j, depth):
         # N psi = psi + gamma on every resolved cell, with the ambient
         # function zero outside (0, 1]: ancestor-chain maxima computed by
         # the tree machinery on exact cell averages.
-        psi, _, positions = _located_build(j, depth)
-        tree = as_alpha_tree(psi, positions, "mean")
+        ref, positions = _located_build(j, depth)
+        tree = as_alpha_tree(ref, positions, "mean")
         validate(tree)
         n_vals = maximal(tree, "natural", outside=0.0)
         table = {}
-        for dep, pos, off in zip(psi.res_depth, positions[0], psi.res_offset):
+        for dep, pos, off in zip(ref.res_depth, positions[0], ref.res_offset):
             table[(int(dep), int(pos))] = int(off)
         # leaves in preorder: recover (depth,pos) from the parent array; in
         # preorder a parent's first child comes before its second
@@ -288,7 +330,7 @@ class TestMaximalIdentity:
             seen.add(p)
         located = [(int(tree.depth[i]), pos[i], float(tree.value[i])) for i in tree.leaf_idx]
         assert len(located) == len(n_vals)
-        g, dlt = psi.gamma, psi.delta
+        g, dlt = ref.gamma, ref.delta
         errs = []
         for (d, pos, val), nv in zip(located, n_vals):
             if (d, pos) in table:
@@ -298,8 +340,8 @@ class TestMaximalIdentity:
         assert max(errs) <= 2 * math.ulp(1.0)
 
     def test_inf_of_maximal_is_zero(self):
-        psi, _, positions = _located_build(2, 12)
-        tree = as_alpha_tree(psi, positions, "mean")
+        ref, positions = _located_build(2, 12)
+        tree = as_alpha_tree(ref, positions, "mean")
         n_vals = maximal(tree, "natural", outside=0.0)
         assert min(n_vals) == 0.0
 
@@ -354,8 +396,8 @@ class TestStats:
         # depth-6 grid: BMO over all dyadic squares equals BMO over dyadic
         # intervals for the tensor extension, by literal enumeration
         for j in (1, 2):
-            psi, _, positions = _located_build(j, 6)
-            grid = value_grid(psi, positions, "inf")
+            ref, positions = _located_build(j, 6)
+            grid = value_grid(ref, positions, "inf")
             assert dyadic_square_bmo_sq(grid) == pytest.approx(
                 dyadic_interval_bmo_sq(grid), abs=1e-12
             )
