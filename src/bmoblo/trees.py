@@ -24,7 +24,6 @@ or from another tree's arrays.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from array import array
@@ -406,36 +405,7 @@ def random_tree(alpha: float, rng: np.random.Generator, max_depth: int = 6) -> A
 
 
 class _BadNode(Exception):
-    """A node that cannot be read; the walk adds its path."""
-
-
-def _walk(root):
-    """(parent, measure, value, depth) preorder arrays of a parsed JSON tree;
-    _read_json_node reads every node, so it raises its own errors, among
-    them for integers beyond the float range."""
-    parent, depth, measure, value = [], [], [], []
-    stack = [(root, -1, 0)]
-    try:
-        while stack:
-            node, p, d = stack.pop()
-            parent.append(p)
-            depth.append(d)
-            m, v, kids = _read_json_node(node)
-            measure.append(m)
-            if kids is None:
-                value.append(v)
-            else:
-                value.append(math.nan)
-                i = len(parent) - 1
-                stack.extend([(kid, i, d + 1) for kid in reversed(kids)])
-    except _BadNode as exc:
-        raise StructureError(_path(np.array(parent), len(parent) - 1), str(exc)) from None
-    return (
-        np.array(parent, dtype=np.int64),
-        np.array(measure, dtype=float),
-        np.array(value, dtype=float),
-        np.array(depth, dtype=np.int64),
-    )
+    """A node that cannot be read; the reader adds its path."""
 
 
 def _number(x, what: str) -> float:
@@ -448,72 +418,43 @@ def _number(x, what: str) -> float:
         raise _BadNode(f"{what} is beyond the float range") from None
 
 
-def _read_json_node(obj):
-    if not isinstance(obj, dict):
-        raise _BadNode("node must be a JSON object")
-    if "measure" not in obj:
-        raise _BadNode("node lacks a measure")
-    measure = _number(obj["measure"], "measure")
-    if ("children" in obj) == ("value" in obj):
-        raise _BadNode("node must have exactly one of children/value")
-    if "value" in obj:
-        return measure, _number(obj["value"], "leaf value"), None
-    children = obj["children"]
-    if not isinstance(children, list) or not children:
-        raise _BadNode("children must be a non-empty list")
-    return measure, None, children
+def tree_from_json(obj) -> AlphaTree:
+    """Parse and validate the JSON tree format.
 
-
-def _read_document(doc):
-    """alpha and the preorder arrays of a parsed document; the one reader
-    that reports errors."""
-    if not isinstance(doc, dict) or "alpha" not in doc or "root" not in doc:
-        raise StructureError("root", "top level must carry alpha and root")
-    try:
-        alpha = _number(doc["alpha"], "alpha")
-    except _BadNode as exc:
-        raise StructureError("root", str(exc)) from None
-    return alpha, _walk(doc["root"])
-
-
-class _OffShape(Exception):
-    """A text document off the common shape, left to _read_document."""
-
-
-def _read_text(text):
-    """alpha and the preorder arrays of a text document of the common shape,
-    or None for any other text.
-
-    The common shape is a top level of exactly a float alpha and the root,
-    and nodes of exactly a float measure and one of a float value or a
-    non-empty children list.  json calls the hook on each object as soon as
-    it is parsed, innermost first, so nodes arrive in postorder.  The hook
-    stores a node's measure, value and subtree size, sets its children's
-    parent, and returns the token (i,) in place of the dict, which no JSON
-    value can be; so the document's object graph is never held.
+    `obj` is the document as text (str or bytes); a parsed document is
+    written back to text with json.dumps and read the same way, so one
+    nested too deeply for json raises RecursionError as its text does.
+    json calls the hook on each object as soon as it is parsed, innermost
+    first, so objects arrive in postorder.  The hook stores each one as a
+    row (measure, value, subtree size, parent), sets its children's parent
+    and returns the token (i,) in place of the dict, which no JSON value
+    can be; so the document's object graph is never held.  An error names
+    the first bad node in preorder.
     """
+    if not isinstance(obj, (str, bytes)):
+        obj = json.dumps(obj)
     measure, value, size, parent = array("d"), array("d"), array("q"), array("q")
     add_measure, add_value, add_size, add_parent = (
         measure.append, value.append, size.append, parent.append
     )
     nan = math.nan
+    top = None  # (row, alpha, root) of the last object holding alpha and root
+    bad = []  # (row, child slot or None, message) of every unreadable object
 
     def hook(obj):
-        if len(obj) != 2:
-            raise _OffShape
+        # The common shape: exactly a float measure and one of a float value
+        # or a non-empty list of child tokens.
         m = obj.get("measure")
-        if type(m) is not float:
-            if "alpha" in obj and "root" in obj:
-                return obj  # the top level, checked below
-            raise _OffShape
+        if len(obj) != 2 or type(m) is not float:
+            return irregular(obj)
         i, s, v = len(size), 1, obj.get("value")
         if type(v) is not float:
             kids = obj.get("children")
             if type(kids) is not list or not kids:
-                raise _OffShape
+                return irregular(obj)
             for kid in kids:
                 if type(kid) is not tuple:
-                    raise _OffShape
+                    return irregular(obj)
                 j = kid[0]
                 parent[j] = i
                 s += size[j]
@@ -524,65 +465,97 @@ def _read_text(text):
         add_parent(-1)
         return (i,)
 
+    def irregular(obj):
+        # Any other object, checked in the order below: integers are read
+        # and extra keys ignored.  A bad node links no children, or only
+        # those before a child that is not an object.
+        nonlocal top
+        i, m, v, s = len(size), nan, nan, 1
+        if "alpha" in obj and "root" in obj:
+            top = i, obj["alpha"], obj["root"]
+        try:
+            if "measure" not in obj:
+                raise _BadNode("node lacks a measure")
+            m = _number(obj["measure"], "measure")
+            if ("children" in obj) == ("value" in obj):
+                raise _BadNode("node must have exactly one of children/value")
+            if "value" in obj:
+                v = _number(obj["value"], "leaf value")
+            else:
+                kids = obj["children"]
+                if type(kids) is not list or not kids:
+                    raise _BadNode("children must be a non-empty list")
+                for k, kid in enumerate(kids):
+                    if type(kid) is not tuple:
+                        bad.append((i, k, "node must be a JSON object"))
+                        break
+                    parent[kid[0]] = i
+                    s += size[kid[0]]
+        except _BadNode as exc:
+            bad.append((i, None, str(exc)))
+        add_measure(m)
+        add_value(v)
+        add_size(s)
+        add_parent(-1)
+        return (i,)
+
+    # json.loads runs in this frame, as a helper frame would lower its
+    # nesting limit.
+    doc = json.loads(obj, object_hook=hook)
+    # The top level is the outermost object, so the last one stored.
+    if top is None or doc != (top[0],):
+        raise StructureError("root", "top level must carry alpha and root")
+    _, alpha, root = top
     try:
-        doc = json.loads(text, object_hook=hook)
-    except (_OffShape, RecursionError, ValueError):
-        return None
-    # A duplicate key drops an object the hook has already stored, so the
-    # root's subtree must hold every stored node; then the root is also
-    # last in postorder.
-    if type(doc) is not dict or type(doc["root"]) is not tuple or size[doc["root"][0]] != len(size):
-        return None
-    alpha = doc["alpha"]
-    if type(alpha) is not float:
-        return None
-    n = len(size)
-    # Postorder node v ends the slice [start(v), v] of its subtree.  Its
-    # ancestors are the nodes after v whose slices start at or before v, so
+        alpha = _number(alpha, "alpha")
+    except _BadNode as exc:
+        raise StructureError("root", str(exc)) from None
+    if type(root) is not tuple:
+        raise StructureError("root", "node must be a JSON object")
+    n, r = len(size), root[0]
+    sizes, ups = np.frombuffer(size, dtype=np.int64), np.frombuffer(parent, dtype=np.int64)
+    if sizes[r] == n - 1:
+        rows = slice(n - 1)  # every row but the top level's
+    else:
+        # The top level, objects under extra keys or dropped by a repeated
+        # key, and the children a bad node leaves unlinked each head a whole
+        # block of rows; keep the rows whose topmost ancestor is the root.
+        head = np.where(ups < 0, np.arange(n), ups)
+        for _ in range(n.bit_length()):  # pointer jumping past any depth
+            head = head[head]
+        rows = np.flatnonzero(head == r)
+    # Postorder row v ends the slice [start(v), v] of its subtree.  Its
+    # ancestors are the rows after v whose slices start at or before v, so
     # depth(v) = #{u : start(u) <= v} - v - 1; in preorder v comes after
-    # them and after the start(v) nodes of earlier subtrees.
-    post = np.arange(n)
-    start = post - np.frombuffer(size, dtype=np.int64) + 1
-    depth = np.cumsum(np.bincount(start, minlength=n)) - post - 1
+    # them and after the start(v) rows of earlier subtrees.
+    kept = sizes[rows]
+    post = np.arange(len(kept))
+    start = post - kept + 1
+    depth = np.cumsum(np.bincount(start, minlength=len(kept))) - post - 1
     pre = start + depth
-    up = pre[np.frombuffer(parent, dtype=np.int64)]
+    slot = np.full(n, -1)
+    slot[rows] = pre
+    up = slot[ups[rows]]
     up[-1] = -1  # the root, last in postorder
     arrays = []
-    for post_order in (up, np.frombuffer(measure), np.frombuffer(value), depth):
+    for post_order in (up, np.frombuffer(measure)[rows], np.frombuffer(value)[rows], depth):
         a = np.empty_like(post_order)
         a[pre] = post_order
         arrays.append(a)
-    return alpha, tuple(arrays)
+    if bad:
 
+        def reached(entry):
+            # Read in preorder, a bad node comes at its slot and a bad child
+            # right after the subtrees linked before it; of the faults at one
+            # slot, the deepest bad child comes first, then the node.
+            i, k, _ = entry
+            return (slot[i], 1) if k is None else (slot[i] + size[i], -slot[i])
 
-def tree_from_json(obj) -> AlphaTree:
-    """Parse and validate the JSON tree format.
-
-    `obj` is the document, as text (str or bytes) or already parsed.  Text
-    of the common shape is read as it is parsed (_read_text).  Any other
-    text is parsed into dicts and read, like a parsed document, by
-    _read_document, so every error text comes from there.
-
-    The cyclic garbage collector is paused while such text is parsed and
-    read, and left as it was found: parsing builds one dict per node and no
-    reference cycles, and a running collector would rescan all of them
-    again and again as they pile up, which more than doubles the time
-    json.loads takes on a large tree.
-    """
-    text = isinstance(obj, (str, bytes))
-    read = _read_text(obj) if text else None
-    if read is None:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            # json.loads runs in this frame, as a helper frame would lower
-            # its nesting limit; the document it builds is freed before the
-            # collector resumes.
-            read = _read_document(json.loads(obj) if text else obj)
-        finally:
-            if enabled:
-                gc.enable()
-    alpha, arrays = read
+        first = min((e for e in bad if slot[e[0]] >= 0), key=reached, default=None)
+        if first is not None:
+            i, k, message = first
+            path = _path(arrays[0], int(slot[i]))
+            raise StructureError(path if k is None else f"{path}/{k}", message)
     return _from_arrays(alpha, *arrays, check=True)
 
 

@@ -44,6 +44,18 @@ def two_leaf_tree(a=1.0, b=-1.0, alpha=0.5):
     return tree_from_json({"alpha": alpha, "root": _node(1.0, _leaf(0.5, a), _leaf(0.5, b))})
 
 
+def comb_tree(depth):
+    """A comb of `depth` levels: node 2d has a leaf child 2d+1 and carries
+    on to 2d+2."""
+    parent = np.concatenate([[-1], np.repeat(np.arange(0, 2 * depth, 2), 2)])
+    measure = np.concatenate([[1.0], np.repeat(0.5 ** np.arange(1.0, depth + 1.0), 2)])
+    value = np.full(parent.size, np.nan)
+    value[1::2] = 1.0
+    value[-1] = -1.0
+    levels = np.concatenate([[0], np.repeat(np.arange(1, depth + 1), 2)])
+    return _from_arrays(0.5, parent, measure, value, levels, check=True)
+
+
 def dyadic_tree(values, alpha=0.5):
     """Balanced binary tree over a power-of-two list of leaf values."""
 
@@ -335,17 +347,13 @@ class TestJson:
             assert tree_to_json(tree) == {"alpha": tree.alpha, "root": enc(tree, 0)}
 
     def test_deep_comb_round_trip(self):
-        # 600 levels: node 2d has a leaf child 2d+1 and carries on to 2d+2.
-        depth = 600
-        parent = np.repeat(np.arange(0, 2 * depth, 2), 2)
-        parent = np.concatenate([[-1], parent])
-        measure = np.concatenate([[1.0], np.repeat(0.5 ** np.arange(1.0, depth + 1.0), 2)])
-        value = np.full(parent.size, np.nan)
-        value[1::2] = 1.0
-        value[-1] = -1.0
-        levels = np.concatenate([[0], np.repeat(np.arange(1, depth + 1), 2)])
-        tree = _from_arrays(0.5, parent, measure, value, levels, check=True)
-        assert tree.depth.max() == depth
+        # tree_to_json writes 600 levels; a parsed document is read through
+        # its json.dumps text, which recurses, so 300 levels make the trip.
+        tree = comb_tree(600)
+        assert tree.depth.max() == 600
+        with pytest.raises(RecursionError):
+            tree_from_json(tree_to_json(tree))
+        tree = comb_tree(300)
         again = tree_from_json(tree_to_json(tree))
         for key in ("parent", "measure", "value", "depth"):
             assert np.array_equal(getattr(again, key), getattr(tree, key), equal_nan=True), key
@@ -576,8 +584,8 @@ class TestValidatePaths:
 
 # ---------------------------------------------------------------------------
 # JSON ingest against the plain walk: one reader call per node, depths looked
-# up from the parent.  The lean walk must give the same arrays bit for bit and
-# the same error text.
+# up from the parent.  The object-hook reader must give the same arrays bit
+# for bit and the same error text.
 # ---------------------------------------------------------------------------
 
 
@@ -692,7 +700,7 @@ _MALFORMED = {
     "neither": (_two('{"measure": 0.5, "values": 1.0}'), "root/1: node must have exactly one of children/value"),
     "extra key on a bad leaf": (_two('{"measure": 0.6, "value": -1.0, "note": null}'), "root: children measures sum to 1.1, parent has 1.0"),
     "duplicate key, last bad": (_two('{"measure": 0.5, "measure": null, "value": 1.0}'), "root/1: measure must be a number"),
-    # The text reader meets objects in postorder, the walk in preorder.
+    # The hook meets objects in postorder, the walk in preorder.
     "bad node after a deeper irregular object": (_two('{"measure": 0.5, "value": null}', first='{"measure": 0.5, "children": [{"measure": 0.25, "value": 1, "note": {"x": [{"y": 2}]}}, {"measure": 0.25, "value": 1.0}]}'), "root/1: leaf value must be a number"),
     "bad parent of an irregular leaf": (_two('{"measure": 0.5, "value": 1.0, "children": [{"measure": 0.5, "value": 1}]}'), "root/1: node must have exactly one of children/value"),
     "node with a root key": (_two('{"measure": 0.5, "root": {"measure": 0.5, "value": 1.0}}'), "root/1: node must have exactly one of children/value"),
@@ -717,14 +725,14 @@ _ACCEPTED = {
     "root leaf": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}}',
     "leaf with a root key": _two('{"measure": 0.5, "value": -1.0, "root": {"measure": 0.5, "value": 1.0}}'),
     "top level with an extra key": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}, "note": {"measure": 1.0, "value": 2.0}}',
-    # A repeated key drops a node the text reader has already met.
+    # A repeated key drops a node the hook has already met.
     "duplicate root": '{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}, "root": {"measure": 1.0, "value": 2.0}}',
     "duplicate non-empty children": '{"alpha": 0.5, "root": {"measure": 1.0, "children": [{"measure": 1.0, "value": 3.0}], "children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}]}}',
     "duplicate value, first a node": _two('{"measure": 0.5, "value": {"measure": 0.5, "value": 3.0}, "value": -1.0}'),
     "duplicate alpha, first a node": '{"alpha": {"measure": 1.0, "value": 3.0}, "alpha": 0.5, "root": {"measure": 1.0, "value": 2.0}}',
 }
 
-# Documents of the common shape, which the text reader reads on its own.
+# Documents of the common shape, which the hook's first branch reads.
 _COMMON = {
     "value before measure": _two('{"value": -1.0, "measure": 0.5}'),
     "children before measure": '{"alpha": 0.5, "root": {"children": [{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": 2.0}], "measure": 1.0}}',
@@ -762,15 +770,11 @@ class TestIngestReference:
         _assert_same_ingest(_balanced_text())
 
     def test_deep_comb(self):
-        # 600 levels, too deep for json text: the parsed document is read.
-        depth = 600
-        parent = np.concatenate([[-1], np.repeat(np.arange(0, 2 * depth, 2), 2)])
-        measure = np.concatenate([[1.0], np.repeat(0.5 ** np.arange(1.0, depth + 1.0), 2)])
-        value = np.full(parent.size, np.nan)
-        value[1::2] = 1.0
-        value[-1] = -1.0
-        levels = np.concatenate([[0], np.repeat(np.arange(1, depth + 1), 2)])
-        tree = _from_arrays(0.5, parent, measure, value, levels, check=True)
+        # 600 levels are too deep for json text, and so for a parsed
+        # document, which is read through its text; 300 levels are not.
+        with pytest.raises(RecursionError):
+            tree_from_json(tree_to_json(comb_tree(600)))
+        tree = comb_tree(300)
         got = _assert_same_ingest(tree_to_json(tree))
         assert got == _ingest(lambda t: t, tree)
 
@@ -782,23 +786,48 @@ class TestIngestReference:
     def test_accepted_documents(self, text):
         assert not isinstance(_assert_same_ingest(text), str)
 
-    def test_common_shape_text_is_read_without_the_walk(self, monkeypatch, rng):
-        def walk(root):
-            raise AssertionError("common-shape text reached _walk")
-
+    def test_common_shape_text_is_read_without_the_walk(self, rng):
         docs = [json.dumps(tree_to_json(random_tree(a, rng, max_depth=8))) for a in (0.5, 0.25, 0.1)]
         docs += [*_COMMON.values(), comb_text(300), _balanced_text()]
         want = [_ingest(_reference_tree_from_json, doc) for doc in docs]
-        monkeypatch.setattr(trees, "_walk", walk)
         assert [_ingest(tree_from_json, doc) for doc in docs] == want
-        # Bytes are read alike; anything else goes to the walk.
+        # Bytes are read alike.
         assert _ingest(tree_from_json, docs[0].encode()) == want[0]
-        with pytest.raises(AssertionError):
-            tree_from_json(_ACCEPTED["extra key on a leaf"])
+
+    def test_off_shape_balanced_text(self):
+        # An integer root measure and an extra key on the last leaf take the
+        # hook's second branch; the arrays stay bit for bit the reference's.
+        text = _balanced_text().replace('"measure": 1.0', '"measure": 1', 1)
+        end = text.index("}", text.rindex('"value"'))
+        text = text[:end] + ', "note": [1, {"id": 2}]' + text[end:]
+        got = _assert_same_ingest(text)
+        assert not isinstance(got, str)
+        assert got == _ingest(tree_from_json, _balanced_text())
+
+    @pytest.mark.parametrize(
+        "text",
+        [_COMMON["value before measure"], _ACCEPTED["extra key on a leaf"], _MALFORMED["value null"][0], _MALFORMED["no root"][0]],
+        ids=["common", "off-shape", "malformed", "malformed top level"],
+    )
+    def test_text_is_parsed_once(self, monkeypatch, text):
+        calls = []
+        loads = json.loads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        try:
+            tree_from_json(text)
+        except StructureError:
+            pass
+        assert len(calls) == 1
 
     def test_combs_at_the_nesting_limit(self):
         # The deepest comb json.loads reads from here depends on the
-        # interpreter and the stack; both readers stop at the same depth.
+        # interpreter and the stack.  The hook's own frame costs the reader
+        # one level, so at the reference's last level it may stop too.
         def read(reader, levels):
             try:
                 return _ingest(reader, comb_text(levels))
@@ -813,8 +842,8 @@ class TestIngestReference:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if read(_reference_tree_from_json, mid) is not None else (lo, mid)
-        for levels in (lo - 1, lo):
-            assert read(tree_from_json, levels) == read(_reference_tree_from_json, levels)
+        assert read(tree_from_json, lo - 1) == read(_reference_tree_from_json, lo - 1)
+        assert read(tree_from_json, lo) in (read(_reference_tree_from_json, lo), None)
         assert read(tree_from_json, hi) is None
 
     @pytest.mark.parametrize(
