@@ -54,13 +54,11 @@ from .trees import (
     AlphaTree,
     blo_norm,
     bmo_norm,
-    inf_maximal,
     maximal,
     random_tree,
     tree_from_json,
     tree_to_json,
     validate,
-    verify_induction,
     verify_main_theorem,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "eval_b_prime",
     "eval_f",
     "eval_majorant",
-    "inf_maximal",
     "m_norm_report",
     "make_context",
     "maximal",
@@ -112,6 +109,5 @@ __all__ = [
     "tree_from_json",
     "tree_to_json",
     "validate",
-    "verify_induction",
     "verify_main_theorem",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import eval_A_arrays, eval_F
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import DomainError, StructureError
 from .geometry import AlphaContext
 
 _REL_TOL = 1e-12
@@ -215,33 +215,6 @@ def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None
     return vals
 
 
-def inf_maximal(tree: AlphaTree, node=None, kind: str = "natural") -> float:
-    """inf over the node of the maximal function.
-
-    Computed as the supremum of averages over the node's ancestors-or-self;
-    the equality of the two descriptions is a testable fact (see
-    tests), not an assumption of this routine's callers.
-    """
-    i = _node_index(tree, node)
-    return float(_chain_max(tree, kind)[i])
-
-
-def verify_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
-    """Margin A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K (>= 0).
-
-    Requires the step function to have BMO norm at most 1 on the subtree
-    at K (the caller rescales otherwise).
-    """
-    i = _node_index(tree, node)
-    norm_sq = tree.sub_bmo_sq[i]
-    if norm_sq > _UNIT_NORM_SQ:
-        raise PreconditionError(
-            f"subtree BMO norm {math.sqrt(norm_sq)} exceeds 1; rescale first"
-        )
-    mean_n = _subtree_mean(tree, tree.anc_max[tree.leaf_idx])
-    return float(_induction(tree, i, mean_n, ctx)[0])
-
-
 def _induction(tree: AlphaTree, sel, mean_n, ctx: AlphaContext):
     """Induction margins A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K at
     the nodes `sel` (an index or a slice), given <N phi> at every node."""
@@ -337,20 +310,6 @@ def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext) -> dict:
     ok = tree.sub_bmo_sq <= _UNIT_NORM_SQ
     out["induction"] = np.where(ok, _induction(tree, slice(None), out["mean_N"], ctx), np.nan)
     return out
-
-
-def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
-    """Conditional expectation at a generation: depth-m cells become leaves
-    carrying their averages."""
-    if depth < 0:
-        raise DomainError(f"truncation depth {depth} is negative")
-    kept = tree.depth <= depth
-    keep = np.flatnonzero(kept)
-    parent = (np.cumsum(kept) - 1)[tree.parent[keep]]
-    parent[0] = -1
-    leaf = (tree.size[keep] == 1) | (tree.depth[keep] == depth)
-    value = np.where(leaf, tree.mean[keep], np.nan)
-    return _from_arrays(tree.alpha, parent, tree.measure[keep], value, tree.depth[keep])
 
 
 def random_tree(alpha: float, rng: np.random.Generator, max_depth: int = 6) -> AlphaTree:

@@ -22,8 +22,12 @@ from bmoblo.concavity import chord_H
 from bmoblo.errors import DomainError, PreconditionError, ResourceError
 from bmoblo.geometry import AlphaContext, OmegaPoint, RegionId, shift_xy
 from bmoblo.trees import (
+    _UNIT_NORM_SQ,
     AlphaTree,
     TheoremMargins,
+    _chain_max,
+    _from_arrays,
+    _induction,
     _node_index,
     _subtree_mean,
     _subtree_min,
@@ -183,6 +187,46 @@ def reference_main_theorem(tree: AlphaTree, node, ctx: AlphaContext) -> TheoremM
         out.append((margin, norm - float(np.max(spread[under])), L, t))
     (margin_n, blo_n, L_n, t_n), (margin_m, blo_m, _, _) = out
     return TheoremMargins(margin_n, margin_m, blo_n, blo_m, L=L_n, t=t_n, norm=norm)
+
+
+def inf_maximal(tree: AlphaTree, node=None, kind: str = "natural") -> float:
+    """inf over the node of the maximal function.
+
+    Computed as the supremum of averages over the node's ancestors-or-self;
+    the tests check that the two descriptions agree.
+    """
+    return float(_chain_max(tree, kind)[_node_index(tree, node)])
+
+
+def verify_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
+    """Margin A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K (>= 0) from the
+    package's own induction step, at one node.
+
+    Requires the step function to have BMO norm at most 1 on the subtree
+    at K (the caller rescales otherwise).
+    """
+    i = _node_index(tree, node)
+    norm_sq = tree.sub_bmo_sq[i]
+    if norm_sq > _UNIT_NORM_SQ:
+        raise PreconditionError(
+            f"subtree BMO norm {math.sqrt(norm_sq)} exceeds 1; rescale first"
+        )
+    mean_n = _subtree_mean(tree, tree.anc_max[tree.leaf_idx])
+    return float(_induction(tree, i, mean_n, ctx)[0])
+
+
+def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
+    """Conditional expectation at a generation: depth-m cells become leaves
+    carrying their averages."""
+    if depth < 0:
+        raise DomainError(f"truncation depth {depth} is negative")
+    kept = tree.depth <= depth
+    keep = np.flatnonzero(kept)
+    parent = (np.cumsum(kept) - 1)[tree.parent[keep]]
+    parent[0] = -1
+    leaf = (tree.size[keep] == 1) | (tree.depth[keep] == depth)
+    value = np.where(leaf, tree.mean[keep], np.nan)
+    return _from_arrays(tree.alpha, parent, tree.measure[keep], value, tree.depth[keep])
 
 
 # ---------------------------------------------------------------------------

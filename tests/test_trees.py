@@ -5,21 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from bmoblo import trees
 from bmoblo.errors import DomainError, PreconditionError, StructureError
 from bmoblo.geometry import make_context
 from bmoblo.trees import (
     blo_norm,
     bmo_norm,
-    inf_maximal,
     maximal,
     random_tree,
     tree_from_json,
     tree_to_json,
-    truncate,
     validate,
     verify_all_nodes,
-    verify_induction,
     verify_main_theorem,
     with_leaf_values,
     _BadNode,
@@ -29,7 +25,13 @@ from bmoblo.trees import (
 )
 
 from conftest import comb_text
-from oracles import reference_induction, reference_main_theorem
+from oracles import (
+    inf_maximal,
+    reference_induction,
+    reference_main_theorem,
+    truncate,
+    verify_induction,
+)
 
 
 def _leaf(m, v):
