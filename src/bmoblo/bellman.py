@@ -67,6 +67,7 @@ _STEP_RTOL = 1e-13
 _MAX_PASSES = 100
 # Smallest normal float: the scale of B below which its digits run out.
 _TINY = np.finfo(float).tiny
+_SQRT3 = np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -357,10 +358,14 @@ def eval_A_arrays(x1, x2, L, ctx: AlphaContext):
 
 
 def eval_f(y):
-    """Cubic-irrational profile of the trace on the first chain cell."""
-    y = np.asarray(y, dtype=float)
-    r = np.sqrt(y * y + 3.0)
-    out = (2.0 * y**3 + 2.0 * y * y * r + 9.0 * y + 6.0 * r) / 27.0
+    """Cubic-irrational profile of the trace on the first chain cell,
+    f(y) = (2y^3 + 2y^2 r + 9y + 6r)/27 with r = sqrt(y^2 + 3).
+
+    Formed as z(1 + z^2)/2 from the arc slope z, as that sum cancels for
+    y << 0.
+    """
+    z = _arc_slope(y)
+    out = 0.5 * z * (1.0 + z * z)
     return out if out.ndim else float(out)
 
 
@@ -404,8 +409,15 @@ def eval_b(p, ctx: AlphaContext):
 
 
 def _arc_slope(eta):
-    """Segment parameter z = (eta + sqrt(eta^2 + 3)) / 3 on a cubic arc."""
-    return (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+    """Segment parameter z = (eta + r)/3 on a cubic arc, r = sqrt(eta^2 + 3).
+
+    For eta < 0 the sum cancels; there z is the equal 1/(r - eta), as
+    (eta + r)(r - eta) = 3, written 1/(r + |eta|) so that the branch not
+    taken never divides by zero.  hypot keeps r from overflowing.
+    """
+    eta = np.asarray(eta, dtype=float)
+    r = np.hypot(eta, _SQRT3)
+    return np.where(eta < 0.0, 1.0 / (r + np.abs(eta)), (eta + r) / 3.0)
 
 
 def eval_b_prime(v, ctx: AlphaContext):

@@ -1,5 +1,7 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -240,7 +242,42 @@ class TestEvalA:
             assert eval_A(OmegaPoint(x1, x1 * x1 + gap), L, ctx_quarter) >= L - 1e-12
 
 
+def _slope(eta):
+    """The cubic arc's z = (eta + r)/3, r = sqrt(eta^2 + 3), taken as the
+    equal 1/(r - eta) for eta < 0 (all eta here are at most 1)."""
+    r = np.hypot(eta, math.sqrt(3.0))
+    return np.where(eta < 0.0, 1.0 / (r - eta), (eta + r) / 3.0)
+
+
+def _decimal_b(p, ctx):
+    """b(p) from the paper's cubic f(y) = (2y^3 + 2y^2 r + 9y + 6r)/27 in
+    50-digit decimal arithmetic, on the context's float window constants
+    tau and p0 (so this measures the trace, not their rounding) and the
+    exact alpha^k."""
+    with decimal.localcontext() as dc:
+        dc.prec = 50
+        P, T, alpha = Decimal(p), Decimal(ctx.tau), Decimal(ctx.alpha)
+        if P >= 0:
+            return P + 1
+        k = int((-P / T).to_integral_value(rounding=decimal.ROUND_FLOOR))
+        if P < Decimal(ctx.p0) - (k + 1) * T:
+            return alpha ** (k + 1) * (P + (k + 1) * T + 1)
+        y = P + k * T + 1
+        r = (y * y + 3).sqrt()
+        return alpha**k * (2 * y**3 + 2 * y * y * r + 9 * y + 6 * r) / 27
+
+
 class TestTraces:
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_default_b_rows_against_decimal_cubic(self, n):
+        # The rows of `table --n N --kind b`; the cubic's own sum cancels
+        # for y << 0 and lost all digits by n = 30 in float arithmetic.
+        ctx = make_context(2.0**-n)
+        ps = np.union1d(-5 * ctx.tau + np.arange(141) * ctx.tau / 20, [0.0])
+        for p, got in zip(ps.tolist(), eval_b(ps, ctx).tolist()):
+            want = _decimal_b(p, ctx)
+            assert abs(Decimal(got) - want) <= Decimal("1e-11") * want, p
+
     def test_b_values(self, ctx_quarter):
         assert eval_b(0.0, ctx_quarter) == pytest.approx(1.0, abs=1e-15)
         assert eval_b(-1.5, ctx_quarter) == pytest.approx(0.25, abs=1e-14)
@@ -328,7 +365,7 @@ class TestTraces:
         use_f = p >= ctx.p0 - (k + 1.0) * ctx.tau
         eta = p + k * ctx.tau + 1.0
         b = np.where(use_f, ak * eval_f(eta), ak * alpha * (p + (k + 1.0) * ctx.tau + 1.0))
-        z = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        z = _slope(eta)
         b_prime = np.where(use_f, ak * z * z, ak * alpha)
         live = ak > 0.0
         assert 0 < live.sum() < p.size
@@ -360,7 +397,7 @@ class TestTraces:
         v, k, ak = v[live], k[live], ak[live]
         use_f = v >= ctx.p0 - (k + 1.0) * ctx.tau
         eta = v + k * ctx.tau + 1.0
-        z_odd = (eta + np.sqrt(eta * eta + 3.0)) / 3.0
+        z_odd = _slope(eta)
         c = v + ((k + 1.0) * ctx.tau + 1.0)
         z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
         s, u = gamma1_foliation(v, ctx)
