@@ -359,11 +359,8 @@ def eval_A_arrays(x1, x2, L, ctx: AlphaContext):
 
 def eval_f(y):
     """Cubic-irrational profile of the trace on the first chain cell,
-    f(y) = (2y^3 + 2y^2 r + 9y + 6r)/27 with r = sqrt(y^2 + 3).
-
-    Formed as z(1 + z^2)/2 from the arc slope z, as that sum cancels for
-    y << 0.
-    """
+    f(y) = (2y^3 + 2y^2 r + 9y + 6r)/27, r = sqrt(y^2 + 3), formed as
+    z(1 + z^2)/2 from the arc slope z, since that sum cancels for y << 0."""
     z = _arc_slope(y)
     out = 0.5 * z * (1.0 + z * z)
     return out if out.ndim else float(out)

@@ -18,8 +18,10 @@ Two executable facts drive the verification:
     function has BMO norm at most 1 on the subtree.
 
 A tree is held as preorder arrays, in which the subtree of node i is the
-slice [i, i + size[i]).  It enters only as a JSON document (tree_from_json)
-or from another tree's arrays.
+slice [i, i + size[i]).  It enters only as a JSON document or from another
+tree's arrays.  tree_from_json reads a document in one json.loads pass,
+with an object hook that turns each node into array rows as it is parsed
+and names the first bad node in preorder.
 """
 
 from __future__ import annotations
@@ -492,7 +494,7 @@ def tree_from_json(obj) -> AlphaTree:
     start = post - kept + 1
     depth = np.cumsum(np.bincount(start, minlength=len(kept))) - post - 1
     pre = start + depth
-    slot = np.full(n, -1)
+    slot = np.full(n, -1, dtype=np.int64)
     slot[rows] = pre
     up = slot[ups[rows]]
     up[-1] = -1  # the root, last in postorder
