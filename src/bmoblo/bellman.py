@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import (
+    TOL,
     AlphaContext,
     OmegaPoint,
     RegionId,
@@ -252,7 +253,7 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
     that meets one.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
+    x2 = np.atleast_1d(clamp_gap(x1, x2))
     out = {"value": np.empty_like(x1), "grad1": np.empty_like(x1),
            "grad2": np.empty_like(x1), "region": np.empty(x1.shape, dtype=np.int64),
            **{name: np.full_like(x1, np.nan) for name in "szuv"},
@@ -294,7 +295,7 @@ def _eval_block(x1, x2, ctx: AlphaContext, out):
         z, s, u, v, val, out["underflow"][chain] = _chain(code[chain], c1, c2, ctx)
         # Points on the lower parabola carry B = 0 exactly; the generic
         # formula only reproduces this up to rounding in u.
-        on_gamma0 = (c2 - c1 ** 2) <= ctx.tol
+        on_gamma0 = (c2 - c1 ** 2) <= TOL
         value[chain] = np.where(on_gamma0, 0.0, val)
         grad1[chain] = -u * s
         grad2[chain] = 0.5 * s
@@ -322,16 +323,16 @@ def solve_s(x: OmegaPoint, ctx: AlphaContext) -> Foliation:
     """
     region = classify(x, ctx)
     if not region.is_chain:
-        # 2*tol, not tol: classify's own boundary comparison rounds, and a
+        # 2*TOL, not TOL: classify's own boundary comparison rounds, and a
         # point a few ulps above x2 = 1 must not fall through the crack.
-        on_ell1 = abs(x.x2 - 1.0) <= 2.0 * ctx.tol and -1.0 - ctx.tol <= x.x1 <= ctx.tol
+        on_ell1 = abs(x.x2 - 1.0) <= 2.0 * TOL and -1.0 - TOL <= x.x1 <= TOL
         if not on_ell1:
             raise DomainError(f"{x} lies in {region}, not in the chain cells")
         region = RegionId.omega(1)
     m = region.index
     # Fold the clamped point, as eval_arrays does.
     x1 = np.array([x.x1], dtype=float)
-    z, sv, u, v, _, _ = _chain(m, x1, clamp_gap(x1, x.x2, ctx), ctx)
+    z, sv, u, v, _, _ = _chain(m, x1, clamp_gap(x1, x.x2), ctx)
     z, sv, u, v = float(z[0]), float(sv[0]), float(u[0]), float(v[0])
     xi = v - u
     vplus = v + 1.0 / xi - xi
@@ -515,7 +516,7 @@ def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
     if k < 0 or k != int(k):
         raise DomainError(f"cut index must be a non-negative integer, got {k!r}")
     y1, y2 = shift_xy(L, x.x1, x.x2)
-    y2 = float(clamp_gap(y1, y2, ctx))
+    y2 = float(clamp_gap(y1, y2))
     if k == 0:
         return L + float(_majorant_zero(y1, y2))
     code = int(classify_codes(y1, y2, ctx)[0])

@@ -42,13 +42,11 @@ def _fmt(x: float) -> str:
     return format(float(x), _FMT)
 
 
-def _add_common(p: argparse.ArgumentParser, need_alpha: bool = True, need_tol: bool = True):
+def _add_common(p: argparse.ArgumentParser, need_alpha: bool = True):
     if need_alpha:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--alpha", type=float, help="splitting parameter in (0, 1/2]")
         g.add_argument("--n", type=int, help="dyadic dimension; alpha = 2^-n")
-    if need_tol:
-        p.add_argument("--tol", type=float, default=1e-12, help="membership tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
@@ -57,7 +55,7 @@ def _context(args):
     if args.alpha is None and not 1 <= args.n <= _MAX_N:
         raise DomainError(f"--n must lie in 1..{_MAX_N}, got {args.n}")
     alpha = 2.0 ** (-args.n) if args.alpha is None else args.alpha
-    return make_context(alpha, tol=args.tol)
+    return make_context(alpha)
 
 
 def _emit(text: str, args) -> None:
@@ -207,7 +205,6 @@ def _read_utf8(path: str) -> str:
 
 
 def cmd_tree(args) -> int:
-    ctx_tol = args.tol
     try:
         # No reference to the text is kept here, so it is freed once parsed.
         tree = trees_mod.tree_from_json(_read_utf8(args.path))
@@ -219,7 +216,7 @@ def cmd_tree(args) -> int:
         if isinstance(exc, (BmobloError, json.JSONDecodeError)):
             raise
         raise StructureError(args.path, "an integer literal has too many digits") from None
-    ctx = make_context(tree.alpha, tol=ctx_tol)
+    ctx = make_context(tree.alpha)
     norm = trees_mod.bmo_norm(tree)
     work = tree
     if norm > 1.0:
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     ptr.set_defaults(func=cmd_tree)
 
     po = sub.add_parser("optimizer", help="norm-optimizer convergence table")
-    _add_common(po, need_alpha=False, need_tol=False)
+    _add_common(po, need_alpha=False)
     po.add_argument("--jmax", type=int, default=12)
     po.add_argument("--depth", type=int, default=24)
     po.set_defaults(func=cmd_optimizer)

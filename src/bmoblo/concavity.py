@@ -34,7 +34,7 @@ from .bellman import (
     gamma1_foliation,
 )
 from .errors import DomainError
-from .geometry import AlphaContext, OmegaPoint, classify_codes, in_omega
+from .geometry import TOL, AlphaContext, OmegaPoint, classify_codes, in_omega
 
 FAMILIES = ("chords", "dirder", "chord_H")
 
@@ -118,12 +118,12 @@ def chord_margin(
     endpoints maps beta to 1 - beta without changing the margin, so any
     beta in [alpha, 1 - alpha] is accepted.
     """
-    if not (ctx.alpha - ctx.tol <= beta <= 1.0 - ctx.alpha + ctx.tol):
+    if not (ctx.alpha - TOL <= beta <= 1.0 - ctx.alpha + TOL):
         raise DomainError(f"beta={beta} outside [alpha, 1-alpha]")
     m1 = (1.0 - beta) * xminus.x1 + beta * xplus.x1
     m2 = (1.0 - beta) * xminus.x2 + beta * xplus.x2
     for pt in (xminus, xplus, OmegaPoint(m1, m2)):
-        if not bool(np.all(in_omega(pt.x1, pt.x2, ctx))):
+        if not bool(np.all(in_omega(pt.x1, pt.x2))):
             raise DomainError(f"chord point ({pt.x1}, {pt.x2}) leaves the strip")
     return float(_chord_margins_vec(xminus.x1, xminus.x2, xplus.x1, xplus.x2, beta, ctx)[0])
 
@@ -157,7 +157,7 @@ def check_C2(p: float, q: float, ctx: AlphaContext) -> float:
 
     Non-negative for all |p - q| <= tau; symmetric in swapping p and q.
     """
-    if abs(p - q) > ctx.tau + ctx.tol:
+    if abs(p - q) > ctx.tau + TOL:
         raise DomainError(f"|p - q| = {abs(p - q)} exceeds tau = {ctx.tau}")
     return float(_dirder_margins_vec(np.float64(p), np.float64(q), ctx))
 
@@ -176,7 +176,7 @@ def chord_H(p: float, q: float, ctx: AlphaContext) -> float:
     |q - p| <= tau guarantees R stays in the strip, since
     r2 - r1^2 = 1 - (p - q)^2 / tau^2.
     """
-    if abs(p - q) > ctx.tau + ctx.tol:
+    if abs(p - q) > ctx.tau + TOL:
         raise DomainError(f"|p - q| = {abs(p - q)} exceeds tau = {ctx.tau}")
     return float(np.ravel(_chord_H_vec(np.float64(p), np.float64(q), ctx))[0])
 
@@ -307,7 +307,7 @@ def hessian_grid(x1, x2, ctx: AlphaContext, h_scale: float = 1e-4):
     off2 = np.array([0, 0, -1, 1])
     pts1 = x1[None, :] + off1[:, None] * h[None, :]
     pts2 = x2[None, :] + off2[:, None] * h[None, :]
-    inside = in_omega(pts1, pts2, ctx).all(axis=0)
+    inside = in_omega(pts1, pts2).all(axis=0)
     ok_idx = np.flatnonzero(inside)
     g1 = np.full(pts1.shape, np.nan)
     g2 = np.full(pts1.shape, np.nan)
@@ -337,7 +337,7 @@ def gradient_grid(x1, x2, ctx: AlphaContext, h: float = 1e-6):
     off2 = np.array([0, 0, -1, 1])
     pts1 = x1[None, :] + off1[:, None] * h
     pts2 = x2[None, :] + off2[:, None] * h
-    inside = in_omega(pts1, pts2, ctx).all(axis=0)
+    inside = in_omega(pts1, pts2).all(axis=0)
     ok_idx = np.flatnonzero(inside)
     vals = np.full(pts1.shape, np.nan)
     regions = np.full(pts1.shape, -99, dtype=np.int64)

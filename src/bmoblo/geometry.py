@@ -31,20 +31,21 @@ import numpy as np
 from .errors import DomainError
 
 
+# Absolute rounding guard on strip membership and on the region boundaries.
+TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class AlphaContext:
     """Fixed alpha in (0, 1/2] together with its derived constants.
 
     tau is the quasi-period of the region chain, p0 the abscissa of the
     rightmost chord knot on Gamma1, p_k = p0 - k*tau the subsequent knots.
-    tol is the absolute tolerance used for strip membership and as the
-    bracket slack of the foliation root solver.
     """
 
     alpha: float
     tau: float
     p0: float
-    tol: float = 1e-12
 
     @property
     def sqrt_alpha(self) -> float:
@@ -64,18 +65,15 @@ class AlphaContext:
         return -2.0 * self.tau * x1 - self.tau * self.tau + 1.0
 
 
-def make_context(alpha: float, tol: float = 1e-12) -> AlphaContext:
+def make_context(alpha: float) -> AlphaContext:
     """Build the constant pack for a splitting parameter alpha in (0, 1/2]."""
     alpha = float(alpha)
     if not (0.0 < alpha <= 0.5) or not math.isfinite(alpha):
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha!r}")
-    tol = float(tol)
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
     r = math.sqrt(alpha)
     tau = 1.0 / r - r
     p0 = 0.5 * r + 0.5 / r - 1.0
-    return AlphaContext(alpha=alpha, tau=tau, p0=p0, tol=tol)
+    return AlphaContext(alpha=alpha, tau=tau, p0=p0)
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,6 @@ class OmegaPoint:
     def gap(self) -> float:
         """Height above the lower parabola, x2 - x1^2 (in [0, 1] on Omega)."""
         return self.x2 - self.x1 * self.x1
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x1, self.x2)
 
 
 @dataclass(frozen=True, order=True)
@@ -154,23 +149,14 @@ def shift_xy(a, x1, x2):
     return x1 - a, x2 - 2.0 * a * x1 + a * a
 
 
-def strip_violation(x1, x2):
-    """Signed violations (lower, upper) of the strip inequalities.
-
-    Positive entries mean the corresponding inequality x1^2 <= x2 (lower)
-    or x2 <= x1^2 + 1 (upper) fails by that amount.
-    """
+def in_omega(x1, x2):
+    """Whether x1^2 <= x2 <= x1^2 + 1 holds up to TOL, elementwise."""
     gap = x2 - np.asarray(x1) * np.asarray(x1)
-    return -gap, gap - 1.0
+    return (-gap <= TOL) & (gap - 1.0 <= TOL)
 
 
-def in_omega(x1, x2, ctx: AlphaContext):
-    low, high = strip_violation(x1, x2)
-    return (low <= ctx.tol) & (high <= ctx.tol)
-
-
-def clamp_gap(x1, x2, ctx: AlphaContext):
-    """Clamp x2 onto the strip when within tol of it; raise otherwise.
+def clamp_gap(x1, x2):
+    """Clamp x2 onto the strip when within TOL of it; raise otherwise.
 
     Returns the clamped x2 (array or scalar).  Downstream root solvers rely
     on inputs being exactly representable inside their brackets, and the
@@ -186,18 +172,18 @@ def clamp_gap(x1, x2, ctx: AlphaContext):
         raise DomainError(f"point ({x1b}, {x2b}) is not finite")
     with np.errstate(over="ignore"):  # an overflowing x1^2 fails the test below
         gap = x2 - x1 * x1
-    bad_low = gap < -ctx.tol
-    bad_high = gap > 1.0 + ctx.tol
+    bad_low = gap < -TOL
+    bad_high = gap > 1.0 + TOL
     if np.any(bad_low) or np.any(bad_high):
         i = int(np.argmax(bad_low | bad_high))
         x1b = float(np.ravel(x1)[i] if x1.ndim else x1)
         x2b = float(np.ravel(x2)[i] if x2.ndim else x2)
         if np.ravel(bad_low)[i]:
             raise DomainError(
-                f"point ({x1b}, {x2b}) violates x2 >= x1^2 by more than tol={ctx.tol}"
+                f"point ({x1b}, {x2b}) violates x2 >= x1^2 by more than tol={TOL}"
             )
         raise DomainError(
-            f"point ({x1b}, {x2b}) violates x2 <= x1^2 + 1 by more than tol={ctx.tol}"
+            f"point ({x1b}, {x2b}) violates x2 <= x1^2 + 1 by more than tol={TOL}"
         )
     return x1 * x1 + np.clip(gap, 0.0, 1.0)
 
@@ -206,7 +192,7 @@ def classify_codes(x1, x2, ctx: AlphaContext):
     """Vector region classifier.
 
     Returns integer codes: -1 for Omega_plus, 0 for Omega_0, m >= 1 for
-    Omega_m.  Boundary points (within tol of several regions) receive the
+    Omega_m.  Boundary points (within TOL of several regions) receive the
     smallest applicable index.  The pair of cells 2g+1, 2g+2 lies over
     x1 in [-g tau - tau - 1, -g tau], so each chain point's frame tests
     start at the first pair that reaches within tau/4 of it and move right
@@ -214,12 +200,11 @@ def classify_codes(x1, x2, ctx: AlphaContext):
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
-    tol = ctx.tol
+    x2 = np.atleast_1d(clamp_gap(x1, x2))
     code = np.full(x1.shape, -2, dtype=np.int64)
 
-    code[x1 >= -tol] = RegionId.PLUS_INDEX
-    zero_mask = (code == -2) & (x2 <= 1.0 + tol)
+    code[x1 >= -TOL] = RegionId.PLUS_INDEX
+    zero_mask = (code == -2) & (x2 <= 1.0 + TOL)
     code[zero_mask] = RegionId.ZERO_INDEX
 
     idx = np.flatnonzero(code == -2)
@@ -230,15 +215,15 @@ def classify_codes(x1, x2, ctx: AlphaContext):
                 f"alpha={ctx.alpha}: tau^2 overflows, so no chain cell can be evaluated"
             )
         # Pair g holds only points with -g tau - tau - 1 <= x1 <= -g tau (up
-        # to tol).  Where x1 + g tau <= -tau - 1 - eta, both frame tests fail
-        # by at least 2 eta + eta^2, which with eta = tau/4 + tol exceeds tol
+        # to TOL).  Where x1 + g tau <= -tau - 1 - eta, both frame tests fail
+        # by at least 2 eta + eta^2, which with eta = tau/4 + TOL exceeds TOL
         # and the rounding of the shift (about 1.5e-15 x1^2) for |x1| < 6e6 tau.
         # So the scan starts at the first pair right of that, and its first
         # match is the one a scan from g = 0 finds.  From pair 2^53 on, g tau
         # is not exact and the shift keeps no digit of x2 - x1^2: such points
         # fail the search.
         x1r, x2r = x1[idx], x2[idx]
-        eta = 0.25 * ctx.tau + tol
+        eta = 0.25 * ctx.tau + TOL
         start = np.floor((-x1r - ctx.tau - 1.0 - eta) / ctx.tau) + 1.0
         reach = start < 2.0**53
         idx, x1r, x2r = idx[reach], x1r[reach], x2r[reach]
@@ -250,18 +235,18 @@ def classify_codes(x1, x2, ctx: AlphaContext):
             # tangent line dips below the upper parabola right of -tau, so
             # the frame tests cap the abscissa (and the strip membership,
             # already guaranteed, caps the corner slivers by Gamma_1).
-            left = y1 <= tol
+            left = y1 <= TOL
             chord = ctx.chord_line(y1)
-            in_omega1 = left & (y2 >= 1.0 - tol) & (y2 <= chord + tol)
+            in_omega1 = left & (y2 >= 1.0 - TOL) & (y2 <= chord + TOL)
             in_omega2 = (
                 (~in_omega1)
                 & left
-                & (y2 >= chord - tol)
-                & ((y2 <= ctx.tangent_line(y1) + tol) | (y1 >= -ctx.tau - tol))
+                & (y2 >= chord - TOL)
+                & ((y2 <= ctx.tangent_line(y1) + TOL) | (y1 >= -ctx.tau - TOL))
             )
             code[idx[in_omega1]] = 2 * g[in_omega1] + 1
             code[idx[in_omega2]] = 2 * g[in_omega2] + 2
-            # y1 grows with g and every frame test needs y1 <= tol, so a
+            # y1 grows with g and every frame test needs y1 <= TOL, so a
             # point right of its frame has no pair left to match.
             keep = left & ~(in_omega1 | in_omega2)
             idx, x1r, x2r, g = idx[keep], x1r[keep], x2r[keep], g[keep] + 1

@@ -93,10 +93,6 @@ class Enclosure:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def __add__(self, c: float) -> "Enclosure":
         return Enclosure(self.lo + c, self.hi + c)
 

@@ -77,8 +77,8 @@ class AlphaTree:
         return len(self.parent)
 
 
-def _from_arrays(alpha, parent, measure, value, depth, check=False) -> AlphaTree:
-    """The tree on trusted preorder arrays; check=True validates the axioms."""
+def _from_arrays(alpha, parent, measure, value, depth) -> AlphaTree:
+    """The validated tree on preorder arrays."""
     tree = AlphaTree()
     tree.alpha = float(alpha)
     tree.parent, tree.measure, tree.value, tree.depth = parent, measure, value, depth
@@ -89,8 +89,7 @@ def _from_arrays(alpha, parent, measure, value, depth, check=False) -> AlphaTree
     tree._levels = [(sel[::-1], parent[sel[::-1]]) for sel in reversed(by_level[1:])]
     tree.size = _fold_up(tree, np.ones(len(parent), dtype=np.int64), np.add)
     tree.leaf_idx = np.flatnonzero(tree.size == 1)
-    if check:
-        validate(tree)
+    validate(tree)
     tree._aggregate()
     return tree
 
@@ -342,7 +341,7 @@ def random_tree(alpha: float, rng: np.random.Generator, max_depth: int = 6) -> A
             build(i, path + [f])
 
     build(-1, [])
-    tree = _from_arrays(alpha, *map(np.array, (parent, measure, value, depth)), check=True)
+    tree = _from_arrays(alpha, *map(np.array, (parent, measure, value, depth)))
     for _ in range(64):
         if bmo_norm(tree) >= 1e-6:
             break
@@ -384,7 +383,8 @@ def tree_from_json(obj) -> AlphaTree:
 
     `obj` is the document as text (str or bytes); a parsed document is
     written back to text with json.dumps and read the same way, so one
-    nested too deeply for json raises RecursionError as its text does.
+    nested too deeply for json raises RecursionError as its text does, and
+    one that JSON cannot represent is a StructureError.
     json calls the hook on each object as soon as it is parsed, innermost
     first, so objects arrive in postorder.  The hook stores each one as a
     row (measure, value, subtree size, parent), sets its children's parent
@@ -393,7 +393,10 @@ def tree_from_json(obj) -> AlphaTree:
     the first bad node in preorder.
     """
     if not isinstance(obj, (str, bytes)):
-        obj = json.dumps(obj)
+        try:
+            obj = json.dumps(obj)
+        except (TypeError, ValueError) as exc:  # an unknown type, a circular reference
+            raise StructureError("root", f"document is not JSON: {exc}") from None
     measure, value, size, parent = array("d"), array("d"), array("q"), array("q")
     add_measure, add_value, add_size, add_parent = (
         measure.append, value.append, size.append, parent.append
@@ -517,7 +520,7 @@ def tree_from_json(obj) -> AlphaTree:
             i, k, message = first
             path = _path(arrays[0], int(slot[i]))
             raise StructureError(path if k is None else f"{path}/{k}", message)
-    return _from_arrays(alpha, *arrays, check=True)
+    return _from_arrays(alpha, *arrays)
 
 
 def tree_to_json(tree: AlphaTree) -> dict:

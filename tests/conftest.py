@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bmoblo.geometry import make_context
+from bmoblo.geometry import TOL, make_context
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def boundary_points(ctx, pairs=8):
                 x2.append(line + o - 2.0 * g * t * y + g * g * t * t)
     x1, x2 = np.concatenate(x1), np.concatenate(x2)
     gap = x2 - x1 * x1
-    keep = (gap >= -ctx.tol) & (gap <= 1.0 + ctx.tol)
+    keep = (gap >= -TOL) & (gap <= 1.0 + TOL)
     return x1[keep], x2[keep]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from bmoblo.bellman import eval_A_arrays, eval_B, eval_F
 from bmoblo.concavity import chord_H
 from bmoblo.errors import DomainError, PreconditionError, ResourceError
-from bmoblo.geometry import AlphaContext, OmegaPoint, RegionId, shift_xy
+from bmoblo.geometry import TOL, AlphaContext, OmegaPoint, RegionId, shift_xy
 from bmoblo.trees import (
     _UNIT_NORM_SQ,
     AlphaTree,
@@ -277,7 +277,7 @@ def envelope_point(s: float, region: RegionId, ctx: AlphaContext) -> OmegaPoint:
     """
     a = ctx.alpha
     if region.index == 1:
-        if not (ctx.sqrt_alpha - ctx.tol <= s <= 1.0 + ctx.tol):
+        if not (ctx.sqrt_alpha - TOL <= s <= 1.0 + TOL):
             raise DomainError(
                 f"envelope parameter {s} outside [sqrt(alpha), 1] for Omega_1"
             )
@@ -285,7 +285,7 @@ def envelope_point(s: float, region: RegionId, ctx: AlphaContext) -> OmegaPoint:
         x2 = -(2.0 - 3.0 * s - 6.0 * s**3 + 6.0 * s**4 - 3.0 * s**5) / (4.0 * s**3)
         return OmegaPoint(x1, x2)
     if region.index == 2:
-        if not (a - ctx.tol <= s <= ctx.sqrt_alpha + ctx.tol):
+        if not (a - TOL <= s <= ctx.sqrt_alpha + TOL):
             raise DomainError(
                 f"envelope parameter {s} outside [alpha, sqrt(alpha)] for Omega_2"
             )
@@ -315,9 +315,9 @@ def w_surface(xi: float, theta: float, ctx: AlphaContext, vregion: int = 2) -> f
     (where R hits the lower parabola and the recursion b(v) = alpha b(v+tau)
     applies); for vregion = 1 the theta = 0 edge is strictly positive.
     """
-    if not (ctx.sqrt_alpha - ctx.tol <= xi <= 1.0 + ctx.tol):
+    if not (ctx.sqrt_alpha - TOL <= xi <= 1.0 + TOL):
         raise DomainError(f"xi={xi} outside [sqrt(alpha), 1]")
-    if not (-ctx.tol <= theta <= 1.0 + ctx.tol):
+    if not (-TOL <= theta <= 1.0 + TOL):
         raise DomainError(f"theta={theta} outside [0, 1]")
     if vregion == 1:
         v = 0.5 * (3.0 * xi - 1.0 / xi) - 1.0

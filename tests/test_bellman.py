@@ -24,7 +24,7 @@ from bmoblo.bellman import (
     solve_s,
 )
 from bmoblo.errors import ConvergenceError, DomainError
-from bmoblo.geometry import OmegaPoint, RegionId, classify, make_context, shift
+from bmoblo.geometry import TOL, OmegaPoint, RegionId, classify, make_context, shift
 
 from conftest import boundary_points, sample_strip
 from oracles import fd_gradient
@@ -518,7 +518,7 @@ def _majorant_reference(x, L, k, ctx):
     from bmoblo.geometry import clamp_gap, classify_codes, shift_xy
 
     y1, y2 = shift_xy(L, x.x1, x.x2)
-    y2 = float(clamp_gap(y1, y2, ctx))
+    y2 = float(clamp_gap(y1, y2))
     if k == 0:
         value = L + float(_majorant_zero(y1, y2))
         return value, abs(value)
@@ -675,7 +675,7 @@ class TestBoundaryPoints:
     def test_every_boundary_point_evaluates(self, alpha, rng):
         ctx = make_context(alpha)
         x1, x2 = boundary_points(ctx)
-        on_gamma1 = np.abs(x2 - x1 * x1 - 1.0) <= ctx.tol
+        on_gamma1 = np.abs(x2 - x1 * x1 - 1.0) <= TOL
         value = eval_arrays(x1, x2, ctx)["value"]
         assert np.all(np.isfinite(value))
         assert np.max(np.abs(value[on_gamma1] - eval_b(x1[on_gamma1], ctx))) <= 1e-12
@@ -751,7 +751,7 @@ def _eval_arrays_reference(x1, x2, ctx):
     from bmoblo.geometry import clamp_gap, classify_codes
 
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
+    x2 = np.atleast_1d(clamp_gap(x1, x2))
     code = classify_codes(x1, x2, ctx)
     value = np.empty_like(x1)
     grad1 = np.empty_like(x1)
@@ -776,7 +776,7 @@ def _eval_arrays_reference(x1, x2, ctx):
     chain = code >= 1
     if np.any(chain):
         z, s, u, v, val, under[chain] = bellman._chain(code[chain], x1[chain], x2[chain], ctx)
-        on_gamma0 = (x2[chain] - x1[chain] ** 2) <= ctx.tol
+        on_gamma0 = (x2[chain] - x1[chain] ** 2) <= TOL
         value[chain] = np.where(on_gamma0, 0.0, val)
         grad1[chain] = -u * s
         grad2[chain] = 0.5 * s

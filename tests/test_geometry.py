@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bmoblo import geometry
 from bmoblo.errors import DomainError
 from bmoblo.geometry import (
+    TOL,
     OmegaPoint,
     RegionId,
     clamp_gap,
@@ -141,8 +142,8 @@ def _classify_reference(x1, x2, ctx):
     """Region codes by the scan over cell pairs from g = 0 that the
     classifier used before it learned to start at a point's own pair."""
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(clamp_gap(x1, x2, ctx))
-    tol = ctx.tol
+    x2 = np.atleast_1d(clamp_gap(x1, x2))
+    tol = TOL
     code = np.full(x1.shape, -2, dtype=np.int64)
     code[x1 >= -tol] = RegionId.PLUS_INDEX
     code[(code == -2) & (x2 <= 1.0 + tol)] = RegionId.ZERO_INDEX
@@ -205,13 +206,13 @@ class TestClassifyReference:
 
 
 class TestClampGap:
-    def test_message_names_the_inequality_of_the_named_point(self, ctx_quarter):
+    def test_message_names_the_inequality_of_the_named_point(self):
         # The first offending point is above the strip, a later one below it.
         x1, x2 = np.array([0.0, -0.5]), np.array([1.5, 0.1])
         with pytest.raises(DomainError, match=r"^point \(0\.0, 1\.5\) violates x2 <= x1\^2 \+ 1"):
-            clamp_gap(x1, x2, ctx_quarter)
+            clamp_gap(x1, x2)
         with pytest.raises(DomainError, match=r"^point \(-0\.5, 0\.1\) violates x2 >= x1\^2"):
-            clamp_gap(x1[::-1], x2[::-1], ctx_quarter)
+            clamp_gap(x1[::-1], x2[::-1])
 
 
 class TestNonFinite:
@@ -220,7 +221,7 @@ class TestNonFinite:
     )
     def test_clamp_gap_names_the_point(self, ctx_quarter, x1, x2):
         with pytest.raises(DomainError, match=r"is not finite") as exc:
-            clamp_gap(np.array([-1.0, x1]), np.array([1.5, x2]), ctx_quarter)
+            clamp_gap(np.array([-1.0, x1]), np.array([1.5, x2]))
         assert f"({x1}, {x2})" in str(exc.value)
         with pytest.raises(DomainError, match=r"is not finite"):
             classify(OmegaPoint(x1, x2), ctx_quarter)

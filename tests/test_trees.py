@@ -55,7 +55,7 @@ def comb_tree(depth):
     value[1::2] = 1.0
     value[-1] = -1.0
     levels = np.concatenate([[0], np.repeat(np.arange(1, depth + 1), 2)])
-    return _from_arrays(0.5, parent, measure, value, levels, check=True)
+    return _from_arrays(0.5, parent, measure, value, levels)
 
 
 def dyadic_tree(values, alpha=0.5):
@@ -361,6 +361,22 @@ class TestJson:
         for key in ("parent", "measure", "value", "depth"):
             assert np.array_equal(getattr(again, key), getattr(tree, key), equal_nan=True), key
 
+    def test_document_json_cannot_write(self):
+        # A parsed document is read through its json.dumps text.
+        cyclic = {"alpha": 0.5}
+        cyclic["root"] = cyclic
+        cases = [
+            (
+                {"alpha": 0.5, "root": {"measure": np.int64(1), "value": 0.0}},
+                "Object of type int64 is not JSON serializable",
+            ),
+            (cyclic, "Circular reference detected"),
+        ]
+        for doc, cause in cases:
+            with pytest.raises(StructureError) as exc:
+                tree_from_json(doc)
+            assert str(exc.value) == f"root: document is not JSON: {cause}"
+
     def test_two_leaf_document(self):
         doc = {
             "alpha": 0.5,
@@ -646,7 +662,7 @@ def _reference_tree_from_json(obj):
     except _BadNode as exc:
         raise StructureError("root", str(exc)) from None
     arrays = _reference_walk(obj["root"], _reference_read_json_node)
-    return _from_arrays(alpha, *arrays, check=True)
+    return _from_arrays(alpha, *arrays)
 
 
 def _ingest(read, doc):
@@ -757,7 +773,7 @@ def _balanced_text():
     value = np.full(n, np.nan)
     value[n // 2 :] = rng.normal(size=n - n // 2)
     # (0 - 1) // 2 == -1 marks the root.
-    tree = _from_arrays(0.5, (idx - 1) // 2, np.ldexp(1.0, -depth), value, depth, check=True)
+    tree = _from_arrays(0.5, (idx - 1) // 2, np.ldexp(1.0, -depth), value, depth)
     return json.dumps(tree_to_json(tree))
 
 
