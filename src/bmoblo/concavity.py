@@ -34,7 +34,7 @@ from .bellman import (
     gamma1_foliation,
 )
 from .errors import DomainError
-from .geometry import TOL, AlphaContext, OmegaPoint, classify_codes, in_omega
+from .geometry import TOL, AlphaContext, OmegaPoint, in_omega
 
 FAMILIES = ("chords", "dirder", "chord_H")
 
