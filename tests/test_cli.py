@@ -637,6 +637,15 @@ class TestOptimizer:
         lo, hi = rows[0]["mean_N"]
         assert lo <= 0.7071067811865475 <= hi
 
+    @pytest.mark.parametrize("tol", ["nan", "1e-12"])
+    def test_tol_is_not_an_option(self, capsys, tol):
+        # Rejected as an unknown option whatever its value, even one that
+        # would not parse as a valid tolerance.
+        code, out, err = run(capsys, ["optimizer", "--jmax", "2", f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
     @pytest.mark.parametrize("jmax,depth", [(1, 64), (3, 70)])
     def test_depth_above_63_is_a_domain_error(self, capsys, jmax, depth):
         code, out, err = run(
