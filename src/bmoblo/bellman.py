@@ -50,6 +50,7 @@ from .geometry import (
     AlphaContext,
     OmegaPoint,
     RegionId,
+    _classify_clamped,
     clamp_gap,
     classify,
     classify_codes,
@@ -267,7 +268,7 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
 def _eval_block(x1, x2, ctx: AlphaContext, out):
     """eval_arrays on clamped points, written into the views `out` of its
     fields (segment data pre-filled with NaN, underflow with False)."""
-    code = classify_codes(x1, x2, ctx)
+    code = _classify_clamped(x1, x2, ctx)
     out["region"][...] = code
     value, grad1, grad2 = out["value"], out["grad1"], out["grad2"]
 
@@ -432,11 +433,27 @@ def eval_b_prime(v, ctx: AlphaContext):
     out[pos] = 1.0
     neg = ~pos
     if np.any(neg):
-        vn = v[neg]
-        k, use_f, ak, eta = _b_window(vn, ctx)
-        z = _arc_slope(eta)
-        out[neg] = np.where(use_f, ak * z * z, ak * ctx.alpha)
+        # b' takes no affine-arc root, whose c * c overflows for alpha < 2^-1022.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[neg] = _gamma1_arcs(v[neg], ctx)[0]
     return float(out[0]) if scalar else out
+
+
+def _gamma1_arcs(v, ctx: AlphaContext, with_u: bool = False):
+    """b'(v) and the segment parameter s through (v, v^2 + 1) for v < 0, and
+    with_u its lower end u, from one window split: b' = alpha^k z^2,
+    s = alpha^k z, u = v - z on the cubic arcs; b' = alpha^(k+1),
+    s = alpha^(k+1) z, u = v - 1/z on the affine ones."""
+    k, use_f, ak, eta = _b_window(v, ctx)
+    z_odd = _arc_slope(eta)
+    # c leaves its window [1, p0 + 1) where alpha^k underflows, as eta does: hold it at 1.
+    c = np.where(ak > 0.0, v + ((k + 1.0) * ctx.tau + 1.0), 1.0)
+    z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
+    b_prime = np.where(use_f, ak * z_odd * z_odd, ak * ctx.alpha)
+    s = np.where(use_f, ak * z_odd, ak * ctx.alpha * z_even)
+    if not with_u:
+        return b_prime, s
+    return b_prime, s, np.where(use_f, v - z_odd, v - 1.0 / z_even)
 
 
 def gamma1_foliation(v, ctx: AlphaContext):
@@ -460,14 +477,7 @@ def gamma1_foliation(v, ctx: AlphaContext):
         u[pos] = v[pos] - z
     neg = ~pos
     if np.any(neg):
-        vn = v[neg]
-        k, use_f, ak, eta = _b_window(vn, ctx)
-        z_odd = _arc_slope(eta)
-        # c leaves its window [1, p0 + 1) where alpha^k underflows, as eta does: hold it at 1.
-        c = np.where(ak > 0.0, vn + ((k + 1.0) * ctx.tau + 1.0), 1.0)
-        z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
-        s[neg] = np.where(use_f, ak * z_odd, ak * ctx.alpha * z_even)
-        u[neg] = np.where(use_f, vn - z_odd, vn - 1.0 / z_even)
+        _, s[neg], u[neg] = _gamma1_arcs(v[neg], ctx, with_u=True)
     if scalar:
         return float(s[0]), float(u[0])
     return s, u

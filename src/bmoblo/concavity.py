@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import (
-    _SOLVE_CHUNK,
-    eval_arrays,
-    eval_b,
-    eval_b_prime,
-    gamma1_foliation,
-)
+from .bellman import _SOLVE_CHUNK, _gamma1_arcs, eval_arrays, eval_b
 from .errors import DomainError
 from .geometry import TOL, AlphaContext, OmegaPoint, in_omega
 
@@ -144,12 +138,15 @@ def _dirder_margins_vec(p, q, ctx: AlphaContext):
     (q - p) * (b'(p) - b'(q) + (q - p) (B_x2(P) + B_x2(Q))), and on the
     upper parabola B_x2 = s/2 (s = 1 to the right of the axis).
     """
-    sp, _ = gamma1_foliation(np.minimum(p, 0.0), ctx)
-    sq, _ = gamma1_foliation(np.minimum(q, 0.0), ctx)
-    bx2_p = 0.5 * np.where(p >= 0.0, 1.0, sp)
-    bx2_q = 0.5 * np.where(q >= 0.0, 1.0, sq)
-    core = eval_b_prime(p, ctx) - eval_b_prime(q, ctx) + (q - p) * (bx2_p + bx2_q)
-    return (q - p) * core
+    slopes = []
+    for v in (np.atleast_1d(p), np.atleast_1d(q)):
+        b_prime, bx2 = np.ones_like(v), np.full_like(v, 0.5)
+        neg = ~(v >= 0.0)
+        b_prime[neg], s = _gamma1_arcs(v[neg], ctx)
+        bx2[neg] = 0.5 * s
+        slopes.append((b_prime, bx2))
+    (bp_p, bx2_p), (bp_q, bx2_q) = slopes
+    return (q - p) * (bp_p - bp_q + (q - p) * (bx2_p + bx2_q))
 
 
 def check_C2(p: float, q: float, ctx: AlphaContext) -> float:
@@ -159,7 +156,7 @@ def check_C2(p: float, q: float, ctx: AlphaContext) -> float:
     """
     if abs(p - q) > ctx.tau + TOL:
         raise DomainError(f"|p - q| = {abs(p - q)} exceeds tau = {ctx.tau}")
-    return float(_dirder_margins_vec(np.float64(p), np.float64(q), ctx))
+    return float(_dirder_margins_vec(np.float64(p), np.float64(q), ctx)[0])
 
 
 def _chord_H_vec(p, q, ctx: AlphaContext):
@@ -212,19 +209,38 @@ def equality_probes(ctx: AlphaContext) -> dict:
     return {"chords": chord, "dirder": dirder, "chord_H": h}
 
 
-def _sample_omega(rng, n, window, ctx: AlphaContext):
-    x1 = rng.uniform(-window, window, n)
-    gap = rng.uniform(0.0, 1.0, n)
-    return x1, x1 * x1 + gap
+def _draw_chords(rng, n, window, ctx: AlphaContext):
+    """n chords built inside the strip, as the rows x1-, x2-, x1+, x2+, beta.
+
+    With gaps h = x2 - x1^2 and D = x1+ - x1-, the point (1-beta) x- + beta x+
+    has the gap (1-beta) h- + beta h+ + beta (1-beta) D^2.  So x1- is drawn on
+    |x1| <= window, h-, h+ on [0, 1], beta on [alpha, 1/2] and D on |D| <= R,
+    all uniformly, with R^2 = (1 - (1-beta) h- - beta h+) / (beta (1-beta)):
+    that gap is at most 1 without a rejection step.  h- and h+ sit in the
+    x2 rows until the abscissas are known.
+    """
+    chords = np.empty((5, n))
+    xm1, xm2, xp1, xp2, beta = chords
+    xm1[:] = rng.uniform(-window, window, n)
+    xm2[:] = rng.random(n)
+    xp2[:] = rng.random(n)
+    beta[:] = rng.uniform(ctx.alpha, 0.5, n)
+    xp1[:] = rng.uniform(-1.0, 1.0, n)
+    xp1 *= np.sqrt((1.0 - (1.0 - beta) * xm2 - beta * xp2) / (beta * (1.0 - beta)))
+    xp1 += xm1
+    xm2 += xm1 * xm1
+    xp2 += xp1 * xp1
+    return chords
 
 
 def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
     """Seeded randomized sweep of all three families.
 
-    Chord endpoints are drawn area-uniformly from the strip restricted to
-    |x1| <= 6 tau (quasi-periodicity repeats everything beyond the first
-    few cells up to scaling); combinations leaving the strip are rejected
-    and redrawn.  Deterministic for a fixed seed.
+    The chords are built inside the strip by `_draw_chords`, with x1- on
+    |x1| <= 6 tau (quasi-periodicity repeats everything beyond the first few
+    cells up to scaling); the boundary pairs of the other two families are
+    drawn over the same window with |p - q| <= tau.  Deterministic for a
+    fixed seed.
     """
     if n_samples <= 0:
         raise DomainError("n_samples must be positive")
@@ -234,22 +250,8 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
         raise DomainError(f"alpha={ctx.alpha}: x1^2 overflows on the sampling window |x1| <= 6 tau")
     report = SweepReport(alpha=ctx.alpha, seed=seed, samples=n_samples)
 
-    # Family 1: restricted-concavity chords.  The chords are drawn first,
-    # rejecting combinations that leave the strip, then evaluated in blocks
-    # whose three points per chord make one eval_arrays block.
-    got = 0
-    chords = np.empty((5, n_samples))
-    while got < n_samples:
-        want = n_samples - got
-        draw = max(2048, int(1.5 * want))
-        xm1, xm2 = _sample_omega(rng, draw, window, ctx)
-        xp1, xp2 = _sample_omega(rng, draw, window, ctx)
-        beta = rng.uniform(ctx.alpha, 0.5, draw)
-        m1 = (1.0 - beta) * xm1 + beta * xp1
-        m2 = (1.0 - beta) * xm2 + beta * xp2
-        idx = np.flatnonzero((m2 - m1 * m1) <= 1.0)[:want]
-        chords[:, got:got + idx.size] = [xm1[idx], xm2[idx], xp1[idx], xp2[idx], beta[idx]]
-        got += idx.size
+    # Family 1: restricted-concavity chords, 3 points each in eval_arrays blocks.
+    chords = _draw_chords(rng, n_samples, window, ctx)
     margins = np.empty(n_samples)
     block = _SOLVE_CHUNK // 3
     for j in range(0, n_samples, block):
@@ -285,6 +287,24 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
     return report
 
 
+def _stencil(x1, x2, h, ctx: AlphaContext, fields):
+    """eval_arrays `fields` at the stencil (x1 -/+ h, x2), (x1, x2 -/+ h) of
+    each point, as (4, n) arrays (NaN where the stencil leaves the strip),
+    and the mask of stencils that stay in the strip and in one region
+    (differences across the merely-C^1 interfaces are meaningless)."""
+    pts1 = np.asarray(x1, dtype=float).ravel() + np.array([-1, 1, 0, 0])[:, None] * h
+    pts2 = np.asarray(x2, dtype=float).ravel() + np.array([0, 0, -1, 1])[:, None] * h
+    inside = in_omega(pts1, pts2).all(axis=0)
+    ok_idx = np.flatnonzero(inside)
+    got = {name: np.full(pts1.shape, np.nan) for name in fields}
+    got["region"] = np.full(pts1.shape, -99, dtype=np.int64)
+    if ok_idx.size:
+        out = eval_arrays(pts1[:, ok_idx].ravel(), pts2[:, ok_idx].ravel(), ctx)
+        for name, arr in got.items():
+            arr[:, ok_idx] = out[name].reshape(4, -1)
+    return got, inside & (got["region"] == got["region"][0]).all(axis=0)
+
+
 def hessian_grid(x1, x2, ctx: AlphaContext, h_scale: float = 1e-4):
     """Finite-difference Hessian of B on a batch of points.
 
@@ -297,28 +317,11 @@ def hessian_grid(x1, x2, ctx: AlphaContext, h_scale: float = 1e-4):
     The mixed entry is symmetrized over d(grad1)/dx2 and d(grad2)/dx1.
 
     Returns (B11, B22, B12, ok); ok flags points whose 4-point stencil
-    stays inside the strip and inside a single region (differences across
-    the merely-C^1 interfaces are meaningless).
+    stays inside the strip and inside a single region.
     """
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    h = h_scale * (1.0 + np.abs(x1))
-    off1 = np.array([-1, 1, 0, 0])
-    off2 = np.array([0, 0, -1, 1])
-    pts1 = x1[None, :] + off1[:, None] * h[None, :]
-    pts2 = x2[None, :] + off2[:, None] * h[None, :]
-    inside = in_omega(pts1, pts2).all(axis=0)
-    ok_idx = np.flatnonzero(inside)
-    g1 = np.full(pts1.shape, np.nan)
-    g2 = np.full(pts1.shape, np.nan)
-    regions = np.full(pts1.shape, -99, dtype=np.int64)
-    if ok_idx.size:
-        out = eval_arrays(pts1[:, ok_idx].ravel(), pts2[:, ok_idx].ravel(), ctx)
-        g1[:, ok_idx] = out["grad1"].reshape(4, -1)
-        g2[:, ok_idx] = out["grad2"].reshape(4, -1)
-        regions[:, ok_idx] = out["region"].reshape(4, -1)
-    same_region = (regions == regions[0]).all(axis=0)
-    ok = inside & same_region
+    h = h_scale * (1.0 + np.abs(np.asarray(x1, dtype=float).ravel()))
+    got, ok = _stencil(x1, x2, h, ctx, ("grad1", "grad2"))
+    g1, g2 = got["grad1"], got["grad2"]
     b11 = (g1[1] - g1[0]) / (2.0 * h)
     b22 = (g2[3] - g2[2]) / (2.0 * h)
     b12 = 0.5 * ((g1[3] - g1[2]) + (g2[1] - g2[0])) / (2.0 * h)
@@ -331,22 +334,6 @@ def gradient_grid(x1, x2, ctx: AlphaContext, h: float = 1e-6):
     Returns (g1, g2, ok); ok flags stencils that stay in the strip and in
     one region.
     """
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    off1 = np.array([-1, 1, 0, 0])
-    off2 = np.array([0, 0, -1, 1])
-    pts1 = x1[None, :] + off1[:, None] * h
-    pts2 = x2[None, :] + off2[:, None] * h
-    inside = in_omega(pts1, pts2).all(axis=0)
-    ok_idx = np.flatnonzero(inside)
-    vals = np.full(pts1.shape, np.nan)
-    regions = np.full(pts1.shape, -99, dtype=np.int64)
-    if ok_idx.size:
-        out = eval_arrays(pts1[:, ok_idx].ravel(), pts2[:, ok_idx].ravel(), ctx)
-        vals[:, ok_idx] = out["value"].reshape(4, -1)
-        regions[:, ok_idx] = out["region"].reshape(4, -1)
-    same_region = (regions == regions[0]).all(axis=0)
-    ok = inside & same_region
-    g1 = (vals[1] - vals[0]) / (2.0 * h)
-    g2 = (vals[3] - vals[2]) / (2.0 * h)
-    return g1, g2, ok
+    got, ok = _stencil(x1, x2, h, ctx, ("value",))
+    vals = got["value"]
+    return (vals[1] - vals[0]) / (2.0 * h), (vals[3] - vals[2]) / (2.0 * h), ok

@@ -199,8 +199,11 @@ def classify_codes(x1, x2, ctx: AlphaContext):
     by tau; at most three steps settle a point, however far left.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    x2 = np.atleast_1d(clamp_gap(x1, x2))
+    return _classify_clamped(x1, np.atleast_1d(clamp_gap(x1, x2)), ctx)
+
+
+def _classify_clamped(x1, x2, ctx: AlphaContext):
+    """classify_codes on 1-d points that clamp_gap has already clamped."""
     code = np.full(x1.shape, -2, dtype=np.int64)
 
     code[x1 >= -TOL] = RegionId.PLUS_INDEX

@@ -930,3 +930,66 @@ class TestEvalArraysBlocks:
         x2[-1] = x1[-1] ** 2 + 1.5
         with pytest.raises(DomainError, match="violates x2 <= x1"):
             eval_arrays(x1, x2, ctx)
+
+
+def _strip_points(ctx, rng, n):
+    """n points of the strip: uniform on |x1| <= 12 tau, far left down to
+    x1 = -1e5, on Gamma0 and Gamma1, and boundary_points (on and within
+    1e-13 .. 1e-9 of the region boundaries).  Far-left Gamma1 points come
+    last, 2,000 of them: about half fail the solver's residual gate."""
+    b1, b2 = boundary_points(ctx)
+    far = -np.geomspace(1.0, 1e5, n // 5)
+    x1, x2 = sample_strip(rng, n - far.size - b1.size - 2000, 12.0 * ctx.tau, ctx)
+    x2[::7] = x1[::7] ** 2
+    x2[1::7] = x1[1::7] ** 2 + 1.0
+    gap = np.where(np.arange(far.size) % 5 == 0, 0.0, rng.uniform(0.0, 1.0, far.size))
+    x1 = np.concatenate([x1, far, b1])
+    x2 = np.concatenate([x2, far * far + gap, b2])
+    order = rng.permutation(x1.size)
+    f1 = -np.geomspace(1.0, 1e5, 2000)
+    return np.concatenate([x1[order], f1]), np.concatenate([x2[order], f1 * f1 + 1.0])
+
+
+class TestOneClamp:
+    """eval_arrays clamps its input once; the region search takes the
+    clamped points as they are."""
+
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_one_clamp_per_call(self, n, monkeypatch):
+        from bmoblo import geometry
+
+        ctx = make_context(0.25)
+        x1, x2 = sample_strip(np.random.default_rng(1), n, 6.0 * ctx.tau, ctx)
+        x1[0], x2[0] = -3.0, 9.5
+        calls = []
+        clamp_gap = geometry.clamp_gap
+
+        def counting(*args):
+            calls.append(np.size(args[0]))
+            return clamp_gap(*args)
+
+        monkeypatch.setattr(geometry, "clamp_gap", counting)
+        monkeypatch.setattr(bellman, "clamp_gap", counting)
+        out = eval_arrays(x1, x2, ctx)
+        assert calls == [n]
+        assert out["region"][0] >= 1
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 1.0 / 16.0])
+    def test_every_field_bit_equal_to_a_second_clamp(self, alpha, monkeypatch):
+        # Before, the region search clamped the clamped points again;
+        # clamp_gap is idempotent, so no x2 and no output bit moves.
+        from bmoblo import geometry
+
+        ctx = make_context(alpha)
+        x1, x2 = _strip_points(ctx, np.random.default_rng(29), 250_000)
+        chunk, last = bellman._SOLVE_CHUNK, x1.size - 2000
+        blocks = ([slice(i, min(i + chunk, last)) for i in range(0, last, chunk)]
+                  + [slice(i, i + 50) for i in range(last, x1.size, 50)])
+        got = [_outcome(eval_arrays, x1[c], x2[c], ctx) for c in blocks]
+        monkeypatch.setattr(bellman, "_classify_clamped", geometry.classify_codes)
+        want = [_outcome(eval_arrays, x1[c], x2[c], ctx) for c in blocks]
+        assert all(_same_outcome(g, w) for g, w in zip(got, want))
+        assert not any(isinstance(w, str) for w in want[:-40])
+        assert 0 < sum(isinstance(w, str) for w in want[-40:]) < 40
+        once = np.atleast_1d(geometry.clamp_gap(x1, x2))
+        assert _same_bits(np.atleast_1d(geometry.clamp_gap(x1, once)), once)

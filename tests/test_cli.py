@@ -375,6 +375,26 @@ class TestConcavity:
         )
 
     @pytest.mark.parametrize(
+        "n, message",
+        [
+            (60, "error: point (-2966275606.153428, 8.798790971660889e+18) violates x2 <= x1^2 + 1"),
+            (1018, "error: point (6.3004007960466416e+153, 3.969505019082516e+307) violates x2 <= x1^2 + 1"),
+        ],
+    )
+    def test_tiny_alpha_ends_in_bounded_time(self, capsys, n, message):
+        # The chords are built inside the strip, so no draw is thrown away
+        # however large tau is; a rejection loop ran for minutes here.  The
+        # midpoint of a drawn chord then leaves the strip by rounding, as
+        # x1^2 keeps no digit of the gap.
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["concavity", "--n", str(n), "--samples", "2000"])
+        assert time.perf_counter() - t0 < 5.0
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--seed", "-1"], "--seed must be at least 0, got -1"),

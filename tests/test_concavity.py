@@ -1,16 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bmoblo.bellman import _SOLVE_CHUNK, eval_arrays, eval_b
+from bmoblo.bellman import _arc_slope, _b_window, eval_b, eval_b_prime, gamma1_foliation
 from bmoblo.concavity import (
     FAMILIES,
-    ChordSample,
-    SweepReport,
-    _chord_H_vec,
+    _draw_chords,
     _dirder_margins_vec,
-    _sample_omega,
     check_C2,
     chord_H,
     chord_margin,
@@ -208,71 +206,125 @@ class TestSweep:
             assert f"probe_abs_margin.{fam}" in text
 
 
-def _reference_sweep(ctx, n_samples, seed):
-    """sweep as it was before the chords were drawn first: each rejection
-    round evaluates its accepted chords at once, with one eval_arrays call
-    for each of x-, x+ and the midpoint."""
-    rng = np.random.default_rng(seed)
-    window = 6.0 * ctx.tau
-    report = SweepReport(alpha=ctx.alpha, seed=seed, samples=n_samples)
-    got = 0
-    margins = np.empty(n_samples)
-    arg = np.empty((n_samples, 5))
-    while got < n_samples:
-        want = n_samples - got
-        draw = max(2048, int(1.5 * want))
-        xm1, xm2 = _sample_omega(rng, draw, window, ctx)
-        xp1, xp2 = _sample_omega(rng, draw, window, ctx)
-        beta = rng.uniform(ctx.alpha, 0.5, draw)
+class TestConstructedChords:
+    """Chords built inside the strip: checks that hold for any law of them."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 2.0**-10])
+    def test_every_chord_stays_in_the_strip(self, alpha):
+        ctx = make_context(alpha)
+        window = 6.0 * ctx.tau
+        xm1, xm2, xp1, xp2, beta = _draw_chords(np.random.default_rng(3), 100_000, window, ctx)
         m1 = (1.0 - beta) * xm1 + beta * xp1
         m2 = (1.0 - beta) * xm2 + beta * xp2
-        ok = (m2 - m1 * m1) <= 1.0
-        take = min(int(np.count_nonzero(ok)), want)
-        if take == 0:
-            continue
-        idx = np.flatnonzero(ok)[:take]
-        sl = slice(got, got + take)
-        bm = eval_arrays(xm1[idx], xm2[idx], ctx)["value"]
-        bp = eval_arrays(xp1[idx], xp2[idx], ctx)["value"]
-        bmid = eval_arrays(m1[idx], m2[idx], ctx)["value"]
-        margins[sl] = bmid - (1.0 - beta[idx]) * bm - beta[idx] * bp
-        arg[sl] = np.column_stack([xm1[idx], xm2[idx], xp1[idx], xp2[idx], beta[idx]])
-        got += take
-    i = int(np.argmin(margins))
-    report.min_margins["chords"] = float(margins[i])
-    report.argmins["chords"] = ChordSample(
-        (arg[i, 0], arg[i, 1]), (arg[i, 2], arg[i, 3]), arg[i, 4], float(margins[i])
-    )
-    p = rng.uniform(-window, 2.0, n_samples)
-    q = p + rng.uniform(0.0, ctx.tau, n_samples)
-    margins = _dirder_margins_vec(p, q, ctx)
-    i = int(np.argmin(margins))
-    report.min_margins["dirder"] = float(margins[i])
-    report.argmins["dirder"] = ChordSample(
-        (p[i], p[i] ** 2 + 1.0), (q[i], q[i] ** 2 + 1.0), 0.5, float(margins[i])
-    )
-    p = rng.uniform(-window, 2.0, n_samples)
-    q = p + rng.uniform(-ctx.tau, ctx.tau, n_samples)
-    margins = _chord_H_vec(p, q, ctx)
-    i = int(np.argmin(margins))
-    report.min_margins["chord_H"] = float(margins[i])
-    report.argmins["chord_H"] = ChordSample(
-        (p[i], p[i] ** 2 + 1.0), (q[i], q[i] ** 2 + 1.0), ctx.alpha, float(margins[i])
-    )
-    report.probes = equality_probes(ctx)
-    return report
-
-
-class TestSweepReference:
-    """Drawing every chord first and evaluating them in blocks reports what
-    the round-by-round loop reported."""
+        for x1, x2 in ((xm1, xm2), (xp1, xp2), (m1, m2)):
+            gap = x2 - x1 * x1
+            assert gap.min() >= 0.0 and gap.max() <= 1.0 + 1e-12
+        assert np.all(np.abs(xm1) <= window)
+        assert np.all((alpha <= beta) & (beta <= 0.5))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
-    @pytest.mark.parametrize("samples", [1, _SOLVE_CHUNK // 3, _SOLVE_CHUNK // 3 + 1, 20_000])
-    def test_same_report(self, alpha, samples):
+    def test_argmins_reproduce_their_margins(self, alpha):
         ctx = make_context(alpha)
-        got = sweep(ctx, samples, seed=19)
-        assert got.to_json() == _reference_sweep(ctx, samples, 19).to_json()
+        rep = sweep(ctx, 20_000, seed=5)
+        a = rep.argmins
+        one_point = {
+            "chords": chord_margin(OmegaPoint(*a["chords"].xminus),
+                                   OmegaPoint(*a["chords"].xplus), a["chords"].beta, ctx),
+            "dirder": check_C2(a["dirder"].xminus[0], a["dirder"].xplus[0], ctx),
+            "chord_H": chord_H(a["chord_H"].xminus[0], a["chord_H"].xplus[0], ctx),
+        }
+        for fam in FAMILIES:
+            assert a[fam].margin == rep.min_margins[fam]
+            assert abs(one_point[fam] - rep.min_margins[fam]) <= 1e-15, fam
+
+
+def _eval_b_prime_reference(v, ctx):
+    """eval_b_prime with its own window split, as before the trace helpers
+    shared one pass."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.ones_like(v)
+    neg = ~(v >= 0.0)
+    k, use_f, ak, eta = _b_window(v[neg], ctx)
+    z = _arc_slope(eta)
+    out[neg] = np.where(use_f, ak * z * z, ak * ctx.alpha)
+    return out
+
+
+def _gamma1_foliation_reference(v, ctx):
+    """gamma1_foliation with its own window split, as before the trace
+    helpers shared one pass."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    pos = v >= 0.0
+    z = _arc_slope(v + 1.0)
+    s, u = np.where(pos, z, 0.0), np.where(pos, v - z, 0.0)
+    vn = v[~pos]
+    k, use_f, ak, eta = _b_window(vn, ctx)
+    z_odd = _arc_slope(eta)
+    c = np.where(ak > 0.0, vn + ((k + 1.0) * ctx.tau + 1.0), 1.0)
+    z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
+    s[~pos] = np.where(use_f, ak * z_odd, ak * ctx.alpha * z_even)
+    u[~pos] = np.where(use_f, vn - z_odd, vn - 1.0 / z_even)
+    return s, u
+
+
+def _trace_points(ctx, rng, n):
+    """n abscissas of the upper parabola: uniform on [-6 tau, 2], far left
+    out to where alpha^k underflows, 0, -0.0 and the knots -k tau, p_k."""
+    k = np.arange(60.0)
+    k_under = 1075.0 * math.log(2.0) / -math.log(ctx.alpha)
+    special = np.concatenate([[0.0, -0.0], -k * ctx.tau, ctx.p0 - k * ctx.tau,
+                              -(k_under + k) * ctx.tau])
+    far = -rng.uniform(0.0, 1.5 * k_under * ctx.tau, n // 4)
+    near = rng.uniform(-6.0 * ctx.tau, 2.0, n - far.size - special.size)
+    return np.concatenate([special, far, near])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestOneTracePass:
+    """The trace functions and the directional margins keep every bit of
+    the form that ran the window split once per function."""
+
+    ALPHAS = [0.5, 0.25, 0.1, 2.0**-10, 2.0**-20]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_trace_functions_bit_equal(self, alpha):
+        ctx = make_context(alpha)
+        v = _trace_points(ctx, np.random.default_rng(11), 100_000)
+        assert np.array_equal(_bits(eval_b_prime(v, ctx)), _bits(_eval_b_prime_reference(v, ctx)))
+        for got, want in zip(gamma1_foliation(v, ctx), _gamma1_foliation_reference(v, ctx)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.count_nonzero(eval_b_prime(v, ctx) == 0.0) > 1000
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_dirder_margins_bit_equal(self, alpha):
+        ctx = make_context(alpha)
+        rng = np.random.default_rng(13)
+        p = _trace_points(ctx, rng, 100_000)
+        q = np.concatenate([p[:200], p[200:] + rng.uniform(-ctx.tau, ctx.tau, p.size - 200)])
+        q[:100] = p[:100] + ctx.tau
+        sp, _ = _gamma1_foliation_reference(np.minimum(p, 0.0), ctx)
+        sq, _ = _gamma1_foliation_reference(np.minimum(q, 0.0), ctx)
+        bx2_p = 0.5 * np.where(p >= 0.0, 1.0, sp)
+        bx2_q = 0.5 * np.where(q >= 0.0, 1.0, sq)
+        core = (_eval_b_prime_reference(p, ctx) - _eval_b_prime_reference(q, ctx)
+                + (q - p) * (bx2_p + bx2_q))
+        assert np.array_equal(_bits(_dirder_margins_vec(p, q, ctx)), _bits((q - p) * core))
+        for i in range(0, 200, 7):
+            assert _bits(check_C2(p[i], q[i], ctx)) == _bits(((q - p) * core)[i])
+
+    def test_b_prime_at_subnormal_alpha_is_quiet(self):
+        # c * c overflows on the affine arcs once alpha < 2^-1022; b' needs
+        # no c, and stays what the window formulas give.
+        ctx = make_context(2.0**-1060)
+        v = np.array([-1.0, -0.5 * ctx.tau, -0.999 * ctx.tau, -1.5 * ctx.tau, -1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _eval_b_prime_reference(v, ctx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_bits(eval_b_prime(v, ctx)), _bits(want))
 
 
 class TestEqualityProbes:
