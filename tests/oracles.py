@@ -14,6 +14,7 @@ is the dyadic interval (pos * 2^-d, (pos+1) * 2^-d].
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +34,45 @@ from bmoblo.trees import (
     _subtree_min,
     tree_from_json,
 )
+
+
+def _table_sums(table):
+    """Sums of m, m*c and m*c^2 over a count table's cells (d, c) of mass
+    m = 2^-d, as Fractions: each row summed in integers, then the rows
+    weighted over the common denominator 2^depth."""
+    depth = table.shape[0] - 1
+    powers = np.array([[1, c, c * c] for c in range(depth + 1)], dtype=object)
+    rows = (table.astype(object) @ powers).tolist()
+    return [
+        Fraction(sum(row[k] << (depth - d) for d, row in enumerate(rows)), 1 << depth)
+        for k in range(3)
+    ]
+
+
+def exact_moments(psi):
+    """X/gamma, Y/gamma^2 and the BMO candidates over gamma^2 of a built psi_j,
+    in Fractions from its count tables alone.
+
+    Every value of psi_j is gamma * r with r = c/e - 1, e = 2^(j-1), on a
+    resolved cell of offset c, and an unresolved cell of offset c is a copy
+    of psi_j shifted by gamma * c/e, so x = X/gamma and y = Y/gamma^2 solve
+
+        x = sum_res m r + sum_unres m (x + c/e),
+        y = sum_res m r^2 + sum_unres m (y + 2 x c/e + c^2/e^2).
+
+    The candidates are the copy, y - x^2, then the left-chain mixtures of
+    resolved mass share m = 2^-k, m + (1-m) y - ((1-m) x - m)^2, for
+    k = 1..j-1.  Returns (x, y, candidates, total mass).
+    """
+    e = 1 << (psi.j - 1)
+    r0, r1, r2 = _table_sums(psi.res)
+    u0, u1, u2 = _table_sums(psi.unres)
+    # sum_res m r = r1/e - r0 and sum_res m r^2 = r2/e^2 - 2 r1/e + r0.
+    x = (r1 / e - r0 + u1 / e) / (1 - u0)
+    y = (r2 / e**2 - 2 * r1 / e + r0 + 2 * x * u1 / e + u2 / e**2) / (1 - u0)
+    mixtures = [Fraction(1, 1 << k) for k in range(1, psi.j)]
+    candidates = [y - x * x] + [m + (1 - m) * y - ((1 - m) * x - m) ** 2 for m in mixtures]
+    return x, y, candidates, r0 + u0
 
 
 def leaf_values(ref, unresolved_mode: str = "inf"):

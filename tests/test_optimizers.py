@@ -18,7 +18,13 @@ from bmoblo.optimizers import (
     tensor_stats,
 )
 from bmoblo.trees import maximal, validate
-from oracles import as_alpha_tree, dyadic_interval_bmo_sq, dyadic_square_bmo_sq, value_grid
+from oracles import (
+    as_alpha_tree,
+    dyadic_interval_bmo_sq,
+    dyadic_square_bmo_sq,
+    exact_moments,
+    value_grid,
+)
 
 
 class TestParams:
@@ -306,6 +312,27 @@ class TestEnclosuresAcrossRange:
         res_mass = _dyadic_sums(psi)[4]
         assert abs((1.0 - psi.unresolved_mass) / res_mass - 1.0) > 1e-9
         assert psi_stats(psi).mean_sq.contains(1.0)
+
+
+class TestExactFixedPoint:
+    """The fixed point solved exactly from build_psi's count tables: at
+    every depth and budget the moments are those of the untruncated
+    function, X = 0 and Y = 1, and the copy is the largest BMO candidate,
+    so the BMO norm is 1."""
+
+    @pytest.mark.parametrize("node_budget", [1 << 17, 2000])
+    def test_moments_do_not_depend_on_truncation(self, node_budget):
+        for j in range(1, 64):
+            for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
+                if depth < j:
+                    continue
+                x, y, candidates, total = exact_moments(build_psi(j, depth, node_budget))
+                case = (j, depth, node_budget)
+                assert total == 1, case
+                assert x == 0, case
+                assert y == 1 + Fraction(1, 1 << (j - 1)), case
+                assert candidates[0] == y, case
+                assert max(candidates) == candidates[0], case
 
 
 class TestMaximalIdentity:
