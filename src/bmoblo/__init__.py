@@ -48,7 +48,6 @@ from .optimizers import (
     m_norm_report,
     psi_params,
     psi_stats,
-    tensor_stats,
 )
 from .trees import (
     AlphaTree,
@@ -105,7 +104,6 @@ __all__ = [
     "shift",
     "solve_s",
     "sweep",
-    "tensor_stats",
     "tree_from_json",
     "tree_to_json",
     "validate",

@@ -24,24 +24,23 @@ table counting its states by (depth, offset), all the statistics read.
 Expansion stops at a depth cap and a leaf budget: the budget admits the
 first floor((budget-1)/j) states in that order whose resolved piece fits
 the cap.  Whatever remains unresolved is tracked exactly by measure and
-offset, and every sum over the cells is exact, then rounded once.
+offset, and every sum over the cells is an exact integer.
 
-Statistics are reported as enclosures.  Truncation alone cannot give tight
-two-sided bounds (the unresolved measure decays only like
-(1 - 2^-j)^(depth/j)), but every unresolved cell is an exact affine copy
-of the whole function, so the first two moments satisfy the fixed-point
-relations
+Statistics are exact.  Every unresolved cell is an exact affine copy of
+the whole function, so the function's moments X = <psi>, Y = <psi^2>
+solve the fixed-point relations
 
-    X = a + mU * X,        a  = sum_res m*(val) + delta * sum_unres m*c,
+    X = a + mU * X,        a = sum_res m*val + delta * Cu,
     Y = b + 2 delta Cu X + mU * Y,
+                           b = sum_res m*val^2 + delta^2 * sum_unres m*c^2,
 
-with mU the unresolved measure.  Starting from the a priori bounds
-X in [-gamma, 0] (pointwise psi >= -gamma; cell averages are at most
-inf N psi = 0 by the maximal identity) and Y in [max(0, 1 - 2 gamma^2), 1]
-(plugging the X bounds into the one-step moment recursion), iterating the
-affine interval maps a fixed N_ITER times contracts the a priori width by
-mU^N_ITER while always containing the true values.  Deeper builds shrink
-mU, hence every enclosure.
+with Cu = sum_unres m*c, mU the unresolved measure and 1 - mU the
+resolved mass, positive after the root's expansion.  Every value is gamma times a rational, so
+X/gamma and Y/gamma^2 are rationals of the integer sums over the cells,
+and so are the squares of every statistic; only the final roundings to
+float are inexact, and each is moved outward by exact integer
+comparison.  The solution is the untruncated function's (X = 0, Y = 1):
+no statistic depends on the depth or the leaf budget.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-
-# Interval fixed-point contraction count and the rounding pad added to
-# every reported enclosure endpoint.
-_N_ITER = 20000
-_PAD = 1e-12
 
 # Deepest cell: a build of depth D has fewer than 2^D cells to count in int64.
 _MAX_DEPTH = 63
@@ -92,9 +86,6 @@ class Enclosure:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def __add__(self, c: float) -> "Enclosure":
-        return Enclosure(self.lo + c, self.hi + c)
 
 
 class PsiFunction:
@@ -232,106 +223,70 @@ class PsiStats:
     inf_N: Enclosure
 
 
-def _interval_var(mean_lo, mean_hi, msq_lo, msq_hi):
-    """Interval for msq - mean^2 given intervals of both."""
-    if mean_lo <= 0.0 <= mean_hi:
-        sq_lo = 0.0
-    else:
-        sq_lo = min(mean_lo * mean_lo, mean_hi * mean_hi)
-    sq_hi = max(mean_lo * mean_lo, mean_hi * mean_hi)
-    return msq_lo - sq_hi, msq_hi - sq_lo
+def _enclose(num: int, den: int, root: bool = False) -> Enclosure:
+    """Floats around num/den (den > 0), or around its square root (num >= 0)
+    with root set: the rounded value, each end checked against the exact
+    rational in integers and moved outward with nextafter where it fails."""
+    lo = hi = math.sqrt(num / den) if root else num / den
 
+    def excess(f):  # the sign of f (or f^2) - num/den
+        a, b = f.as_integer_ratio()
+        return a * a * den - num * b * b if root else a * den - num * b
 
-def _dyadic_sums(psi: PsiFunction):
-    """Sums over the cells with mass m = 2^-d, each exact and correctly
-    rounded: sum_res m*v and sum_res m*v^2 with v = -gamma + c*delta,
-    sum_unres m*c, sum_unres m*c^2 and the resolved mass sum_res m."""
-    (gn, gd), (dn, dd) = psi.gamma.as_integer_ratio(), psi.delta.as_integer_ratio()
-    q = max(gd, dd)  # both powers of two, so v = (c*dn - gn) / q
-    gn, dn = gn * (q // gd), dn * (q // dd)
-    (s0, s1, s2), (_, u1, u2) = psi.res_sums, psi.unres_sums
-    scale = 1 << psi.depth
-    return (
-        (dn * s1 - gn * s0) / (scale * q),
-        (gn * gn * s0 - 2 * gn * dn * s1 + dn * dn * s2) / (scale * q * q),
-        u1 / scale, u2 / scale, s0 / scale,
-    )
+    while excess(lo) > 0:
+        lo = math.nextafter(lo, -math.inf)
+    while excess(hi) < 0:
+        hi = math.nextafter(hi, math.inf)
+    return Enclosure(lo, hi)
 
 
 def psi_stats(psi: PsiFunction) -> PsiStats:
     """Enclosures of the moments, norms and maximal-function average.
 
-    See the module docstring for the fixed-point construction.  The
+    The fixed point of the module docstring, solved in integers.  With
+    e = 2^(j-1), delta = gamma/e and gamma^2 = e/(e+1); from the sums of
+    n, n*c and n*c^2 (s0, s1, s2 resolved; u1, u2 unresolved),
+    x = X/gamma = xn/q and y = Y/gamma^2 = yn/(e q^2), q = e*s0.  The
     supremum defining the BMO norm runs over every dyadic cell, but each
     cell is one of finitely many affine types (a copy, one of the j-1
     left-chain mixtures inside an expansion, or a constant), and variance
-    is shift-invariant, so the supremum reduces to closed-form candidates
-    in the root moments X and Y.
+    is shift-invariant, so the supremum is the largest of the closed-form
+    candidates in x and y, compared over one common denominator.  <N psi>
+    is gamma + X = gamma (1 + x) by the maximal identity.
     """
-    g, dlt, j = psi.gamma, psi.delta, psi.j
-    mU = psi.unresolved_mass
-    if mU >= 1.0:
-        raise DomainError(
-            f"scale index {j} at depth {psi.depth}: the unresolved mass rounds to 1, "
-            "so the fixed point cannot contract"
-        )
-    res_v, res_v2, cu, cu2, res_mass = _dyadic_sums(psi)
-    a = res_v + dlt * cu
-    bb = res_v2 + dlt * dlt * cu2
-
-    w = mU**_N_ITER
-    x_star = a / res_mass
-    x_lo = x_star + w * (-g - x_star) - _PAD
-    x_hi = x_star + w * (0.0 - x_star) + _PAD
-    mean = Enclosure(x_lo, x_hi)
-
-    y_ap_lo = max(0.0, 1.0 - 2.0 * g * g)
-    y_star_lo = (bb + 2.0 * dlt * cu * x_lo) / res_mass
-    y_star_hi = (bb + 2.0 * dlt * cu * x_hi) / res_mass
-    y_lo = y_star_lo + w * (y_ap_lo - y_star_lo) - _PAD
-    y_hi = y_star_hi + w * (1.0 - y_star_hi) + _PAD
-    mean_sq = Enclosure(y_lo, y_hi)
-
-    # Variance candidates over the cell types; the copies dominate.
-    var_lo, var_hi = _interval_var(x_lo, x_hi, y_lo, y_hi)
-    for i in range(1, j):
-        m = 2.0 ** (i - j)
-        mlo = -g * m + (1.0 - m) * x_lo
-        mhi = -g * m + (1.0 - m) * x_hi
-        slo = g * g * m + (1.0 - m) * y_lo
-        shi = g * g * m + (1.0 - m) * y_hi
-        vlo, vhi = _interval_var(mlo, mhi, slo, shi)
-        var_lo = max(var_lo, vlo)
-        var_hi = max(var_hi, vhi)
-    bmo = Enclosure(math.sqrt(max(var_lo, 0.0)), math.sqrt(max(var_hi, 0.0)))
-
+    g, j = psi.gamma, psi.j
+    e = 1 << (j - 1)
+    (s0, s1, s2), (_, u1, u2) = psi.res_sums, psi.unres_sums
+    q = e * s0
+    xn = s1 + u1 - q
+    yn = q * (e * e * s0 - 2 * e * s1 + s2 + u2) + 2 * e * u1 * xn
+    den = (e + 1) * q * q  # gamma^2 x^2 = e xn^2 / den, gamma^2 y = yn / den
+    # The candidates over gamma^2, times e q^2 4^(j-1): the copy y - x^2,
+    # then for m = 1/M, M = 2^k, k = 1..j-1, m + (1-m) y - ((1-m) x - m)^2.
+    best = (yn - e * xn * xn) << 2 * (j - 1)
+    for k in range(1, j):
+        M = 1 << k
+        mixture = M * e * q * q + (M - 1) * M * yn - e * ((M - 1) * xn - q) ** 2
+        best = max(best, mixture << 2 * (j - 1 - k))
+    size = _enclose(e * xn * xn, den, root=True)
+    mean = size if xn >= 0 else Enclosure(-size.hi, -size.lo)
+    exact_n = _enclose(e * (q + xn) ** 2, den, root=True)
+    # The float gamma of psi_params, which the report prints and checks
+    # against, lies one ulp above that enclosure at j = 2.
+    mean_N = Enclosure(min(exact_n.lo, g), max(exact_n.hi, g))
     return PsiStats(
         j=j,
         depth=psi.depth,
         gamma=g,
-        delta=dlt,
-        unresolved_mass=mU,
+        delta=psi.delta,
+        unresolved_mass=psi.unresolved_mass,
         mean=mean,
-        mean_sq=mean_sq,
-        bmo=bmo,
-        blo=mean + g,
-        mean_N=mean + g,
-        inf_N=Enclosure(-_PAD, _PAD),
+        mean_sq=_enclose(yn, den),
+        bmo=_enclose(best, den << 2 * (j - 1), root=True),
+        blo=mean_N,
+        mean_N=mean_N,
+        inf_N=Enclosure(0.0, 0.0),
     )
-
-
-def tensor_stats(psi: PsiFunction, n: int) -> PsiStats:
-    """Statistics of the n-variable extension phi(t_1, .., t_n) = psi(t_1).
-
-    Averages of phi over a dyadic cube equal averages of psi over the
-    cube's first-coordinate interval, and the maximal function only sees
-    those averages, so every statistic coincides with the one-dimensional
-    one; nothing n-dimensional is materialized.  (Tests cross-check the
-    n = 2 case by literal enumeration of dyadic squares at small depth.)
-    """
-    if n < 1 or n != int(n):
-        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
-    return psi_stats(psi)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ that an oracle cannot share a code path, and so a defect, with the code it
 checks.
 
 Optimizer oracles.  `bmoblo.optimizers` keeps psi_j as counts of
-(depth, offset) pairs and never where a leaf lies in (0, 1].  The helpers
-below need that place, so they take the breadth-first reference build of
+(depth, offset) pairs and never where a leaf lies in (0, 1].
+`exact_moments` reads those counts alone.  The helpers after it need the
+place, so they take the breadth-first reference build of
 `test_optimizers.py` in place of psi: its leaf arrays (res_depth,
 res_offset, unres_depth, unres_offset) and the leaves' int64 positions
 (res_pos, unres_pos), listed in the same order, so that leaf i of depth d
@@ -181,6 +182,41 @@ def dyadic_square_bmo_sq(values):
                 best = max(best, q - m * m)
         size //= 2
     return best
+
+
+def cube_tree(grid) -> AlphaTree:
+    """The dyadic cubes of [0, 1)^n as an alpha-tree, alpha = 2^-n.
+
+    `grid` has shape (2^D,) * n; the tree is the complete 2^n-ary tree of
+    depth D whose depth-d nodes are the cubes of side 2^-d, with measure
+    2^(-n d), and whose leaves carry the grid in Morton order: child c of a
+    cube takes bit n-1-k of c as the next binary digit of coordinate k.
+    In preorder a depth-d node's children start 1, 1 + S, 1 + 2S, ...
+    after it, S = 1 + b + ... + b^(D-d-1) being a child subtree's size.
+    """
+    grid = np.asarray(grid, dtype=float)
+    n, side = grid.ndim, grid.shape[0]
+    D = side.bit_length() - 1
+    b = 1 << n
+    if grid.shape != (1 << D,) * n:
+        raise DomainError(f"grid shape {grid.shape} is not (2^D,) * {n}")
+    # Digits of each coordinate, most significant first, regrouped by level.
+    axes = [k * D + level for level in range(D) for k in range(n)]
+    leaves = grid.reshape((2,) * (n * D)).transpose(axes).ravel()
+    total = (b ** (D + 1) - 1) // (b - 1)
+    parent = np.full(total, -1, dtype=np.int64)
+    depth = np.zeros(total, dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)
+    for d in range(D):
+        size = (b ** (D - d) - 1) // (b - 1)
+        kids = (level[:, None] + 1 + size * np.arange(b)).ravel()
+        parent[kids] = np.repeat(level, b)
+        depth[kids] = d + 1
+        level = kids
+    value = np.full(total, np.nan)
+    value[level] = leaves
+    measure = np.ldexp(1.0, -n * depth)
+    return _from_arrays(1.0 / b, parent, measure, value, depth)
 
 
 # ---------------------------------------------------------------------------

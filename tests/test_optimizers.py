@@ -9,13 +9,11 @@ import pytest
 from bmoblo.errors import DomainError, ResourceError
 from bmoblo.optimizers import (
     OptimizerRow,
-    _dyadic_sums,
     build_psi,
     m_norm_report,
     psi_params,
     psi_stats,
     report_to_csv,
-    tensor_stats,
 )
 from bmoblo.trees import maximal, validate
 from oracles import (
@@ -171,21 +169,15 @@ def _counts(depths, offsets, depth):
 
 
 def _fraction_sums(ref):
-    """_dyadic_sums' five sums over the reference's leaves in Fractions,
-    the unresolved mass, each correctly rounded, and the exact total mass."""
-    g, dlt = Fraction(ref.gamma), Fraction(ref.delta)
-    res_v = res_v2 = res_m = cu = cu2 = mU = Fraction(0)
-    for (d, c), n in Counter(zip(ref.res_depth.tolist(), ref.res_offset.tolist())).items():
-        m, v = Fraction(n, 1 << d), -g + c * dlt
-        res_v += m * v
-        res_v2 += m * v * v
-        res_m += m
-    for (d, c), n in Counter(zip(ref.unres_depth.tolist(), ref.unres_offset.tolist())).items():
-        m = Fraction(n, 1 << d)
-        cu += m * c
-        cu2 += m * c * c
-        mU += m
-    return tuple(float(x) for x in (res_v, res_v2, cu, cu2, res_m)), float(mU), res_m + mU
+    """The sums of m, m*c and m*c^2 over the reference's resolved and
+    unresolved leaves, each of mass m = 2^-d, in Fractions."""
+    sums = []
+    for depths, offsets in ((ref.res_depth, ref.res_offset), (ref.unres_depth, ref.unres_offset)):
+        cells = Counter(zip(depths.tolist(), offsets.tolist()))
+        sums.append(tuple(
+            sum(Fraction(n * c**k, 1 << d) for (d, c), n in cells.items()) for k in range(3)
+        ))
+    return sums
 
 
 def _assert_tables(psi, ref):
@@ -208,11 +200,12 @@ def _assert_same_build(j, depth, node_budget):
     psi = build_psi(j, depth, node_budget=node_budget)
     ref, _ = _reference_build(j, depth, node_budget)
     _assert_tables(psi, ref)
-    sums, mU, total = _fraction_sums(ref)
-    assert total == 1, (j, depth, node_budget)
-    got = _dyadic_sums(psi)
-    assert [x.hex() for x in got] == [x.hex() for x in sums], (j, depth, node_budget)
-    assert psi.unresolved_mass.hex() == mU.hex(), (j, depth, node_budget)
+    res, unres = _fraction_sums(ref)
+    assert res[0] + unres[0] == 1, (j, depth, node_budget)
+    scale = 1 << depth
+    assert psi.res_sums == tuple(x * scale for x in res), (j, depth, node_budget)
+    assert psi.unres_sums == tuple(x * scale for x in unres), (j, depth, node_budget)
+    assert psi.unresolved_mass.hex() == float(unres[0]).hex(), (j, depth, node_budget)
 
 
 class TestBuildReference:
@@ -259,15 +252,15 @@ class TestDepthLimit:
 
 
 class TestUnresolvedMassLimit:
-    """1 - 2^-j rounds to 1 for j >= 54, and where the whole unresolved mass
-    does, the fixed point's contraction weight mU^N is 1."""
+    """1 - 2^-j rounds to 1 for j >= 54, and so at some depths does the
+    whole unresolved mass; the fixed point is solved over the exact
+    resolved mass, so those rows are solved like any other."""
 
     @pytest.mark.parametrize("j,depth", [(54, 54), (57, 63), (63, 63)])
-    def test_mass_of_one_rejected(self, j, depth):
+    def test_mass_of_one_is_solved(self, j, depth):
         psi = build_psi(j, depth)
         assert psi.unresolved_mass == 1.0
-        with pytest.raises(DomainError, match=f"scale index {j} at depth {depth}"):
-            psi_stats(psi)
+        assert OptimizerRow(j, psi_stats(psi)).targets_enclosed
 
     def test_mass_is_correctly_rounded_at_depth_63(self):
         # The resolved mass at j = 55, depth 63 is 1.25 * 2^-53, so the
@@ -289,19 +282,33 @@ class TestUnresolvedMassLimit:
         )
 
 
+def _within_ulps(enc, n):
+    return enc.hi - enc.lo <= n * math.ulp(max(abs(enc.lo), abs(enc.hi)))
+
+
 class TestEnclosuresAcrossRange:
-    """Every row's enclosures contain the targets at each supported scale
-    index, at shallow and deep builds, with and without a binding budget."""
+    """Every row's enclosures contain the exact values, a few ulps wide, at
+    each scale index, at shallow and deep builds, with and without a
+    binding budget."""
 
     @pytest.mark.parametrize("node_budget", [1 << 17, 2000])
     def test_targets_enclosed(self, node_budget):
         missed = []
-        for j in range(1, 54):
+        for j in range(1, 64):
+            e = 1 << (j - 1)
             for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
-                if depth < j or node_budget < j + 1:
+                if depth < j:
                     continue
-                row = OptimizerRow(j, psi_stats(build_psi(j, depth, node_budget)))
-                if not row.targets_enclosed:
+                st = psi_stats(build_psi(j, depth, node_budget))
+                # lo^2 <= gamma^2 = e/(e+1) <= hi^2, in integers.
+                (a, b), (c, d) = (x.as_integer_ratio() for x in (st.mean_N.lo, st.mean_N.hi))
+                ok = (
+                    OptimizerRow(j, st).targets_enclosed
+                    and a * a * (e + 1) <= e * b * b
+                    and e * d * d <= c * c * (e + 1)
+                    and all(_within_ulps(x, 16) for x in (st.mean, st.mean_sq, st.bmo, st.mean_N))
+                )
+                if not ok:
                     missed.append((j, depth))
         assert not missed
 
@@ -309,7 +316,7 @@ class TestEnclosuresAcrossRange:
         # A float mU keeps no bit below 2^-53, so 1 - mU is off by 1.5e-8
         # relative here, which once put y* 1.4e-8 below 1.
         psi = build_psi(30, 63)
-        res_mass = _dyadic_sums(psi)[4]
+        res_mass = psi.res_sums[0] / (1 << psi.depth)
         assert abs((1.0 - psi.unresolved_mass) / res_mass - 1.0) > 1e-9
         assert psi_stats(psi).mean_sq.contains(1.0)
 
@@ -407,17 +414,10 @@ class TestStats:
                 assert st.mean.contains(0.0)
                 assert st.mean_sq.contains(1.0)
                 assert st.mean_N.contains(st.gamma)
-            # widths shrink with depth down to the rounding-pad floor
-            # (~1e-12), where they plateau
+            # the statistics are exact at every depth, so the widths, a
+            # few ulps, do not grow with it
             for a, b in zip(widths, widths[1:]):
                 assert all(x2 <= x1 + 2e-13 for x1, x2 in zip(a, b))
-
-    def test_tensor_reduction(self):
-        psi = build_psi(2, 12)
-        assert tensor_stats(psi, 1) == psi_stats(psi)
-        assert tensor_stats(psi, 3) == psi_stats(psi)
-        with pytest.raises(DomainError):
-            tensor_stats(psi, 0)
 
     def test_two_dimensional_brute_force(self):
         # depth-6 grid: BMO over all dyadic squares equals BMO over dyadic

@@ -26,6 +26,7 @@ from bmoblo.trees import (
 
 from conftest import comb_text
 from oracles import (
+    cube_tree,
     inf_maximal,
     reference_induction,
     reference_main_theorem,
@@ -445,6 +446,39 @@ class TestGenerator:
             assert norm <= 1.0
             # sup-cell variance stays a hair inside the strip
             assert np.max(tree.mean_sq - tree.mean**2) <= 1.0
+
+
+# (n, D): the cubes of side down to 2^-D in dimension n, at alpha = 2^-n.
+_CUBE_SIZES = [(1, 10), (2, 5), (3, 3)]
+
+
+class TestCubeTrees:
+    """The dyadic cubes of R^n as alpha-trees at alpha = 2^-n."""
+
+    @pytest.mark.parametrize("n,D", _CUBE_SIZES)
+    def test_margins_on_random_grids(self, n, D, rng):
+        tree = cube_tree(rng.normal(size=(1 << D,) * n))
+        # Rescaled about the root mean to norm 1, less a hair, as random_tree is.
+        vals, mean = tree.value[tree.leaf_idx], tree.mean[0]
+        tree = with_leaf_values(tree, mean + (vals - mean) * ((1.0 - 1e-11) / bmo_norm(tree)))
+        out = verify_all_nodes(tree, make_context(tree.alpha))
+        for key in ("induction", "main_n", "main_m", "blo_n", "blo_m"):
+            assert not np.any(np.isnan(out[key])), key
+            assert out[key].min() >= -1e-9, key
+
+    @pytest.mark.parametrize("n,D", _CUBE_SIZES)
+    def test_first_coordinate_grid_matches_its_interval_tree(self, n, D, rng):
+        # phi(t_1, .., t_n) = v(t_1): a cube's average is that of v over its
+        # first side, so the norms and maximal averages are the 1-D ones.
+        v = rng.normal(size=1 << D)
+        line = cube_tree(v)
+        cube = cube_tree(np.broadcast_to(v.reshape((-1,) + (1,) * (n - 1)), (1 << D,) * n))
+        want = verify_all_nodes(line, make_context(0.5))
+        got = verify_all_nodes(cube, make_context(cube.alpha))
+        pairs = [(bmo_norm(cube), bmo_norm(line)), (blo_norm(cube), blo_norm(line))]
+        pairs += [(got[k][0], want[k][0]) for k in ("mean_N", "mean_M")]
+        for a, b in pairs:
+            assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def reference_aggregates(root):
