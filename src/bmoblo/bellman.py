@@ -52,8 +52,6 @@ from .geometry import (
     RegionId,
     _classify_clamped,
     clamp_gap,
-    classify,
-    classify_codes,
     make_context,
     shift_xy,
 )
@@ -255,20 +253,25 @@ def eval_arrays(x1, x2, ctx: AlphaContext):
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(clamp_gap(x1, x2))
-    out = {"value": np.empty_like(x1), "grad1": np.empty_like(x1),
-           "grad2": np.empty_like(x1), "region": np.empty(x1.shape, dtype=np.int64),
-           **{name: np.full_like(x1, np.nan) for name in "szuv"},
-           "underflow": np.zeros(x1.shape, dtype=bool)}
+    out = _blank_fields(x1)
     for i in range(0, x1.size, _SOLVE_CHUNK):
         c = slice(i, i + _SOLVE_CHUNK)
-        _eval_block(x1[c], x2[c], ctx, {name: a[c] for name, a in out.items()})
+        _eval_block(x1[c], x2[c], _classify_clamped(x1[c], x2[c], ctx), ctx,
+                    {name: a[c] for name, a in out.items()})
     return out
 
 
-def _eval_block(x1, x2, ctx: AlphaContext, out):
-    """eval_arrays on clamped points, written into the views `out` of its
-    fields (segment data pre-filled with NaN, underflow with False)."""
-    code = _classify_clamped(x1, x2, ctx)
+def _blank_fields(x1):
+    """eval_arrays' output fields for the points x1, segment data NaN."""
+    return {"value": np.empty_like(x1), "grad1": np.empty_like(x1),
+            "grad2": np.empty_like(x1), "region": np.empty(x1.shape, dtype=np.int64),
+            **{name: np.full_like(x1, np.nan) for name in "szuv"},
+            "underflow": np.zeros(x1.shape, dtype=bool)}
+
+
+def _eval_block(x1, x2, code, ctx: AlphaContext, out):
+    """eval_arrays on clamped points of region codes `code`, written into
+    the views `out` of its fields (from _blank_fields)."""
     out["region"][...] = code
     value, grad1, grad2 = out["value"], out["grad1"], out["grad2"]
 
@@ -322,7 +325,9 @@ def solve_s(x: OmegaPoint, ctx: AlphaContext) -> Foliation:
     between Omega_0 and Omega_1, which classify assigns to the smaller
     region) are accepted and resolved in the Omega_1 frame.
     """
-    region = classify(x, ctx)
+    x1 = np.array([x.x1], dtype=float)
+    x2 = np.atleast_1d(clamp_gap(x1, x.x2))
+    region = RegionId(int(_classify_clamped(x1, x2, ctx)[0]))
     if not region.is_chain:
         # 2*TOL, not TOL: classify's own boundary comparison rounds, and a
         # point a few ulps above x2 = 1 must not fall through the crack.
@@ -331,9 +336,7 @@ def solve_s(x: OmegaPoint, ctx: AlphaContext) -> Foliation:
             raise DomainError(f"{x} lies in {region}, not in the chain cells")
         region = RegionId.omega(1)
     m = region.index
-    # Fold the clamped point, as eval_arrays does.
-    x1 = np.array([x.x1], dtype=float)
-    z, sv, u, v, _, _ = _chain(m, x1, clamp_gap(x1, x.x2), ctx)
+    z, sv, u, v, _, _ = _chain(m, x1, x2, ctx)
     z, sv, u, v = float(z[0]), float(sv[0]), float(u[0]), float(v[0])
     xi = v - u
     vplus = v + 1.0 / xi - xi
@@ -433,9 +436,7 @@ def eval_b_prime(v, ctx: AlphaContext):
     out[pos] = 1.0
     neg = ~pos
     if np.any(neg):
-        # b' takes no affine-arc root, whose c * c overflows for alpha < 2^-1022.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[neg] = _gamma1_arcs(v[neg], ctx)[0]
+        out[neg] = _gamma1_arcs(v[neg], ctx)[0]
     return float(out[0]) if scalar else out
 
 
@@ -448,7 +449,11 @@ def _gamma1_arcs(v, ctx: AlphaContext, with_u: bool = False):
     z_odd = _arc_slope(eta)
     # c leaves its window [1, p0 + 1) where alpha^k underflows, as eta does: hold it at 1.
     c = np.where(ak > 0.0, v + ((k + 1.0) * ctx.tau + 1.0), 1.0)
-    z_even = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
+    # From c = 2^27 on, c^2 - 1 rounds to c^2, whose root is c: the root
+    # there is c + c, and c^2, which overflows for alpha < 2^-1022, is not formed.
+    big = c >= 2.0**27
+    c_small = np.where(big, 1.0, c)
+    z_even = np.where(big, c + c, c_small + np.sqrt(np.maximum(c_small * c_small - 1.0, 0.0)))
     b_prime = np.where(use_f, ak * z_odd * z_odd, ak * ctx.alpha)
     s = np.where(use_f, ak * z_odd, ak * ctx.alpha * z_even)
     if not with_u:
@@ -526,11 +531,13 @@ def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
     if k < 0 or k != int(k):
         raise DomainError(f"cut index must be a non-negative integer, got {k!r}")
     y1, y2 = shift_xy(L, x.x1, x.x2)
-    y2 = float(clamp_gap(y1, y2))
+    y1 = np.array([y1], dtype=float)
+    y2 = np.atleast_1d(clamp_gap(y1, y2))
     if k == 0:
-        return L + float(_majorant_zero(y1, y2))
-    code = int(classify_codes(y1, y2, ctx)[0])
-    if code <= k:
-        return L + eval_B(OmegaPoint(y1, y2), ctx).value
-    value = _chain(int(k), np.array([y1], dtype=float), np.array([y2]), ctx, cut=True)[4]
-    return L + float(value[0])
+        return L + float(_majorant_zero(y1, y2)[0])
+    code = _classify_clamped(y1, y2, ctx)
+    if code[0] <= k:
+        out = _blank_fields(y1)
+        _eval_block(y1, y2, code, ctx, out)
+        return L + float(out["value"][0])
+    return L + float(_chain(int(k), y1, y2, ctx, cut=True)[4][0])

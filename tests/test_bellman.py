@@ -974,6 +974,42 @@ class TestOneClamp:
         assert calls == [n]
         assert out["region"][0] >= 1
 
+    # solve_s, and eval_majorant at k = 0, in a kept cell and beyond the
+    # cut, at a point of Omega_3: one clamp each and at most one region search.
+    @pytest.mark.parametrize(
+        "call,searches",
+        [
+            (lambda x, ctx: solve_s(x, ctx), 1),
+            (lambda x, ctx: eval_majorant(x, 0.0, 0, ctx), 0),
+            (lambda x, ctx: eval_majorant(x, 0.0, 5, ctx), 1),
+            (lambda x, ctx: eval_majorant(x, 0.0, 1, ctx), 1),
+        ],
+        ids=["solve_s", "majorant_k0", "majorant_kept", "majorant_cut"],
+    )
+    def test_one_clamp_per_scalar_call(self, call, searches, monkeypatch):
+        from bmoblo import geometry
+
+        ctx = make_context(0.25)
+        x = OmegaPoint(-3.0, 9.5)
+        assert geometry.classify(x, ctx) == RegionId.omega(3)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        clamp = counting("clamp", geometry.clamp_gap)
+        monkeypatch.setattr(geometry, "clamp_gap", clamp)
+        monkeypatch.setattr(bellman, "clamp_gap", clamp)
+        monkeypatch.setattr(geometry, "classify_codes",
+                            counting("classify_codes", geometry.classify_codes))
+        monkeypatch.setattr(bellman, "_classify_clamped",
+                            counting("search", geometry._classify_clamped))
+        call(x, ctx)
+        assert sorted(calls) == ["clamp"] + ["search"] * searches
+
     @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1, 1.0 / 16.0])
     def test_every_field_bit_equal_to_a_second_clamp(self, alpha, monkeypatch):
         # Before, the region search clamped the clamped points again;

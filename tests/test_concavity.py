@@ -287,7 +287,9 @@ class TestOneTracePass:
     """The trace functions and the directional margins keep every bit of
     the form that ran the window split once per function."""
 
-    ALPHAS = [0.5, 0.25, 0.1, 2.0**-10, 2.0**-20]
+    # At 2^-60, tau = 2^30, so the affine arcs take roots of c up to 2^30,
+    # where gamma1_foliation doubles c in place of forming c * c.
+    ALPHAS = [0.5, 0.25, 0.1, 2.0**-10, 2.0**-20, 2.0**-60]
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_trace_functions_bit_equal(self, alpha):
@@ -325,6 +327,26 @@ class TestOneTracePass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(_bits(eval_b_prime(v, ctx)), _bits(want))
+
+
+    def test_gamma1_foliation_at_subnormal_alpha_is_quiet(self):
+        # From c = 2^27 on the affine-arc root is c + c, so c * c, which
+        # overflows once alpha < 2^-1022, is not formed.
+        ctx = make_context(2.0**-1060)
+        v = np.array([-1.0, -0.5 * ctx.tau, -1.5 * ctx.tau])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, u = gamma1_foliation(v, ctx)
+            assert np.all(np.isfinite(s)) and np.all(np.isfinite(u))
+            assert _bits(gamma1_foliation(-1.0, ctx)[0]) == _bits(s[0])
+
+    def test_affine_root_is_twice_c_from_2_to_the_27(self):
+        # fl(c^2 - 1) = fl(c^2) and sqrt(fl(c^2)) = c wherever c^2 is finite.
+        rng = np.random.default_rng(17)
+        c = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(27, 512, 100_000))
+        edges = [np.ldexp(1.0, np.arange(27, 512)), [np.nextafter(2.0**512, 0.0)]]
+        c = np.concatenate([c, *edges])
+        assert np.array_equal(_bits(c + np.sqrt(np.maximum(c * c - 1.0, 0.0))), _bits(c + c))
 
 
 class TestEqualityProbes:
