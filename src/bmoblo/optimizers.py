@@ -268,8 +268,8 @@ def psi_stats(psi: PsiFunction) -> PsiStats:
         M = 1 << k
         mixture = M * e * q * q + (M - 1) * M * yn - e * ((M - 1) * xn - q) ** 2
         best = max(best, mixture << 2 * (j - 1 - k))
-    size = _enclose(e * xn * xn, den, root=True)
-    mean = size if xn >= 0 else Enclosure(-size.hi, -size.lo)
+    abs_mean = _enclose(e * xn * xn, den, root=True)
+    mean = abs_mean if xn >= 0 else Enclosure(-abs_mean.hi, -abs_mean.lo)
     exact_n = _enclose(e * (q + xn) ** 2, den, root=True)
     # The float gamma of psi_params, which the report prints and checks
     # against, lies one ulp above that enclosure at j = 2.

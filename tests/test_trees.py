@@ -27,6 +27,7 @@ from bmoblo.trees import (
 from conftest import comb_text
 from oracles import (
     cube_tree,
+    dyadic_square_bmo_sq,
     inf_maximal,
     reference_induction,
     reference_main_theorem,
@@ -479,6 +480,8 @@ class TestCubeTrees:
         pairs += [(got[k][0], want[k][0]) for k in ("mean_N", "mean_M")]
         for a, b in pairs:
             assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+        if n == 2:
+            assert bmo_norm(cube) ** 2 == pytest.approx(dyadic_square_bmo_sq(v), rel=1e-14)
 
 
 def reference_aggregates(root):
