@@ -35,11 +35,11 @@ solve the fixed-point relations
                            b = sum_res m*val^2 + delta^2 * sum_unres m*c^2,
 
 with Cu = sum_unres m*c, mU the unresolved measure and 1 - mU the
-resolved mass, positive after the root's expansion.  Every value is gamma times a rational, so
-X/gamma and Y/gamma^2 are rationals of the integer sums over the cells,
-and so are the squares of every statistic; only the final roundings to
-float are inexact, and each is moved outward by exact integer
-comparison.  The solution is the untruncated function's (X = 0, Y = 1):
+resolved mass, positive after the root's expansion.  Every value is
+gamma times a rational, so X/gamma and Y/gamma^2 are rationals of the
+integer sums over the cells, and so are the squares of every statistic;
+only the final roundings to float are inexact, and each is moved
+outward by exact integer comparison.  The solution is the untruncated function's (X = 0, Y = 1):
 no statistic depends on the depth or the leaf budget.
 """
 
