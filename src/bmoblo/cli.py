@@ -159,6 +159,8 @@ def cmd_table(args) -> int:
             raise DomainError(f"--grid {args.grid!r} spans more than {_MAX_COUNT} knots k*tau")
         ts = np.union1d(ts, np.arange(int(math.floor(span)) + 1) * ctx.tau)
         ts = ts[ts >= 0]
+        if not ts.size:
+            raise DomainError(f"--grid {args.grid!r} lies wholly below t = 0, where phi is undefined")
         return _finish_table(zip(ts.tolist(), eval_F(ts, ctx).tolist()), ("t", "phi"), args)
     if args.kind == "b":
         ps = _grid(args.grid) if args.grid else -5 * ctx.tau + np.arange(141) * ctx.tau / 20

@@ -21,10 +21,13 @@ d+j, same-offset copies at depths d+2..d+j and an offset+1 copy at depth
 d+1.  States expand in generation order (the root, then its j children,
 then theirs, each generation in its parents' order), each generation a
 table counting its states by (depth, offset), all the statistics read.
-Expansion stops at a depth cap and a leaf budget: the budget admits the
-first floor((budget-1)/j) states in that order whose resolved piece fits
-the cap.  Whatever remains unresolved is tracked exactly by measure and
-offset, and every sum over the cells is an exact integer.
+A generation's children are a difference of running sums over depth of
+its expandable states.  Expansion stops at a depth cap and a leaf budget:
+the budget admits the first floor((budget-1)/j) states in that order
+whose resolved piece fits the cap.  The one generation it cuts is read
+from the kept tables of the earlier ones, along the path to its first
+unexpanded state.  Whatever remains unresolved is tracked exactly by
+measure and offset, and every sum over the cells is an exact integer.
 
 Statistics are exact.  Every unresolved cell is an exact affine copy of
 the whole function, so the function's moments X = <psi>, Y = <psi^2>
@@ -46,6 +49,7 @@ no statistic depends on the depth or the leaf budget.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +109,7 @@ class PsiFunction:
         self.res, self.unres = res, unres
         self.leaf_count = leaf_count
         self.unres_depth = np.flatnonzero(unres.any(axis=1))
-        self.res_sums = _moments(res, depth)
-        self.unres_sums = _moments(unres, depth)
+        self.res_sums, self.unres_sums = _moments(res, unres, depth)
         self.unresolved_mass = self.unres_sums[0] / (1 << depth)
 
     @property
@@ -118,51 +121,66 @@ class PsiFunction:
         return self.params.delta
 
 
-def _moments(table, depth):
-    """Sums of n, n*c and n*c^2 over a count table's cells (d, c), each
-    weighted by 2^(depth - d): the mass moments times 2^depth, in exact ints."""
-    weights = np.array([1 << (depth - d) for d in range(depth + 1)], dtype=object)
-    col = (weights @ table.astype(object)).tolist()
-    return tuple(sum(n * c**k for c, n in enumerate(col)) for k in range(3))
+def _moments(res, unres, depth):
+    """Sums of n, n*c and n*c^2 over each count table's cells (d, c), each
+    weighted by 2^(depth - d): the mass moments times 2^depth, in exact ints.
+    Counts are split into 32-bit halves, so the row sums stay exact in int64
+    and only the weights are Python ints."""
+    tables = np.stack((res, unres))
+    halves = np.concatenate((tables >> 32, tables & 0xFFFFFFFF), axis=1)
+    rows = halves @ np.arange(depth + 1)[:, None] ** np.arange(3)
+    weights = [1 << (depth - d + h) for h in (32, 0) for d in range(depth + 1)]
+    return [
+        tuple(sum(map(operator.mul, weights, col)) for col in table)
+        for table in rows.transpose(0, 2, 1).tolist()
+    ]
 
 
-def _children(states, j, depth):
-    """Count table of the children of `states`, the rows d <= depth - j:
-    child i = 1..j of a state (d, c) is (d+i, c+[i == 1])."""
-    rows = states.shape[0]
-    out = np.zeros((depth + 1, depth + 1), dtype=np.int64)
-    out[1 : rows + 1, 1:] = states[:, :-1]
-    for i in range(2, j + 1):
-        out[i : rows + i] += states
+def _children(grow, run, j, n):
+    """Count table of the children of the expandable states `grow`, from
+    their running sums `run` over depth: child i = 1..j of a state (d, c) is
+    (d+i, c+[i == 1]), so children 2..j land on row m from rows m-j..m-2."""
+    top = grow.shape[0] - 1
+    out = np.zeros((n, n), dtype=np.int64)
+    out[2 : top + 3] = run[: n - 2]
+    out[top + 3 :] = run[top]
+    out[j + 1 :] -= run[: n - j - 1]
+    out[1 : top + 2, 1:] += grow[:, :-1]
     return out
 
 
-def _leading_states(j, depth, gen, left):
-    """Count table of the first `left` expandable states of generation `gen`.
+def _first_states(grows, runs, left):
+    """Count table of the first `left` expandable states of the generation
+    after `grows`, the expandable tables of the earlier generations (with
+    their running sums `runs` over depth).
 
     Generation order is lexicographic in the child indices along the path
-    from the root, so a descent steered by reach[r, d], the expandable
-    states r generations below a state at depth d (capped at left + 1),
-    finds the first state past them; the states before its path ride along.
+    from the root.  The expandable states r generations below a state
+    (d, c) are generation r's at depths up to top - d, shifted by (d, c).
+    So a descent to the first state not taken, steered by those cumulative
+    counts, adds the children left of its path as shifted copies.
     """
-    top = depth - j
-    reach = np.zeros((gen + 1, depth + 1), dtype=np.int64)
-    reach[0, : top + 1] = 1
-    for r in range(1, gen + 1):
-        below = sum(reach[r - 1, i : i + top + 1] for i in range(1, j + 1))
-        reach[r, : top + 1] = np.minimum(below, left + 1)
-    before = np.zeros((depth + 1, depth + 1), dtype=np.int64)
+    top, n = grows[0].shape[0] - 1, grows[0].shape[1]
+    reach = np.sum(runs, axis=2).tolist()
+    out = np.zeros_like(grows[0])
     d = c = 0
-    for r in range(gen, 0, -1):
-        before = _children(before[: top + 1], j, depth)
-        for i in range(1, j + 1):
-            kid = (d + i, c + (i == 1))
-            if left < reach[r - 1, kid[0]]:
-                break
-            left -= int(reach[r - 1, kid[0]])
-            before[kid] += 1
-        d, c = kid
-    return before[: top + 1]
+    for r in range(len(grows) - 1, -1, -1):
+        below = reach[r]
+        if left < below[top - d - 1]:
+            d, c = d + 1, c + 1
+            continue
+        left -= below[top - d - 1]
+        out[d + 1 :, c + 1 :] += grows[r][: top - d, : n - c - 1]
+        i = 2
+        while left >= below[top - d - i]:
+            left -= below[top - d - i]
+            i += 1
+        # The children 2..i-1, all of offset c.
+        run = runs[r][:, : n - c]
+        out[d + 2 :, c:] += run[: top - d - 1]
+        out[d + i :, c:] -= run[: top - d - i + 1]
+        d += i
+    return out
 
 
 def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
@@ -188,21 +206,27 @@ def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
     budget = left = (node_budget - 1) // j
     # An expanded state (d, c) leaves its resolved piece at (d+j, c).  Only
     # one generation can outgrow the budget; nothing expands after it.
-    top = depth - j
-    gen = np.zeros((depth + 1, depth + 1), dtype=np.int64)
+    top, n = depth - j, depth + 1
+    gen = np.zeros((n, n), dtype=np.int64)
     gen[0, 0] = 1
-    res, unres = np.zeros_like(gen), np.zeros_like(gen)
-    g = 0
-    while gen.any():
+    gens, grows, runs = [gen], [], []
+    while left:
         grow = gen[: top + 1]
-        if int(grow.sum()) > left:
-            grow = _leading_states(j, depth, g, left) if left else 0 * grow
-        res[j:] += grow
-        unres += gen
-        unres[: top + 1] -= grow
-        left -= int(grow.sum())
-        gen = _children(grow, j, depth)
-        g += 1
+        run = grow.cumsum(axis=0)
+        size = int(run[top].sum())
+        if not size:
+            break
+        if size > left:
+            grow = _first_states(grows, runs, left)
+            run, size = grow.cumsum(axis=0), left
+        grows.append(grow)
+        runs.append(run)
+        left -= size
+        gen = _children(grow, run, j, n)
+        gens.append(gen)
+    res, unres = np.zeros_like(gen), np.sum(gens, axis=0)
+    res[j:] = np.sum(grows, axis=0)
+    unres[: top + 1] -= res[j:]
     return PsiFunction(params, depth, res, unres, 1 + j * (budget - left))
 
 

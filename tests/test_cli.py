@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import time
@@ -198,6 +199,20 @@ class TestTable:
         assert out == ""
         assert err == f"error: grid spec {grid!r} has more than 1000000 points\n"
 
+    # phi lives on t >= 0; a grid with no point there has no row to print.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", ["-3:-1:0.5", "-3:0.2:0.7", "-1e-3:-1e-3:1"])
+    def test_phi_grid_below_zero_is_a_domain_error(self, capsys, grid, fmt):
+        argv = ["table", "--n", "2", "--kind", "phi", f"--grid={grid}", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grid {grid!r} lies wholly below t = 0, where phi is undefined\n"
+
+    def test_phi_grid_ending_at_zero_prints_the_knot(self, capsys):
+        code, out, _ = run(capsys, ["table", "--n", "2", "--kind", "phi", "--grid=-3:0:0.5"])
+        assert code == 0
+        assert out == "t,phi\n0,1\n"
 
     def test_phi_grid_far_past_the_knots_is_a_domain_error(self, capsys):
         # 11 grid points, but about 7e299 knot rows k*tau below the last.
@@ -708,6 +723,22 @@ class TestOptimizer:
         code, out, _ = run(capsys, ["optimizer", "--jmax", "5", "--depth", "20"])
         gammas = [float(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
+
+    # The sha256 of the whole report.  Its unresolved_mass column is the only
+    # one that depends on how build_psi counts the cells.
+    @pytest.mark.parametrize(
+        "jmax,depth,fmt,digest",
+        [
+            (12, 24, "csv", "f2f956d35bb7f3c27958411c054d8c84511c6bba532811e6e6ec32c48f59a4dc"),
+            (12, 24, "json", "619fc65808fb15768c831300f60ed3af78a577cf21819abf8f8ac8c836dc2797"),
+            (53, 63, "csv", "55b8682193ca45d6de5073e96f4901cf329370549c10fc116d2905c33b1d0b8b"),
+        ],
+    )
+    def test_report_bytes_pinned(self, capsys, jmax, depth, fmt, digest):
+        argv = ["optimizer", "--jmax", str(jmax), "--depth", str(depth), "--format", fmt]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

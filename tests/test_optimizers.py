@@ -126,23 +126,26 @@ def _reference_build(j, depth, node_budget):
     Returns the reference, which lists its leaves as int64 arrays in the
     order the loop makes them, and the int64 positions (res_pos,
     unres_pos) of those leaves: leaf i of depth d is the cell
-    (pos * 2^-d, (pos+1) * 2^-d].
+    (pos * 2^-d, (pos+1) * 2^-d].  The reference also counts, by
+    generation, the states it met whose resolved piece fits the depth.
     """
     res_d, res_c, res_p = [], [], []
     unres_d, unres_c, unres_p = [], [], []
-    queue = deque([(0, 0, 0)])
+    expandable = Counter()
+    queue = deque([(0, 0, 0, 0)])
     leaves = 1
     while queue:
-        d, c, pos = queue.popleft()
+        d, c, pos, g = queue.popleft()
+        expandable[g] += d + j <= depth
         if d + j > depth or leaves + j > node_budget:
             unres_d.append(d)
             unres_c.append(c)
             unres_p.append(pos)
             continue
         leaves += j
-        queue.append((d + 1, c + 1, 2 * pos + 1))
+        queue.append((d + 1, c + 1, 2 * pos + 1, g + 1))
         for i in range(2, j + 1):
-            queue.append((d + i, c, (pos << i) + 1))
+            queue.append((d + i, c, (pos << i) + 1, g + 1))
         res_d.append(d + j)
         res_c.append(c)
         res_p.append(pos << j)
@@ -153,6 +156,7 @@ def _reference_build(j, depth, node_budget):
         gamma=params.gamma,
         delta=params.delta,
         leaf_count=leaves,
+        expandable=[expandable[g] for g in range(len(expandable))],
         res_depth=np.array(res_d, dtype=np.int64),
         res_offset=np.array(res_c, dtype=np.int64),
         unres_depth=np.array(unres_d, dtype=np.int64),
@@ -227,6 +231,20 @@ class TestBuildReference:
     @pytest.mark.parametrize("j", [63, 32, 2])
     def test_bitwise_equal_at_int8_edges(self, j):
         _assert_same_build(j, 63, 1 << 17)
+
+    # Budgets of 1 + j*(C_g + shift), C_g the expandable states through
+    # generation g: the cut falls one state before, at and one state past
+    # each generation boundary.
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("j", [2, 3, 5, 8])
+    def test_bitwise_equal_at_generation_boundaries(self, j, shift):
+        depth, most = 18, 5000
+        ref, _ = _reference_build(j, depth, 1 + j * (most + 1))
+        cumulative = np.cumsum(ref.expandable)
+        cuts = sorted({int(cg) for cg in cumulative[1:] if cg <= most})
+        assert cuts
+        for cg in cuts:
+            _assert_same_build(j, depth, 1 + j * (cg + shift))
 
     @pytest.mark.parametrize("j,node_budget", [(3, 101), (3, 1001), (5, 103), (5, 2003)])
     def test_budget_expands_first_eligible_states(self, j, node_budget):
