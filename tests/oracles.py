@@ -76,6 +76,31 @@ def exact_moments(psi):
     return x, y, candidates, r0 + u0
 
 
+def psi_state_tables(j):
+    """The (depth, offset) count tables of psi_j's states, by the first
+    child taken, for every depth the package allows.
+
+    S_t counts the states of the partition whose states expand at depths
+    up to t: the root, and if t >= 0 the states of its j children, child
+    i = 1..j being a copy of the whole partition one scale down, at depth
+    i and offset [i == 1], whose states expand at depths up to t - i.  So
+
+        S_t = e_00 + [t >= 0] * sum_{i=1}^{j} (S_{t-i} shifted by (i, [i == 1])),
+
+    with S_t = e_00 for t < 0.  Entry t + 1 of the result, a 64 x 64 int64
+    table, is S_t for t = -1 .. 63 - j; the depth-D build is S_{D-j}.
+    """
+    n = 64
+    tables = np.zeros((65 - j, n, n), dtype=np.int64)
+    tables[:, 0, 0] = 1
+    for t in range(64 - j):
+        for i in range(1, j + 1):
+            child = tables[max(t - i, -1) + 1]
+            off = int(i == 1)
+            tables[t + 1, i:, off:] += child[: n - i, : n - off]
+    return tables
+
+
 def leaf_values(ref, unresolved_mode: str = "inf"):
     """Values of all leaves (resolved then unresolved).
 

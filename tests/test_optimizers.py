@@ -21,6 +21,7 @@ from oracles import (
     dyadic_interval_bmo_sq,
     dyadic_square_bmo_sq,
     exact_moments,
+    psi_state_tables,
     value_grid,
 )
 
@@ -254,6 +255,39 @@ class TestBuildReference:
         assert psi.leaf_count == 1 + j * ((node_budget - 1) // j)
         # the budget, not the depth, left some state unexpanded
         assert np.any(psi.unres_depth + j <= depth)
+
+
+def _unresolved_measures(j):
+    """U_j(D) for D = 0..63, in Fractions: the root's children take 2^-i of
+    the mass each and see depth D - i, and nothing expands below depth j."""
+    u = [Fraction(1)] * j
+    for depth in range(j, 64):
+        u.append(sum(u[depth - i] / (1 << i) for i in range(1, j + 1)))
+    return u
+
+
+class TestStateTables:
+    """build_psi's count tables against the oracle that sums them by the
+    first child taken, at every 1 <= j <= depth <= 63."""
+
+    @pytest.mark.parametrize("j", range(1, 64))
+    def test_tables_match_first_child_oracle(self, j):
+        tables, measures = psi_state_tables(j), _unresolved_measures(j)
+        for depth in range(j, 64):
+            case, top, n = (j, depth), depth - j, depth + 1
+            states = tables[top + 1]
+            assert not states[n:].any() and not states[:, n:].any(), case
+            states = states[:n, :n]
+            psi = build_psi(j, depth, node_budget=1 << 62)
+            assert np.array_equal(psi.res[:j], np.zeros((j, n), dtype=np.int64)), case
+            assert np.array_equal(psi.res[j:], states[: top + 1]), case
+            assert not psi.unres[: top + 1].any(), case
+            assert np.array_equal(psi.unres[top + 1 :], states[top + 1 :]), case
+            deep = np.flatnonzero(states[top + 1 :].any(axis=1)) + top + 1
+            assert np.array_equal(psi.unres_depth, deep), case
+            assert psi.leaf_count == 1 + j * int(states[: top + 1].sum()), case
+            assert Fraction(psi.unres_sums[0], 1 << depth) == measures[depth], case
+            assert psi.unresolved_mass == float(measures[depth]), case
 
 
 class TestDepthLimit:
