@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     PreconditionError,
-    ResourceError,
     StructureError,
 )
 from .geometry import (
@@ -77,7 +76,6 @@ __all__ = [
     "PsiParams",
     "PsiStats",
     "RegionId",
-    "ResourceError",
     "StructureError",
     "SweepReport",
     "blo_norm",

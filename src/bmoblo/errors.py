@@ -28,7 +28,3 @@ class StructureError(BmobloError, ValueError):
 
 class PreconditionError(BmobloError, ValueError):
     """A caller-checkable hypothesis of a verification routine fails."""
-
-
-class ResourceError(BmobloError, RuntimeError):
-    """A configured size budget cannot accommodate the requested build."""

@@ -18,16 +18,13 @@ The recursion is materialized as an adaptive binary partition: a "state"
 cell carries an exact affine copy of psi shifted by offset*delta; one
 expansion turns a state at depth d into a resolved constant cell at depth
 d+j, same-offset copies at depths d+2..d+j and an offset+1 copy at depth
-d+1.  States expand in generation order (the root, then its j children,
-then theirs, each generation in its parents' order), each generation a
-table counting its states by (depth, offset), all the statistics read.
-A generation's children are a difference of running sums over depth of
-its expandable states.  Expansion stops at a depth cap and a leaf budget:
-the budget admits the first floor((budget-1)/j) states in that order
-whose resolved piece fits the cap.  The one generation it cuts is read
-from the kept tables of the earlier ones, along the path to its first
-unexpanded state.  Whatever remains unresolved is tracked exactly by
-measure and offset, and every sum over the cells is an exact integer.
+d+1.  Every state whose resolved piece fits within the depth cap expands,
+and the statistics read only how many cells share each (depth, offset)
+pair.  So the states are counted one depth at a time, each depth's row by
+the last step taken: child 1 of the expanded row above, one offset up,
+and children 2..j of the expanded rows j..2 above, a difference of two
+running sums over depth.  Whatever remains unresolved is tracked exactly
+by measure and offset, and every sum over the cells is an exact integer.
 
 Statistics are exact.  Every unresolved cell is an exact affine copy of
 the whole function, so the function's moments X = <psi>, Y = <psi^2>
@@ -42,8 +39,8 @@ resolved mass, positive after the root's expansion.  Every value is
 gamma times a rational, so X/gamma and Y/gamma^2 are rationals of the
 integer sums over the cells, and so are the squares of every statistic;
 only the final roundings to float are inexact, and each is moved
-outward by exact integer comparison.  The solution is the untruncated function's (X = 0, Y = 1):
-no statistic depends on the depth or the leaf budget.
+outward by exact integer comparison.  The solution is the untruncated
+function's (X = 0, Y = 1): no statistic depends on the depth.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
 # Deepest cell: a build of depth D has fewer than 2^D cells to count in int64.
 _MAX_DEPTH = 63
@@ -69,12 +66,23 @@ class PsiParams:
     delta: float
 
 
+def _integer(x, name: str) -> int:
+    """x as an int if it is integral (3 or 3.0), else a DomainError naming it."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {x!r}")
+
+
 def psi_params(j: int) -> PsiParams:
     """Constants gamma_j = 1/sqrt(1 + 2^(1-j)), delta_j = 2^(1-j) gamma_j."""
-    if j < 1 or j != int(j):
+    j = _integer(j, "scale index j")
+    if j < 1:
         raise DomainError(f"scale index j must be a positive integer, got {j!r}")
     gamma = 1.0 / math.sqrt(1.0 + 2.0 ** (1 - j))
-    return PsiParams(j=int(j), gamma=gamma, delta=2.0 ** (1 - j) * gamma)
+    return PsiParams(j=j, gamma=gamma, delta=2.0 ** (1 - j) * gamma)
 
 
 @dataclass(frozen=True)
@@ -136,98 +144,41 @@ def _moments(res, unres, depth):
     ]
 
 
-def _children(grow, run, j, n):
-    """Count table of the children of the expandable states `grow`, from
-    their running sums `run` over depth: child i = 1..j of a state (d, c) is
-    (d+i, c+[i == 1]), so children 2..j land on row m from rows m-j..m-2."""
-    top = grow.shape[0] - 1
-    out = np.zeros((n, n), dtype=np.int64)
-    out[2 : top + 3] = run[: n - 2]
-    out[top + 3 :] = run[top]
-    out[j + 1 :] -= run[: n - j - 1]
-    out[1 : top + 2, 1:] += grow[:, :-1]
-    return out
-
-
-def _first_states(grows, runs, left):
-    """Count table of the first `left` expandable states of the generation
-    after `grows`, the expandable tables of the earlier generations (with
-    their running sums `runs` over depth).
-
-    Generation order is lexicographic in the child indices along the path
-    from the root.  The expandable states r generations below a state
-    (d, c) are generation r's at depths up to top - d, shifted by (d, c).
-    So a descent to the first state not taken, steered by those cumulative
-    counts, adds the children left of its path as shifted copies.
-    """
-    top, n = grows[0].shape[0] - 1, grows[0].shape[1]
-    reach = np.sum(runs, axis=2).tolist()
-    out = np.zeros_like(grows[0])
-    d = c = 0
-    for r in range(len(grows) - 1, -1, -1):
-        below = reach[r]
-        if left < below[top - d - 1]:
-            d, c = d + 1, c + 1
-            continue
-        left -= below[top - d - 1]
-        out[d + 1 :, c + 1 :] += grows[r][: top - d, : n - c - 1]
-        i = 2
-        while left >= below[top - d - i]:
-            left -= below[top - d - i]
-            i += 1
-        # The children 2..i-1, all of offset c.
-        run = runs[r][:, : n - c]
-        out[d + 2 :, c:] += run[: top - d - 1]
-        out[d + i :, c:] -= run[: top - d - i + 1]
-        d += i
-    return out
-
-
-def build_psi(j: int, depth: int, node_budget: int = 1 << 17) -> PsiFunction:
+def build_psi(j: int, depth: int) -> PsiFunction:
     """Expand the recursion into an adaptive partition.
 
-    A state expands only if its resolved piece fits within `depth` and the
-    resulting leaves fit within `node_budget` (each expansion adds j
-    leaves); remaining states stay as unresolved leaves with exact measure
-    accounting, so both caps degrade the enclosure widths, never
-    correctness.  States are taken in generation order, and the budget
-    expands the first floor((node_budget-1)/j) of them whose resolved piece
-    fits within `depth`, which is at most 63.
+    Every state whose resolved piece fits within `depth`, which is at most
+    63, expands; the others stay unresolved leaves, with exact measure
+    accounting.  One pass over the depths m = 1..depth counts the states
+    of depth m by offset: child 1 of the expanded states of depth m-1,
+    shifted one offset, plus children 2..j of those of depths m-j..m-2, a
+    difference of two running sums over the expanded rows.
     """
     params = psi_params(j)
+    j, depth = params.j, _integer(depth, "depth")
     if depth < j:
         raise DomainError(f"depth {depth} is below the scale index {j}")
     if depth > _MAX_DEPTH:
         raise DomainError(f"depth {depth} exceeds {_MAX_DEPTH}: cell counts could overflow int64")
-    if node_budget < j + 1:
-        raise ResourceError(
-            f"node budget {node_budget} cannot hold a single expansion of scale {j}"
-        )
-    budget = left = (node_budget - 1) // j
-    # An expanded state (d, c) leaves its resolved piece at (d+j, c).  Only
-    # one generation can outgrow the budget; nothing expands after it.
+    # A state (d, c) expands if d <= top, leaving its resolved piece at (d+j, c).
     top, n = depth - j, depth + 1
-    gen = np.zeros((n, n), dtype=np.int64)
-    gen[0, 0] = 1
-    gens, grows, runs = [gen], [], []
-    while left:
-        grow = gen[: top + 1]
-        run = grow.cumsum(axis=0)
-        size = int(run[top].sum())
-        if not size:
-            break
-        if size > left:
-            grow = _first_states(grows, runs, left)
-            run, size = grow.cumsum(axis=0), left
-        grows.append(grow)
-        runs.append(run)
-        left -= size
-        gen = _children(grow, run, j, n)
-        gens.append(gen)
-    res, unres = np.zeros_like(gen), np.sum(gens, axis=0)
-    res[j:] = np.sum(grows, axis=0)
-    unres[: top + 1] -= res[j:]
-    return PsiFunction(params, depth, res, unres, 1 + j * (budget - left))
+    states = np.zeros((n, n), dtype=np.int64)
+    states[0, 0] = 1
+    # run[k] sums the expanded rows 0..k-1, so children 2..j of the
+    # expanded rows max(m-j, 0)..min(m-2, top) are a difference of two.
+    run = np.zeros((top + 2, n), dtype=np.int64)
+    run[1] = states[0]
+    for m in range(1, n):
+        row = states[m]
+        np.subtract(run[min(m - 1, top + 1)], run[max(m - j, 0)], out=row)
+        if m <= top + 1:
+            row[1:] += states[m - 1, :-1]
+        if m <= top:
+            np.add(run[m], row, out=run[m + 1])
+    res = np.zeros_like(states)
+    res[j:] = states[: top + 1]
+    states[: top + 1] = 0  # the unresolved states remain
+    return PsiFunction(params, depth, res, states, 1 + j * int(res.sum()))
 
 
 @dataclass(frozen=True)
@@ -242,9 +193,7 @@ class PsiStats:
     mean: Enclosure
     mean_sq: Enclosure
     bmo: Enclosure
-    blo: Enclosure
     mean_N: Enclosure
-    inf_N: Enclosure
 
 
 def _enclose(num: int, den: int, root: bool = False) -> Enclosure:
@@ -307,9 +256,7 @@ def psi_stats(psi: PsiFunction) -> PsiStats:
         mean=mean,
         mean_sq=_enclose(yn, den),
         bmo=_enclose(best, den << 2 * (j - 1), root=True),
-        blo=mean_N,
         mean_N=mean_N,
-        inf_N=Enclosure(0.0, 0.0),
     )
 
 
@@ -334,7 +281,7 @@ _CSV_COLUMNS = (
 )
 
 
-def m_norm_report(j_list, depth: int, node_budget: int = 1 << 17):
+def m_norm_report(j_list, depth: int):
     """Convergence table for the operator-norm lower bound.
 
     For each j the shifted function psi_j + gamma_j is non-negative, so the
@@ -345,8 +292,8 @@ def m_norm_report(j_list, depth: int, node_budget: int = 1 << 17):
     """
     rows = []
     for j in j_list:
-        psi = build_psi(int(j), depth, node_budget=node_budget)
-        rows.append(OptimizerRow(j=int(j), stats=psi_stats(psi)))
+        psi = build_psi(j, depth)
+        rows.append(OptimizerRow(j=psi.j, stats=psi_stats(psi)))
     return rows
 
 

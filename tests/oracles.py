@@ -21,7 +21,7 @@ import numpy as np
 
 from bmoblo.bellman import eval_A_arrays, eval_B, eval_F
 from bmoblo.concavity import chord_H
-from bmoblo.errors import DomainError, PreconditionError, ResourceError
+from bmoblo.errors import DomainError, PreconditionError
 from bmoblo.geometry import TOL, AlphaContext, OmegaPoint, RegionId, shift_xy
 from bmoblo.trees import (
     _UNIT_NORM_SQ,
@@ -131,7 +131,7 @@ def _located_values(ref, positions, unresolved_mode):
 def value_grid(ref, positions, unresolved_mode: str = "inf"):
     """Step-function values on the uniform grid of 2^depth cells."""
     if ref.depth > 24:
-        raise ResourceError("value grid limited to depth <= 24")
+        raise ValueError("value grid limited to depth <= 24")
     grid = np.empty(1 << ref.depth)
     for dep, pos, val in _located_values(ref, positions, unresolved_mode):
         w = 1 << (ref.depth - dep)
@@ -142,7 +142,7 @@ def value_grid(ref, positions, unresolved_mode: str = "inf"):
 def as_alpha_tree(ref, positions, unresolved_mode: str = "mean") -> AlphaTree:
     """The binary partition as a measure-1 half-tree on (0, 1]."""
     if ref.leaf_count > (1 << 16):
-        raise ResourceError("tree materialization limited to 2^16 leaves")
+        raise ValueError("tree materialization limited to 2^16 leaves")
     table = {(dep, pos): val for dep, pos, val in _located_values(ref, positions, unresolved_mode)}
 
     def build(d, pos):
@@ -186,7 +186,7 @@ def dyadic_square_bmo_sq(values):
     v = np.asarray(values, dtype=float)
     n = v.size
     if n > 256:
-        raise ResourceError("square enumeration limited to grids of depth <= 8")
+        raise ValueError("square enumeration limited to grids of depth <= 8")
     grid = np.broadcast_to(v[:, None], (n, n))
     s = np.zeros((n + 1, n + 1))
     s2 = np.zeros((n + 1, n + 1))

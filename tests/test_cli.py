@@ -729,9 +729,9 @@ class TestOptimizer:
     @pytest.mark.parametrize(
         "jmax,depth,fmt,digest",
         [
-            (12, 24, "csv", "f2f956d35bb7f3c27958411c054d8c84511c6bba532811e6e6ec32c48f59a4dc"),
-            (12, 24, "json", "619fc65808fb15768c831300f60ed3af78a577cf21819abf8f8ac8c836dc2797"),
-            (53, 63, "csv", "55b8682193ca45d6de5073e96f4901cf329370549c10fc116d2905c33b1d0b8b"),
+            (12, 24, "csv", "d93f91f4fa9d4ad8675057537d9b725781550a03e68790d03b9925b9881fe941"),
+            (12, 24, "json", "3c8b55ebec6a732f426bfe5f7125af8232fc2a9f898b7d3b355d4fa2920d4da4"),
+            (53, 63, "csv", "81d5661b764e2c620efb102e7e805744e06ffa562a9c51716e73fb7defb66f1e"),
         ],
     )
     def test_report_bytes_pinned(self, capsys, jmax, depth, fmt, digest):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bmoblo.errors import DomainError, ResourceError
+from bmoblo.errors import DomainError
 from bmoblo.optimizers import (
     OptimizerRow,
     build_psi,
@@ -52,9 +52,17 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_psi(4, 3)
 
-    def test_tiny_budget_rejected(self):
-        with pytest.raises(ResourceError):
-            build_psi(4, 24, node_budget=3)
+    @pytest.mark.parametrize("j,depth", [(3.0, 24), (3, 24.0), (np.int64(3), np.float64(24.0))])
+    def test_integral_floats_taken_as_ints(self, j, depth):
+        psi, ref = build_psi(j, depth), build_psi(3, 24)
+        assert (type(psi.j), type(psi.depth)) == (int, int)
+        assert np.array_equal(psi.res, ref.res) and np.array_equal(psi.unres, ref.unres)
+        assert psi.leaf_count == ref.leaf_count
+
+    @pytest.mark.parametrize("depth", [24.5, math.nan, math.inf, "24"])
+    def test_non_integral_depth_rejected(self, depth):
+        with pytest.raises(DomainError, match="depth must be an integer"):
+            build_psi(3, depth)
 
     def test_leftmost_cell_resolved(self):
         ref, (res_pos, _) = _located_build(3, 12)
@@ -82,8 +90,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("j,depth", [(1, 20), (2, 12), (2, 20), (3, 21), (12, 24)])
     def test_mass_decay_bound(self, j, depth):
-        # where the leaf budget does not bind, the unresolved measure obeys
-        # the per-pass decay bound
+        # the unresolved measure obeys the per-pass decay bound
         psi = build_psi(j, depth)
         assert psi.unresolved_mass <= (1.0 - 2.0**-j) ** (depth // j) + 1e-15
 
@@ -114,39 +121,30 @@ class TestBuild:
         )
         assert mapped == expected
 
-    def test_budget_truncates_gracefully(self):
-        small = build_psi(5, 24, node_budget=2000)
-        big = build_psi(5, 24, node_budget=1 << 17)
-        assert small.leaf_count <= 2000
-        assert small.unresolved_mass > big.unresolved_mass
 
-
-def _reference_build(j, depth, node_budget):
+def _reference_build(j, depth):
     """The one-state-at-a-time breadth-first build, as the reference.
 
     Returns the reference, which lists its leaves as int64 arrays in the
     order the loop makes them, and the int64 positions (res_pos,
     unres_pos) of those leaves: leaf i of depth d is the cell
-    (pos * 2^-d, (pos+1) * 2^-d].  The reference also counts, by
-    generation, the states it met whose resolved piece fits the depth.
+    (pos * 2^-d, (pos+1) * 2^-d].
     """
     res_d, res_c, res_p = [], [], []
     unres_d, unres_c, unres_p = [], [], []
-    expandable = Counter()
-    queue = deque([(0, 0, 0, 0)])
+    queue = deque([(0, 0, 0)])
     leaves = 1
     while queue:
-        d, c, pos, g = queue.popleft()
-        expandable[g] += d + j <= depth
-        if d + j > depth or leaves + j > node_budget:
+        d, c, pos = queue.popleft()
+        if d + j > depth:
             unres_d.append(d)
             unres_c.append(c)
             unres_p.append(pos)
             continue
         leaves += j
-        queue.append((d + 1, c + 1, 2 * pos + 1, g + 1))
+        queue.append((d + 1, c + 1, 2 * pos + 1))
         for i in range(2, j + 1):
-            queue.append((d + i, c, (pos << i) + 1, g + 1))
+            queue.append((d + i, c, (pos << i) + 1))
         res_d.append(d + j)
         res_c.append(c)
         res_p.append(pos << j)
@@ -157,7 +155,6 @@ def _reference_build(j, depth, node_budget):
         gamma=params.gamma,
         delta=params.delta,
         leaf_count=leaves,
-        expandable=[expandable[g] for g in range(len(expandable))],
         res_depth=np.array(res_d, dtype=np.int64),
         res_offset=np.array(res_c, dtype=np.int64),
         unres_depth=np.array(unres_d, dtype=np.int64),
@@ -193,68 +190,40 @@ def _assert_tables(psi, ref):
     assert psi.leaf_count == ref.leaf_count, case
 
 
-def _located_build(j, depth, node_budget=1 << 17):
+def _located_build(j, depth):
     """The reference and its leaves' positions, after checking that
     build_psi's count tables tally the reference's leaves."""
-    ref, positions = _reference_build(j, depth, node_budget)
-    _assert_tables(build_psi(j, depth, node_budget=node_budget), ref)
+    ref, positions = _reference_build(j, depth)
+    _assert_tables(build_psi(j, depth), ref)
     return ref, positions
 
 
-def _assert_same_build(j, depth, node_budget):
-    psi = build_psi(j, depth, node_budget=node_budget)
-    ref, _ = _reference_build(j, depth, node_budget)
+def _assert_same_build(j, depth):
+    psi = build_psi(j, depth)
+    ref, _ = _reference_build(j, depth)
     _assert_tables(psi, ref)
     res, unres = _fraction_sums(ref)
-    assert res[0] + unres[0] == 1, (j, depth, node_budget)
+    assert res[0] + unres[0] == 1, (j, depth)
     scale = 1 << depth
-    assert psi.res_sums == tuple(x * scale for x in res), (j, depth, node_budget)
-    assert psi.unres_sums == tuple(x * scale for x in unres), (j, depth, node_budget)
-    assert psi.unresolved_mass.hex() == float(unres[0]).hex(), (j, depth, node_budget)
+    assert psi.res_sums == tuple(x * scale for x in res), (j, depth)
+    assert psi.unres_sums == tuple(x * scale for x in unres), (j, depth)
+    assert psi.unresolved_mass.hex() == float(unres[0]).hex(), (j, depth)
 
 
 class TestBuildReference:
+    """build_psi against the breadth-first loop at every depth whose build
+    has at most 5000 leaves; TestStateTables covers the larger ones."""
+
     @pytest.mark.parametrize("j", range(1, 15))
     def test_bitwise_equal_to_breadth_first_loop(self, j):
-        for depth in range(j, 27):
-            for node_budget in (j + 1, 2 * j + 1, 2000):
-                _assert_same_build(j, depth, node_budget)
-
-    @pytest.mark.parametrize("j", [2, 7, 12])
-    def test_bitwise_equal_at_default_budget(self, j):
-        _assert_same_build(j, 24, 1 << 17)
-
-    def test_bitwise_equal_at_deepest_depth(self):
-        _assert_same_build(1, 63, 1 << 17)
-        _assert_same_build(3, 63, 2000)
-
-    # Depth and offset 63, the edges of the former int8 leaf arrays.
-    @pytest.mark.parametrize("j", [63, 32, 2])
-    def test_bitwise_equal_at_int8_edges(self, j):
-        _assert_same_build(j, 63, 1 << 17)
-
-    # Budgets of 1 + j*(C_g + shift), C_g the expandable states through
-    # generation g: the cut falls one state before, at and one state past
-    # each generation boundary.
-    @pytest.mark.parametrize("shift", [-1, 0, 1])
-    @pytest.mark.parametrize("j", [2, 3, 5, 8])
-    def test_bitwise_equal_at_generation_boundaries(self, j, shift):
-        depth, most = 18, 5000
-        ref, _ = _reference_build(j, depth, 1 + j * (most + 1))
-        cumulative = np.cumsum(ref.expandable)
-        cuts = sorted({int(cg) for cg in cumulative[1:] if cg <= most})
-        assert cuts
-        for cg in cuts:
-            _assert_same_build(j, depth, 1 + j * (cg + shift))
-
-    @pytest.mark.parametrize("j,node_budget", [(3, 101), (3, 1001), (5, 103), (5, 2003)])
-    def test_budget_expands_first_eligible_states(self, j, node_budget):
-        assert (node_budget - 1) % j != 0
-        depth = 24
-        psi = build_psi(j, depth, node_budget=node_budget)
-        assert psi.leaf_count == 1 + j * ((node_budget - 1) // j)
-        # the budget, not the depth, left some state unexpanded
-        assert np.any(psi.unres_depth + j <= depth)
+        # The depth-D build has 1 + (the leaves of the depth-(D-i) builds,
+        # i = 1..j) leaves, and only the root below depth j.
+        leaves = [1] * j
+        for depth in range(j, 64):
+            leaves.append(1 + sum(leaves[-j:]))
+            if leaves[-1] > 5000:
+                break
+            _assert_same_build(j, depth)
 
 
 def _unresolved_measures(j):
@@ -278,7 +247,7 @@ class TestStateTables:
             states = tables[top + 1]
             assert not states[n:].any() and not states[:, n:].any(), case
             states = states[:n, :n]
-            psi = build_psi(j, depth, node_budget=1 << 62)
+            psi = build_psi(j, depth)
             assert np.array_equal(psi.res[:j], np.zeros((j, n), dtype=np.int64)), case
             assert np.array_equal(psi.res[j:], states[: top + 1]), case
             assert not psi.unres[: top + 1].any(), case
@@ -340,18 +309,16 @@ def _within_ulps(enc, n):
 
 class TestEnclosuresAcrossRange:
     """Every row's enclosures contain the exact values, a few ulps wide, at
-    each scale index, at shallow and deep builds, with and without a
-    binding budget."""
+    each scale index, at shallow and deep builds."""
 
-    @pytest.mark.parametrize("node_budget", [1 << 17, 2000])
-    def test_targets_enclosed(self, node_budget):
+    def test_targets_enclosed(self):
         missed = []
         for j in range(1, 64):
             e = 1 << (j - 1)
             for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
                 if depth < j:
                     continue
-                st = psi_stats(build_psi(j, depth, node_budget))
+                st = psi_stats(build_psi(j, depth))
                 # lo^2 <= gamma^2 = e/(e+1) <= hi^2, in integers.
                 (a, b), (c, d) = (x.as_integer_ratio() for x in (st.mean_N.lo, st.mean_N.hi))
                 ok = (
@@ -365,9 +332,10 @@ class TestEnclosuresAcrossRange:
         assert not missed
 
     def test_fixed_point_divides_by_the_resolved_mass(self):
-        # A float mU keeps no bit below 2^-53, so 1 - mU is off by 1.5e-8
-        # relative here, which once put y* 1.4e-8 below 1.
-        psi = build_psi(30, 63)
+        # A float mU keeps no bit below 2^-53, so 1 - mU is off by a third
+        # of the resolved mass here: the fixed point must divide by the
+        # exact resolved mass.
+        psi = build_psi(53, 54)
         res_mass = psi.res_sums[0] / (1 << psi.depth)
         assert abs((1.0 - psi.unresolved_mass) / res_mass - 1.0) > 1e-9
         assert psi_stats(psi).mean_sq.contains(1.0)
@@ -375,18 +343,17 @@ class TestEnclosuresAcrossRange:
 
 class TestExactFixedPoint:
     """The fixed point solved exactly from build_psi's count tables: at
-    every depth and budget the moments are those of the untruncated
-    function, X = 0 and Y = 1, and the copy is the largest BMO candidate,
-    so the BMO norm is 1."""
+    every depth the moments are those of the untruncated function, X = 0
+    and Y = 1, and the copy is the largest BMO candidate, so the BMO norm
+    is 1."""
 
-    @pytest.mark.parametrize("node_budget", [1 << 17, 2000])
-    def test_moments_do_not_depend_on_truncation(self, node_budget):
+    def test_moments_do_not_depend_on_truncation(self):
         for j in range(1, 64):
             for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
                 if depth < j:
                     continue
-                x, y, candidates, total = exact_moments(build_psi(j, depth, node_budget))
-                case = (j, depth, node_budget)
+                x, y, candidates, total = exact_moments(build_psi(j, depth))
+                case = (j, depth)
                 assert total == 1, case
                 assert x == 0, case
                 assert y == 1 + Fraction(1, 1 << (j - 1)), case
@@ -440,8 +407,6 @@ class TestStats:
         assert st.mean_sq.contains(1.0)
         assert st.bmo.contains(1.0)
         assert st.mean_N.contains(st.gamma)
-        assert st.inf_N.contains(0.0)
-        assert st.blo.contains(st.gamma)
 
     def test_mean_N_identity_value(self):
         st = psi_stats(build_psi(10, 24))
