@@ -210,20 +210,63 @@ def _assert_same_build(j, depth):
     assert psi.unresolved_mass.hex() == float(unres[0]).hex(), (j, depth)
 
 
+def _leaf_counts(j):
+    """The leaf counts of the depth-D builds, D = 0..63: the depth-D build
+    has 1 + (the leaves of the depth-(D-i) builds, i = 1..j) leaves, and
+    only the root below depth j."""
+    leaves = [1] * j
+    for _ in range(j, 64):
+        leaves.append(1 + sum(leaves[-j:]))
+    return leaves
+
+
+def _two_step_states(d, c):
+    """The states of psi_2 at depth d and offset c, expansion unbounded: the
+    orderings of c first children (one level) and (d - c)/2 second
+    children (two levels)."""
+    k, odd = divmod(d - c, 2)
+    return math.comb(c + k, c) if k >= 0 and not odd else 0
+
+
 class TestBuildReference:
     """build_psi against the breadth-first loop at every depth whose build
     has at most 5000 leaves; TestStateTables covers the larger ones."""
 
     @pytest.mark.parametrize("j", range(1, 15))
     def test_bitwise_equal_to_breadth_first_loop(self, j):
-        # The depth-D build has 1 + (the leaves of the depth-(D-i) builds,
-        # i = 1..j) leaves, and only the root below depth j.
-        leaves = [1] * j
-        for depth in range(j, 64):
-            leaves.append(1 + sum(leaves[-j:]))
-            if leaves[-1] > 5000:
+        for depth, leaves in enumerate(_leaf_counts(j)):
+            if leaves > 5000:
                 break
-            _assert_same_build(j, depth)
+            if depth >= j:
+                _assert_same_build(j, depth)
+
+    # Depth and offset 63, the edges of the former int8 leaf arrays, in a
+    # build far past the breadth-first loop's reach, against the binomial
+    # count of its states.
+    @pytest.mark.parametrize("j", [2])
+    def test_bitwise_equal_at_int8_edges(self, j):
+        depth, n = 63, 64
+        states = np.array(
+            [[_two_step_states(d, c) for c in range(n)] for d in range(n)], dtype=object
+        )
+        res = np.zeros((n, n), dtype=object)
+        res[j:] = states[: n - j]
+        unres = np.zeros((n, n), dtype=object)
+        unres[depth - 1] = states[depth - 1]
+        # a state at depth 63 only comes from an expanded one at depth 61
+        unres[depth] = states[depth - 2]
+        psi = build_psi(j, depth)
+        assert unres[depth, depth] == 0 and unres[depth - 1, depth - 1] == 1
+        assert np.array_equal(psi.res, res.astype(np.int64))
+        assert np.array_equal(psi.unres, unres.astype(np.int64))
+        assert np.array_equal(psi.unres_depth, [depth - 1, depth])
+        assert psi.leaf_count == 1 + j * int(states[: depth - j + 1].sum()) == _leaf_counts(j)[depth]
+        offsets = np.arange(n, dtype=object)
+        scale = np.array([1 << (depth - d) for d in range(n)], dtype=object)[:, None]
+        for sums, table in ((psi.res_sums, res), (psi.unres_sums, unres)):
+            assert sums == tuple(int((table * offsets**k * scale).sum()) for k in range(3))
+        mass = Fraction(int((unres * scale).sum()), 1 << depth)
+        assert psi.unresolved_mass.hex() == float(mass).hex()
 
 
 def _unresolved_measures(j):
@@ -307,17 +350,25 @@ def _within_ulps(enc, n):
     return enc.hi - enc.lo <= n * math.ulp(max(abs(enc.lo), abs(enc.hi)))
 
 
+def _checked_depths(j, leaves):
+    """Depths j, 24 and 53..63 of psi_j, and the two depths between which
+    its build outgrows the given number of leaves."""
+    counts = _leaf_counts(j)
+    over = next((d for d in range(j, 64) if counts[d] > leaves), 64)
+    return sorted(d for d in {j, 24, 53, 54, 56, 60, 63, over - 1, over} if j <= d <= 63)
+
+
 class TestEnclosuresAcrossRange:
     """Every row's enclosures contain the exact values, a few ulps wide, at
-    each scale index, at shallow and deep builds."""
+    each scale index, at shallow and deep builds and at the depths where a
+    build outgrows 2000 and 2^17 leaves."""
 
-    def test_targets_enclosed(self):
+    @pytest.mark.parametrize("leaves", [1 << 17, 2000])
+    def test_targets_enclosed(self, leaves):
         missed = []
         for j in range(1, 64):
             e = 1 << (j - 1)
-            for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
-                if depth < j:
-                    continue
+            for depth in _checked_depths(j, leaves):
                 st = psi_stats(build_psi(j, depth))
                 # lo^2 <= gamma^2 = e/(e+1) <= hi^2, in integers.
                 (a, b), (c, d) = (x.as_integer_ratio() for x in (st.mean_N.lo, st.mean_N.hi))
@@ -343,15 +394,15 @@ class TestEnclosuresAcrossRange:
 
 class TestExactFixedPoint:
     """The fixed point solved exactly from build_psi's count tables: at
-    every depth the moments are those of the untruncated function, X = 0
+    every depth checked, shallow, deep and where a build outgrows 2000 and
+    2^17 leaves, the moments are those of the untruncated function, X = 0
     and Y = 1, and the copy is the largest BMO candidate, so the BMO norm
     is 1."""
 
-    def test_moments_do_not_depend_on_truncation(self):
+    @pytest.mark.parametrize("leaves", [1 << 17, 2000])
+    def test_moments_do_not_depend_on_truncation(self, leaves):
         for j in range(1, 64):
-            for depth in sorted({j, 24, 53, 54, 56, 60, 63}):
-                if depth < j:
-                    continue
+            for depth in _checked_depths(j, leaves):
                 x, y, candidates, total = exact_moments(build_psi(j, depth))
                 case = (j, depth)
                 assert total == 1, case
