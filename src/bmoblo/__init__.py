@@ -19,7 +19,6 @@ from .bellman import (
     eval_f,
     eval_F,
     eval_majorant,
-    eval_Phi,
     solve_s,
 )
 from .concavity import ChordSample, SweepReport, check_C2, chord_H, chord_margin, sweep
@@ -27,7 +26,6 @@ from .errors import (
     BmobloError,
     ConvergenceError,
     DomainError,
-    PreconditionError,
     StructureError,
 )
 from .geometry import (
@@ -71,7 +69,6 @@ __all__ = [
     "Enclosure",
     "Foliation",
     "OmegaPoint",
-    "PreconditionError",
     "PsiFunction",
     "PsiParams",
     "PsiStats",
@@ -88,7 +85,6 @@ __all__ = [
     "eval_A",
     "eval_B",
     "eval_F",
-    "eval_Phi",
     "eval_b",
     "eval_b_prime",
     "eval_f",

@@ -52,7 +52,6 @@ from .geometry import (
     RegionId,
     _classify_clamped,
     clamp_gap,
-    make_context,
     shift_xy,
 )
 
@@ -498,13 +497,6 @@ def eval_F(t, ctx: AlphaContext):
     if np.any(t < 0.0):
         raise DomainError("the decay function takes arguments t >= 0")
     return eval_b(-t, ctx)
-
-
-def eval_Phi(t, n: int):
-    """Dyadic specialization Phi_n = F_alpha with alpha = 2^-n."""
-    if n < 1 or n != int(n):
-        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
-    return eval_F(t, make_context(2.0 ** (-int(n))))
 
 
 def _majorant_zero(y1, y2):

@@ -285,55 +285,3 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
 
     report.probes = equality_probes(ctx)
     return report
-
-
-def _stencil(x1, x2, h, ctx: AlphaContext, fields):
-    """eval_arrays `fields` at the stencil (x1 -/+ h, x2), (x1, x2 -/+ h) of
-    each point, as (4, n) arrays (NaN where the stencil leaves the strip),
-    and the mask of stencils that stay in the strip and in one region
-    (differences across the merely-C^1 interfaces are meaningless)."""
-    pts1 = np.asarray(x1, dtype=float).ravel() + np.array([-1, 1, 0, 0])[:, None] * h
-    pts2 = np.asarray(x2, dtype=float).ravel() + np.array([0, 0, -1, 1])[:, None] * h
-    inside = in_omega(pts1, pts2).all(axis=0)
-    ok_idx = np.flatnonzero(inside)
-    got = {name: np.full(pts1.shape, np.nan) for name in fields}
-    got["region"] = np.full(pts1.shape, -99, dtype=np.int64)
-    if ok_idx.size:
-        out = eval_arrays(pts1[:, ok_idx].ravel(), pts2[:, ok_idx].ravel(), ctx)
-        for name, arr in got.items():
-            arr[:, ok_idx] = out[name].reshape(4, -1)
-    return got, inside & (got["region"] == got["region"][0]).all(axis=0)
-
-
-def hessian_grid(x1, x2, ctx: AlphaContext, h_scale: float = 1e-4):
-    """Finite-difference Hessian of B on a batch of points.
-
-    Central differences of the closed-form gradient with step
-    h = h_scale * (1 + |x1|) per axis; the gradient itself is validated
-    against value differences elsewhere, so this is an independent probe of
-    the degenerate-Hessian structure.  (Second differences of the value
-    would carry an eps/h^2 noise floor of about 1e-8, swamping the
-    determinant residual wherever the Hessian itself degenerates to zero.)
-    The mixed entry is symmetrized over d(grad1)/dx2 and d(grad2)/dx1.
-
-    Returns (B11, B22, B12, ok); ok flags points whose 4-point stencil
-    stays inside the strip and inside a single region.
-    """
-    h = h_scale * (1.0 + np.abs(np.asarray(x1, dtype=float).ravel()))
-    got, ok = _stencil(x1, x2, h, ctx, ("grad1", "grad2"))
-    g1, g2 = got["grad1"], got["grad2"]
-    b11 = (g1[1] - g1[0]) / (2.0 * h)
-    b22 = (g2[3] - g2[2]) / (2.0 * h)
-    b12 = 0.5 * ((g1[3] - g1[2]) + (g2[1] - g2[0])) / (2.0 * h)
-    return b11, b22, b12, ok
-
-
-def gradient_grid(x1, x2, ctx: AlphaContext, h: float = 1e-6):
-    """Central-difference gradient of B on a batch of points.
-
-    Returns (g1, g2, ok); ok flags stencils that stay in the strip and in
-    one region.
-    """
-    got, ok = _stencil(x1, x2, h, ctx, ("value",))
-    vals = got["value"]
-    return (vals[1] - vals[0]) / (2.0 * h), (vals[3] - vals[2]) / (2.0 * h), ok

@@ -25,6 +25,3 @@ class StructureError(BmobloError, ValueError):
         self.reason = reason
         super().__init__(f"{path}: {reason}")
 
-
-class PreconditionError(BmobloError, ValueError):
-    """A caller-checkable hypothesis of a verification routine fails."""

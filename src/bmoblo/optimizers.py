@@ -18,13 +18,15 @@ The recursion is materialized as an adaptive binary partition: a "state"
 cell carries an exact affine copy of psi shifted by offset*delta; one
 expansion turns a state at depth d into a resolved constant cell at depth
 d+j, same-offset copies at depths d+2..d+j and an offset+1 copy at depth
-d+1.  Every state whose resolved piece fits within the depth cap expands,
-and the statistics read only how many cells share each (depth, offset)
-pair.  So the states are counted one depth at a time, each depth's row by
-the last step taken: child 1 of the expanded row above, one offset up,
-and children 2..j of the expanded rows j..2 above, a difference of two
-running sums over depth.  Whatever remains unresolved is tracked exactly
-by measure and offset, and every sum over the cells is an exact integer.
+d+1.  Every state whose resolved piece fits within the depth cap expands.
+The statistics read the states of a depth d only through the triple
+(sum n, sum n*c, sum n*c^2) over their offsets c, n states at each, so one
+pass over the depths builds the triples in Python ints, each depth's by
+the last step taken: child 1 of the expanded row above, whose offset
+shift maps (a, b, c) to (a, b + a, c + 2b + a), and children 2..j of the
+expanded rows j..2 above, a difference of two running sums over depth.
+Where a cell lies in (0, 1], and how a row's states spread over its
+offsets, is not kept: no statistic depends on either.
 
 Statistics are exact.  Every unresolved cell is an exact affine copy of
 the whole function, so the function's moments X = <psi>, Y = <psi^2>
@@ -46,14 +48,13 @@ function's (X = 0, Y = 1): no statistic depends on the depth.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
-# Deepest cell: a build of depth D has fewer than 2^D cells to count in int64.
+# Deepest build.  The triples are exact at any depth; the cap keeps the
+# documented report range, and lifting it is a declared change, since the
+# rows from j = 57 on then print a real unresolved_mass in place of 1.
 _MAX_DEPTH = 63
 
 
@@ -103,21 +104,24 @@ class Enclosure:
 class PsiFunction:
     """Adaptive-partition representation of one optimizer function.
 
-    Entry [d, c] of the int64 tables `res` and `unres` counts the resolved
-    (unresolved) cells of length 2^-d and offset c: the function is
-    -gamma + c*delta on a resolved cell, and an exact copy of itself
-    shifted by c*delta on an unresolved one.  Where a cell lies in (0, 1]
-    is not kept: no statistic depends on it.
+    rows[d] = (sum n, sum n*c, sum n*c^2) over the states of depth d, n
+    states at offset c.  A state of depth d <= depth - j has expanded into
+    a resolved cell of depth d+j, on which the function is -gamma + c*delta;
+    the deeper ones, at depths unres_depth..depth, are unresolved, each an
+    exact copy of the function shifted by c*delta.  res_sums and unres_sums
+    are the triples of the resolved and unresolved cells, each weighted by
+    2^(depth - d) for a cell of depth d: the mass moments times 2^depth.
     """
 
-    def __init__(self, params, depth, res, unres, leaf_count):
+    def __init__(self, params, depth, rows):
         self.params = params
         self.j = params.j
         self.depth = depth
-        self.res, self.unres = res, unres
-        self.leaf_count = leaf_count
-        self.unres_depth = np.flatnonzero(unres.any(axis=1))
-        self.res_sums, self.unres_sums = _moments(res, unres, depth)
+        self.rows = rows
+        self.unres_depth = depth - self.j + 1
+        expanded = rows[: self.unres_depth]
+        self.leaf_count = 1 + self.j * sum(n for n, _, _ in expanded)
+        self.res_sums, self.unres_sums = _weighted(expanded), _weighted(rows[self.unres_depth :])
         self.unresolved_mass = self.unres_sums[0] / (1 << depth)
 
     @property
@@ -129,19 +133,12 @@ class PsiFunction:
         return self.params.delta
 
 
-def _moments(res, unres, depth):
-    """Sums of n, n*c and n*c^2 over each count table's cells (d, c), each
-    weighted by 2^(depth - d): the mass moments times 2^depth, in exact ints.
-    Counts are split into 32-bit halves, so the row sums stay exact in int64
-    and only the weights are Python ints."""
-    tables = np.stack((res, unres))
-    halves = np.concatenate((tables >> 32, tables & 0xFFFFFFFF), axis=1)
-    rows = halves @ np.arange(depth + 1)[:, None] ** np.arange(3)
-    weights = [1 << (depth - d + h) for h in (32, 0) for d in range(depth + 1)]
-    return [
-        tuple(sum(map(operator.mul, weights, col)) for col in table)
-        for table in rows.transpose(0, 2, 1).tolist()
-    ]
+def _weighted(rows):
+    """The sum of rows[i] * 2^(len(rows) - 1 - i), by Horner's rule."""
+    acc = (0, 0, 0)
+    for row in rows:
+        acc = tuple(2 * s + r for s, r in zip(acc, row))
+    return acc
 
 
 def build_psi(j: int, depth: int) -> PsiFunction:
@@ -149,8 +146,8 @@ def build_psi(j: int, depth: int) -> PsiFunction:
 
     Every state whose resolved piece fits within `depth`, which is at most
     63, expands; the others stay unresolved leaves, with exact measure
-    accounting.  One pass over the depths m = 1..depth counts the states
-    of depth m by offset: child 1 of the expanded states of depth m-1,
+    accounting.  One pass over the depths m = 1..depth forms the triple of
+    the states of depth m: child 1 of the expanded states of depth m-1,
     shifted one offset, plus children 2..j of those of depths m-j..m-2, a
     difference of two running sums over the expanded rows.
     """
@@ -159,26 +156,23 @@ def build_psi(j: int, depth: int) -> PsiFunction:
     if depth < j:
         raise DomainError(f"depth {depth} is below the scale index {j}")
     if depth > _MAX_DEPTH:
-        raise DomainError(f"depth {depth} exceeds {_MAX_DEPTH}: cell counts could overflow int64")
-    # A state (d, c) expands if d <= top, leaving its resolved piece at (d+j, c).
-    top, n = depth - j, depth + 1
-    states = np.zeros((n, n), dtype=np.int64)
-    states[0, 0] = 1
+        raise DomainError(f"depth {depth} exceeds the depth cap {_MAX_DEPTH}")
+    # A state of depth d expands if d <= top, leaving its resolved piece at d+j.
+    top = depth - j
+    rows = [(1, 0, 0)]
     # run[k] sums the expanded rows 0..k-1, so children 2..j of the
     # expanded rows max(m-j, 0)..min(m-2, top) are a difference of two.
-    run = np.zeros((top + 2, n), dtype=np.int64)
-    run[1] = states[0]
-    for m in range(1, n):
-        row = states[m]
-        np.subtract(run[min(m - 1, top + 1)], run[max(m - j, 0)], out=row)
-        if m <= top + 1:
-            row[1:] += states[m - 1, :-1]
+    run = [(0, 0, 0), rows[0]]
+    for m in range(1, depth + 1):
+        hi, lo = run[min(m - 1, top + 1)], run[max(m - j, 0)]
+        n, s, q = (h - l for h, l in zip(hi, lo))
+        if m <= top + 1:  # child 1 of the expanded row m-1, one offset up
+            a, b, c = rows[m - 1]
+            n, s, q = n + a, s + b + a, q + c + 2 * b + a
+        rows.append((n, s, q))
         if m <= top:
-            np.add(run[m], row, out=run[m + 1])
-    res = np.zeros_like(states)
-    res[j:] = states[: top + 1]
-    states[: top + 1] = 0  # the unresolved states remain
-    return PsiFunction(params, depth, res, states, 1 + j * int(res.sum()))
+            run.append((run[m][0] + n, run[m][1] + s, run[m][2] + q))
+    return PsiFunction(params, depth, tuple(rows))
 
 
 @dataclass(frozen=True)

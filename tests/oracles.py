@@ -4,14 +4,19 @@ Nothing in `bmoblo` calls these.  They are kept apart from the package so
 that an oracle cannot share a code path, and so a defect, with the code it
 checks.
 
-Optimizer oracles.  `bmoblo.optimizers` keeps psi_j as counts of
-(depth, offset) pairs and never where a leaf lies in (0, 1].
-`exact_moments` reads those counts alone.  The helpers after it need the
-place, so they take the breadth-first reference build of
-`test_optimizers.py` in place of psi: its leaf arrays (res_depth,
-res_offset, unres_depth, unres_offset) and the leaves' int64 positions
-(res_pos, unres_pos), listed in the same order, so that leaf i of depth d
-is the dyadic interval (pos * 2^-d, (pos+1) * 2^-d].
+Optimizer oracles.  `bmoblo.optimizers` keeps psi_j as one triple
+(sum n, sum n*c, sum n*c^2) per depth over its states' offsets c, and
+never where a leaf lies in (0, 1] or how a depth's states spread over the
+offsets.  `exact_moments` reads those triples alone.  The helpers after
+`row_triples` need the place, so they take the breadth-first
+reference build of `test_optimizers.py` in place of psi: its leaf arrays
+(res_depth, res_offset, unres_depth, unres_offset) and the leaves' int64
+positions (res_pos, unres_pos), listed in the same order, so that leaf i
+of depth d is the dyadic interval (pos * 2^-d, (pos+1) * 2^-d].
+
+Test-only helpers.  `PreconditionError`, `eval_Phi` and the
+finite-difference grids `gradient_grid` and `hessian_grid` serve the
+tests alone, so they live here and not in the package.
 """
 
 import math
@@ -19,10 +24,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from bmoblo.bellman import eval_A_arrays, eval_B, eval_F
+from bmoblo.bellman import eval_A_arrays, eval_arrays, eval_B, eval_F
 from bmoblo.concavity import chord_H
-from bmoblo.errors import DomainError, PreconditionError
-from bmoblo.geometry import TOL, AlphaContext, OmegaPoint, RegionId, shift_xy
+from bmoblo.errors import BmobloError, DomainError
+from bmoblo.geometry import (
+    TOL,
+    AlphaContext,
+    OmegaPoint,
+    RegionId,
+    in_omega,
+    make_context,
+    shift_xy,
+)
 from bmoblo.trees import (
     _UNIT_NORM_SQ,
     AlphaTree,
@@ -37,22 +50,22 @@ from bmoblo.trees import (
 )
 
 
-def _table_sums(table):
-    """Sums of m, m*c and m*c^2 over a count table's cells (d, c) of mass
-    m = 2^-d, as Fractions: each row summed in integers, then the rows
-    weighted over the common denominator 2^depth."""
-    depth = table.shape[0] - 1
-    powers = np.array([[1, c, c * c] for c in range(depth + 1)], dtype=object)
-    rows = (table.astype(object) @ powers).tolist()
+class PreconditionError(BmobloError, ValueError):
+    """A caller-checkable hypothesis of a verification routine fails."""
+
+
+def _mass_sums(cells, depth):
+    """Sums of m, m*c and m*c^2 over cells of mass m = 2^-d, given as
+    (row triple, d) pairs, as Fractions: the triples weighted in integers
+    over the common denominator 2^depth."""
     return [
-        Fraction(sum(row[k] << (depth - d) for d, row in enumerate(rows)), 1 << depth)
-        for k in range(3)
+        Fraction(sum(row[k] << (depth - d) for row, d in cells), 1 << depth) for k in range(3)
     ]
 
 
 def exact_moments(psi):
     """X/gamma, Y/gamma^2 and the BMO candidates over gamma^2 of a built psi_j,
-    in Fractions from its count tables alone.
+    in Fractions from its row triples alone.
 
     Every value of psi_j is gamma * r with r = c/e - 1, e = 2^(j-1), on a
     resolved cell of offset c, and an unresolved cell of offset c is a copy
@@ -65,13 +78,17 @@ def exact_moments(psi):
     resolved mass share m = 2^-k, m + (1-m) y - ((1-m) x - m)^2, for
     k = 1..j-1.  Returns (x, y, candidates, total mass).
     """
-    e = 1 << (psi.j - 1)
-    r0, r1, r2 = _table_sums(psi.res)
-    u0, u1, u2 = _table_sums(psi.unres)
+    j, depth = psi.j, psi.depth
+    e = 1 << (j - 1)
+    # A state of depth d expands if d + j <= depth, into a resolved cell of
+    # depth d + j; a deeper one is an unresolved cell of depth d.
+    rows = list(enumerate(psi.rows))
+    r0, r1, r2 = _mass_sums([(row, d + j) for d, row in rows if d + j <= depth], depth)
+    u0, u1, u2 = _mass_sums([(row, d) for d, row in rows if d + j > depth], depth)
     # sum_res m r = r1/e - r0 and sum_res m r^2 = r2/e^2 - 2 r1/e + r0.
     x = (r1 / e - r0 + u1 / e) / (1 - u0)
     y = (r2 / e**2 - 2 * r1 / e + r0 + 2 * x * u1 / e + u2 / e**2) / (1 - u0)
-    mixtures = [Fraction(1, 1 << k) for k in range(1, psi.j)]
+    mixtures = [Fraction(1, 1 << k) for k in range(1, j)]
     candidates = [y - x * x] + [m + (1 - m) * y - ((1 - m) * x - m) ** 2 for m in mixtures]
     return x, y, candidates, r0 + u0
 
@@ -99,6 +116,15 @@ def psi_state_tables(j):
             off = int(i == 1)
             tables[t + 1, i:, off:] += child[: n - i, : n - off]
     return tables
+
+
+def row_triples(table):
+    """(sum n, sum n*c, sum n*c^2) over each row of a (depth, offset) count
+    table, n being the count at offset c, in Python ints."""
+    return tuple(
+        (sum(row), sum(c * n for c, n in enumerate(row)), sum(c * c * n for c, n in enumerate(row)))
+        for row in np.asarray(table).tolist()
+    )
 
 
 def leaf_values(ref, unresolved_mode: str = "inf"):
@@ -333,6 +359,65 @@ def truncate(tree: AlphaTree, depth: int) -> AlphaTree:
 # ---------------------------------------------------------------------------
 # Strip and Bellman-function oracles.
 # ---------------------------------------------------------------------------
+
+
+def eval_Phi(t, n: int):
+    """Dyadic specialization Phi_n = F_alpha with alpha = 2^-n."""
+    if n < 1 or n != int(n):
+        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
+    return eval_F(t, make_context(2.0 ** (-int(n))))
+
+
+def _stencil(x1, x2, h, ctx: AlphaContext, fields):
+    """eval_arrays `fields` at the stencil (x1 -/+ h, x2), (x1, x2 -/+ h) of
+    each point, as (4, n) arrays (NaN where the stencil leaves the strip),
+    and the mask of stencils that stay in the strip and in one region
+    (differences across the merely-C^1 interfaces are meaningless)."""
+    pts1 = np.asarray(x1, dtype=float).ravel() + np.array([-1, 1, 0, 0])[:, None] * h
+    pts2 = np.asarray(x2, dtype=float).ravel() + np.array([0, 0, -1, 1])[:, None] * h
+    inside = in_omega(pts1, pts2).all(axis=0)
+    ok_idx = np.flatnonzero(inside)
+    got = {name: np.full(pts1.shape, np.nan) for name in fields}
+    got["region"] = np.full(pts1.shape, -99, dtype=np.int64)
+    if ok_idx.size:
+        out = eval_arrays(pts1[:, ok_idx].ravel(), pts2[:, ok_idx].ravel(), ctx)
+        for name, arr in got.items():
+            arr[:, ok_idx] = out[name].reshape(4, -1)
+    return got, inside & (got["region"] == got["region"][0]).all(axis=0)
+
+
+def hessian_grid(x1, x2, ctx: AlphaContext, h_scale: float = 1e-4):
+    """Finite-difference Hessian of B on a batch of points.
+
+    Central differences of the closed-form gradient with step
+    h = h_scale * (1 + |x1|) per axis; the gradient itself is validated
+    against value differences elsewhere, so this is an independent probe of
+    the degenerate-Hessian structure.  (Second differences of the value
+    would carry an eps/h^2 noise floor of about 1e-8, swamping the
+    determinant residual wherever the Hessian itself degenerates to zero.)
+    The mixed entry is symmetrized over d(grad1)/dx2 and d(grad2)/dx1.
+
+    Returns (B11, B22, B12, ok); ok flags points whose 4-point stencil
+    stays inside the strip and inside a single region.
+    """
+    h = h_scale * (1.0 + np.abs(np.asarray(x1, dtype=float).ravel()))
+    got, ok = _stencil(x1, x2, h, ctx, ("grad1", "grad2"))
+    g1, g2 = got["grad1"], got["grad2"]
+    b11 = (g1[1] - g1[0]) / (2.0 * h)
+    b22 = (g2[3] - g2[2]) / (2.0 * h)
+    b12 = 0.5 * ((g1[3] - g1[2]) + (g2[1] - g2[0])) / (2.0 * h)
+    return b11, b22, b12, ok
+
+
+def gradient_grid(x1, x2, ctx: AlphaContext, h: float = 1e-6):
+    """Central-difference gradient of B on a batch of points.
+
+    Returns (g1, g2, ok); ok flags stencils that stay in the strip and in
+    one region.
+    """
+    got, ok = _stencil(x1, x2, h, ctx, ("value",))
+    vals = got["value"]
+    return (vals[1] - vals[0]) / (2.0 * h), (vals[3] - vals[2]) / (2.0 * h), ok
 
 
 def fd_gradient(x: OmegaPoint, ctx: AlphaContext, h: float = 1e-6) -> tuple[float, float]:

@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from bmoblo.bellman import eval_arrays, eval_b, eval_f, eval_Phi
-from bmoblo.concavity import FAMILIES, gradient_grid, hessian_grid, sweep
+from bmoblo.bellman import eval_arrays, eval_b, eval_f
+from bmoblo.concavity import FAMILIES, sweep
 from bmoblo.geometry import make_context
 from bmoblo.optimizers import m_norm_report
 from bmoblo.trees import random_tree, verify_all_nodes, verify_main_theorem
+from oracles import eval_Phi, gradient_grid, hessian_grid
 
 
 def _report(n, elapsed, budget, detail):

@@ -19,7 +19,6 @@ from bmoblo.bellman import (
     eval_f,
     eval_F,
     eval_majorant,
-    eval_Phi,
     gamma1_foliation,
     solve_s,
 )
@@ -27,7 +26,7 @@ from bmoblo.errors import ConvergenceError, DomainError
 from bmoblo.geometry import TOL, OmegaPoint, RegionId, classify, make_context, shift
 
 from conftest import boundary_points, sample_strip
-from oracles import fd_gradient
+from oracles import eval_Phi, fd_gradient, hessian_grid
 
 
 class TestSolveS:
@@ -693,8 +692,6 @@ class TestBoundaryPoints:
 
 class TestMongeAmpere:
     def test_degenerate_hessian_interior(self, ctx_quarter, rng):
-        from bmoblo.concavity import hessian_grid
-
         ctx = ctx_quarter
         x1 = rng.uniform(-5.0 * ctx.tau, -0.1, 3000)
         gap = rng.uniform(0.08, 0.92, x1.size)

@@ -22,6 +22,7 @@ from oracles import (
     dyadic_square_bmo_sq,
     exact_moments,
     psi_state_tables,
+    row_triples,
     value_grid,
 )
 
@@ -56,7 +57,7 @@ class TestBuild:
     def test_integral_floats_taken_as_ints(self, j, depth):
         psi, ref = build_psi(j, depth), build_psi(3, 24)
         assert (type(psi.j), type(psi.depth)) == (int, int)
-        assert np.array_equal(psi.res, ref.res) and np.array_equal(psi.unres, ref.unres)
+        assert psi.rows == ref.rows
         assert psi.leaf_count == ref.leaf_count
 
     @pytest.mark.parametrize("depth", [24.5, math.nan, math.inf, "24"])
@@ -164,10 +165,14 @@ def _reference_build(j, depth):
     return ref, positions
 
 
-def _counts(depths, offsets, depth):
-    """The (depth, offset) count table of a list of leaves."""
-    n = depth + 1
-    return np.bincount(depths * n + offsets, minlength=n * n).reshape(n, n)
+def _state_triples(ref):
+    """The per-depth triples (sum n, sum n*c, sum n*c^2) of the reference's
+    states, n states at offset c: the expanded states, at their resolved
+    leaves' depths less j, and the unresolved leaves."""
+    depths = np.concatenate((ref.res_depth - ref.j, ref.unres_depth))
+    offsets = np.concatenate((ref.res_offset, ref.unres_offset))
+    n = ref.depth + 1
+    return row_triples(np.bincount(depths * n + offsets, minlength=n * n).reshape(n, n))
 
 
 def _fraction_sums(ref):
@@ -182,26 +187,27 @@ def _fraction_sums(ref):
     return sums
 
 
-def _assert_tables(psi, ref):
+def _assert_rows(psi, ref):
     case = (ref.j, ref.depth)
-    assert np.array_equal(psi.res, _counts(ref.res_depth, ref.res_offset, ref.depth)), case
-    assert np.array_equal(psi.unres, _counts(ref.unres_depth, ref.unres_offset, ref.depth)), case
-    assert np.array_equal(psi.unres_depth, np.unique(ref.unres_depth)), case
+    assert psi.rows == _state_triples(ref), case
+    assert ref.res_depth.max() - ref.j < psi.unres_depth, case
+    deep = np.arange(psi.unres_depth, ref.depth + 1)
+    assert np.array_equal(np.unique(ref.unres_depth), deep), case
     assert psi.leaf_count == ref.leaf_count, case
 
 
 def _located_build(j, depth):
     """The reference and its leaves' positions, after checking that
-    build_psi's count tables tally the reference's leaves."""
+    build_psi's row triples tally the reference's states."""
     ref, positions = _reference_build(j, depth)
-    _assert_tables(build_psi(j, depth), ref)
+    _assert_rows(build_psi(j, depth), ref)
     return ref, positions
 
 
 def _assert_same_build(j, depth):
     psi = build_psi(j, depth)
     ref, _ = _reference_build(j, depth)
-    _assert_tables(psi, ref)
+    _assert_rows(psi, ref)
     res, unres = _fraction_sums(ref)
     assert res[0] + unres[0] == 1, (j, depth)
     scale = 1 << depth
@@ -257,9 +263,12 @@ class TestBuildReference:
         unres[depth] = states[depth - 2]
         psi = build_psi(j, depth)
         assert unres[depth, depth] == 0 and unres[depth - 1, depth - 1] == 1
-        assert np.array_equal(psi.res, res.astype(np.int64))
-        assert np.array_equal(psi.unres, unres.astype(np.int64))
-        assert np.array_equal(psi.unres_depth, [depth - 1, depth])
+        # state row d is resolved row d + j while d <= depth - j, then unresolved
+        top = depth - j
+        assert psi.rows[: top + 1] == row_triples(res[j:])
+        assert not res[:j].any() and not unres[: top + 1].any()
+        assert psi.rows[top + 1 :] == row_triples(unres[top + 1 :])
+        assert psi.unres_depth == depth - 1
         assert psi.leaf_count == 1 + j * int(states[: depth - j + 1].sum()) == _leaf_counts(j)[depth]
         offsets = np.arange(n, dtype=object)
         scale = np.array([1 << (depth - d) for d in range(n)], dtype=object)[:, None]
@@ -279,8 +288,8 @@ def _unresolved_measures(j):
 
 
 class TestStateTables:
-    """build_psi's count tables against the oracle that sums them by the
-    first child taken, at every 1 <= j <= depth <= 63."""
+    """build_psi's row triples against the oracle count tables, summed by
+    the first child taken, at every 1 <= j <= depth <= 63."""
 
     @pytest.mark.parametrize("j", range(1, 64))
     def test_tables_match_first_child_oracle(self, j):
@@ -289,14 +298,18 @@ class TestStateTables:
             case, top, n = (j, depth), depth - j, depth + 1
             states = tables[top + 1]
             assert not states[n:].any() and not states[:, n:].any(), case
-            states = states[:n, :n]
+            rows = row_triples(states[:n, :n])
             psi = build_psi(j, depth)
-            assert np.array_equal(psi.res[:j], np.zeros((j, n), dtype=np.int64)), case
-            assert np.array_equal(psi.res[j:], states[: top + 1]), case
-            assert not psi.unres[: top + 1].any(), case
-            assert np.array_equal(psi.unres[top + 1 :], states[top + 1 :]), case
-            deep = np.flatnonzero(states[top + 1 :].any(axis=1)) + top + 1
-            assert np.array_equal(psi.unres_depth, deep), case
+            assert psi.rows == rows, case
+            # every row from top + 1 on holds unresolved states
+            assert all(count > 0 for count, _, _ in rows[top + 1 :]), case
+            assert psi.unres_depth == top + 1, case
+            # state row d <= top is the resolved row d + j; the rest are unresolved
+            res = [(row, d + j) for d, row in enumerate(rows) if d <= top]
+            unres = [(row, d) for d, row in enumerate(rows) if d > top]
+            for sums, cells in ((psi.res_sums, res), (psi.unres_sums, unres)):
+                weighted = (sum(row[k] << (depth - d) for row, d in cells) for k in range(3))
+                assert sums == tuple(weighted), case
             assert psi.leaf_count == 1 + j * int(states[: top + 1].sum()), case
             assert Fraction(psi.unres_sums[0], 1 << depth) == measures[depth], case
             assert psi.unresolved_mass == float(measures[depth]), case

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps module-level functions of bmoblo by name.
 
 Renaming or removing one of them breaks the traced benchmark run, so the
-names are checked here, before the benchmark runs.
+names are checked here, before the benchmark runs.  The tracer does not
+catch an exception a post-processor raises, so the post-processors are
+run here too, on the objects they read.
 """
 
 import importlib
@@ -10,17 +12,36 @@ from pathlib import Path
 
 import pytest
 
+from bmoblo.optimizers import build_psi, psi_stats
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
+needs_tracing = pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/ in this checkout")
 
-@pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/ in this checkout")
-def test_traced_targets_exist():
+
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+@needs_tracing
+def test_traced_targets_exist():
     missing = [
         f"bmoblo.{layer}.{attr}"
-        for layer, attr, _ in tracing.TARGETS
+        for layer, attr, _ in _tracing().TARGETS
         if not callable(getattr(importlib.import_module(f"bmoblo.{layer}"), attr, None))
     ]
     assert not missing
+
+
+@needs_tracing
+def test_optimizer_post_processors_run():
+    tracing = _tracing()
+    psi = build_psi(12, 24)
+    info = tracing._post_build_psi((12, 24), {}, psi)
+    assert info == {"leaves": 49153, "budget_hit": False}
+    stats = psi_stats(psi)
+    info = tracing._post_psi_stats((psi,), {}, stats)
+    assert info == {"j": 12, "meanN_width": stats.mean_N.width}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bmoblo.errors import DomainError, PreconditionError, StructureError
+from bmoblo.errors import DomainError, StructureError
 from bmoblo.geometry import make_context
 from bmoblo.trees import (
     blo_norm,
@@ -26,6 +26,7 @@ from bmoblo.trees import (
 
 from conftest import comb_text
 from oracles import (
+    PreconditionError,
     cube_tree,
     dyadic_square_bmo_sq,
     inf_maximal,
