@@ -219,29 +219,19 @@ def cmd_tree(args) -> int:
             raise
         raise StructureError(args.path, "an integer literal has too many digits") from None
     ctx = make_context(tree.alpha)
-    norm = trees_mod.bmo_norm(tree)
-    work = tree
-    if norm > 1.0:
-        # The induction hypothesis needs a unit-norm function; margins are
-        # invariant under the rescale, norms are reported pre-rescale.
-        vals = tree.value[tree.leaf_idx]
-        mean = tree.mean[0]
-        work = trees_mod.with_leaf_values(
-            tree, mean + (vals - mean) * ((1.0 - 1e-11) / norm)
-        )
-    out = trees_mod.verify_all_nodes(work, ctx)
+    # The induction hypothesis needs a unit-norm function; margins are
+    # invariant under the rescale, norms are reported pre-rescale.
+    out = trees_mod.verify_all_nodes(trees_mod.with_unit_norm(tree), ctx)
     key_obs = float(np.max(out["key_obs"]))
-    margins = {
-        "induction": float(np.nanmin(out["induction"])),
-        "main_n": float(np.min(out["main_n"])),
-        "main_m": float(np.min(out["main_m"])),
-    }
+    # np.min, so that a node the precondition skipped (NaN) fails the run.
+    margins = {k: float(np.min(out[k])) for k in ("induction", "main_n", "main_m")}
+    # The root's BLO margins are printed (every leaf's is 0); all gate the exit.
     blo = {"natural": float(out["blo_n"][0]), "classical": float(out["blo_m"][0])}
     _emit_record(
         {
             "alpha": tree.alpha,
             "nodes": len(tree),
-            "bmo_norm": norm,
+            "bmo_norm": trees_mod.bmo_norm(tree),
             "blo_norm": trees_mod.blo_norm(tree),
             "key_obs_max_residual": key_obs,
             **{f"min_margin.{k}": v for k, v in margins.items()},
@@ -249,8 +239,8 @@ def cmd_tree(args) -> int:
         },
         args,
     )
-    ok = key_obs <= 1e-12 and all(m >= -1e-9 for m in (*margins.values(), *blo.values()))
-    return 0 if ok else 1
+    gates = (*margins.values(), np.min(out["blo_n"]), np.min(out["blo_m"]))
+    return 0 if key_obs <= 1e-12 and all(m >= -1e-9 for m in gates) else 1
 
 
 def cmd_optimizer(args) -> int:

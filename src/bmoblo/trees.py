@@ -33,13 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import eval_A_arrays, eval_F
+from .bellman import eval_arrays, eval_F
 from .errors import DomainError, StructureError
-from .geometry import AlphaContext
+from .geometry import TOL, AlphaContext
 
 _REL_TOL = 1e-12
-# The induction step needs subtree BMO norm at most 1, up to rounding.
-_UNIT_NORM_SQ = (1.0 + 1e-12) ** 2
+# The induction step needs subtree BMO norm at most 1, up to the strip's own
+# tolerance: a cell point whose variance is at most 1 + TOL is clamp_gap's.
+_UNIT_NORM_SQ = 1.0 + TOL
 
 
 class AlphaTree:
@@ -50,7 +51,7 @@ class AlphaTree:
     leaves `leaf_idx`, and per-node aggregates: the averages `mean`,
     `mean_sq`, `abs_mean` of phi, phi^2, |phi|; `min_leaf`; the sups
     `anc_max`, `abs_anc_max` of mean, abs_mean over ancestors-or-self; the
-    sup `sub_bmo_sq` of the cell variance over the subtree.
+    cell variance `var`, and its sup `sub_bmo_sq` over the subtree.
     """
 
     def _aggregate(self):
@@ -61,7 +62,27 @@ class AlphaTree:
             self.mean = _subtree_sum(self, integ) / m
             self.mean_sq = _subtree_sum(self, integ * v) / m
             self.abs_mean = _subtree_sum(self, m[leaf] * np.abs(v)) / m
-        bad = ~(np.isfinite(self.mean) & np.isfinite(self.mean_sq) & np.isfinite(self.abs_mean))
+            # Centred second moments, combined pairwise up the levels (Chan,
+            # Golub and LeVeque 1979): M2_K = sum of w_D (c_D - c_parent(D))^2
+            # over the cells D below K, w the measure as the sum of the leaves'.
+            # The centre c = mean + corr is carried in two parts, a parent's
+            # corr being its children's weighted mean offset d, taken about one
+            # child's d: so a constant subtree gives exactly 0, and the rounding
+            # of means far from 0 cancels out of d.
+            w = _subtree_sum(self, m[leaf])
+            corr, acc, m2 = (np.zeros(len(m)) for _ in range(3))
+            corr[leaf] = v - self.mean[leaf]
+            for sel, psel in self._levels:
+                d = self.mean[sel] - self.mean[psel] + corr[sel]
+                corr[psel] = d
+                d -= corr[psel]
+                np.add.at(acc, psel, w[sel] * d)
+                shift = acc[psel] / w[psel]
+                corr[psel] += shift
+                d -= shift
+                np.add.at(m2, psel, m2[sel] + w[sel] * d * d)
+            self.var = m2 / w
+        bad = ~np.isfinite([self.mean, self.mean_sq, self.abs_mean, self.var]).all(axis=0)
         if bad.any():
             # Name where the overflow starts: the first bad cell with no bad child.
             bad[self.parent[1:][bad[1:]]] = False
@@ -70,8 +91,7 @@ class AlphaTree:
         self.min_leaf = _subtree_min(self, v)
         self.anc_max = _fold_down(self, self.mean.copy())
         self.abs_anc_max = _fold_down(self, self.abs_mean.copy())
-        var = np.maximum(self.mean_sq - self.mean**2, 0.0)
-        self.sub_bmo_sq = _fold_up(self, var, np.maximum)
+        self.sub_bmo_sq = _fold_up(self, self.var.copy(), np.maximum)
 
     def __len__(self):
         return len(self.parent)
@@ -218,12 +238,12 @@ def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None
 
 def _induction(tree: AlphaTree, sel, mean_n, ctx: AlphaContext):
     """Induction margins A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K at
-    the nodes `sel` (an index or a slice), given <N phi> at every node."""
-    mean = tree.mean[sel]
-    # Rounding can leave the cell point a few ulps above the strip when the
-    # norm sits exactly at 1; the clamp is within the precondition slack.
-    x2 = np.minimum(tree.mean_sq[sel], mean**2 + 1.0)
-    return eval_A_arrays(mean, x2, tree.anc_max[sel], ctx) - mean_n[sel]
+    the nodes `sel` (an index or a mask), given <N phi> at every node.
+    A(x; L) = L + B(T_L x) depends on x only through x1 - L and the gap
+    x2 - x1^2, the variance; so B is taken at (y1, y1^2 + var), y1 = x1 - L."""
+    L = tree.anc_max[sel]
+    y1 = tree.mean[sel] - L
+    return L + eval_arrays(y1, y1 * y1 + tree.var[sel], ctx)["value"] - mean_n[sel]
 
 
 @dataclass(frozen=True)
@@ -269,6 +289,20 @@ def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
     return out
 
 
+def with_unit_norm(tree: AlphaTree) -> AlphaTree:
+    """The tree rescaled about its root mean by exactly 1/norm, if its BMO
+    norm exceeds 1.  The leaf values round the rescaled function to floats,
+    which far from 0 can leave them where they were; so the variances are
+    the original's over norm^2, as the rescaled function has them."""
+    norm = bmo_norm(tree)
+    if norm <= 1.0:
+        return tree
+    mean = tree.mean[0]
+    out = with_leaf_values(tree, mean + (tree.value[tree.leaf_idx] - mean) / norm)
+    out.var, out.sub_bmo_sq = tree.var / norm**2, tree.sub_bmo_sq / norm**2
+    return out
+
+
 def _margins(tree: AlphaTree, ctx: AlphaContext) -> dict:
     """Every per-node margin but the induction one; evaluates no A."""
     norm = np.sqrt(tree.sub_bmo_sq)
@@ -301,15 +335,16 @@ def verify_main_theorem(tree: AlphaTree, node, ctx: AlphaContext) -> TheoremMarg
 def verify_all_nodes(tree: AlphaTree, ctx: AlphaContext) -> dict:
     """Every per-node margin in one pass, as arrays over preorder nodes.
 
-    `induction` (NaN where the subtree BMO norm exceeds 1), the decay
-    margins `main_n`/`main_m` (for N at t = `t_n`), the BLO corollary
+    `induction` (NaN where a cell variance in the subtree exceeds 1 + TOL),
+    the decay margins `main_n`/`main_m` (for N at t = `t_n`), the BLO corollary
     margins `blo_n`/`blo_m`, the means `mean_N`/`mean_M` of N phi/M phi,
     and the key-observation residual `key_obs` = |ancestor max - min over
     leaves below of N phi|.
     """
     out = _margins(tree, ctx)
     ok = tree.sub_bmo_sq <= _UNIT_NORM_SQ
-    out["induction"] = np.where(ok, _induction(tree, slice(None), out["mean_N"], ctx), np.nan)
+    out["induction"] = np.full(len(tree), np.nan)
+    out["induction"][ok] = _induction(tree, ok, out["mean_N"], ctx)
     return out
 
 
@@ -347,9 +382,9 @@ def random_tree(alpha: float, rng: np.random.Generator, max_depth: int = 6) -> A
             break
         vals = rng.normal(size=len(tree.leaf_idx))
         tree = with_leaf_values(tree, vals)
-    # Two exact rescales about the root mean, then a hair of shrinkage so
-    # accumulated rounding cannot push any cell's variance above 1 (the
-    # induction step feeds cell points to the strip evaluator).
+    # Two rescales about the root mean, then a hair of shrinkage, so that
+    # every cell variance is at most 1 with no tolerance at all; the seeded
+    # data of the tests are drawn with it.
     for shrink in (1.0, 1.0 - 1e-11):
         norm = bmo_norm(tree)
         mean = tree.mean[0]

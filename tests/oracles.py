@@ -285,17 +285,41 @@ def mean_maximal_under(tree: AlphaTree, i: int, chain) -> float:
     return float(np.dot(tree.measure[leaves], chain[leaves]) / tree.measure[i])
 
 
+def exact_variances(tree: AlphaTree, node=None) -> list:
+    """The variance of the step function over each cell of the subtree at
+    `node` (the root by default), in preorder, in exact arithmetic: from the
+    sums of m, m v and m v^2 over the cell's leaves, as Fractions.
+
+    A cell is the union of its leaves, so its measure is their sum, which can
+    differ from the node's own (rounded) measure in the last bits."""
+    lo = _node_index(tree, node)
+    hi = lo + int(tree.size[lo])
+    sums = {}
+    for i in range(hi - 1, lo - 1, -1):  # preorder: children after parents
+        if i not in sums:  # a leaf
+            m, v = Fraction(float(tree.measure[i])), Fraction(float(tree.value[i]))
+            sums[i] = [m, m * v, m * v * v]
+        if i > lo:
+            up = sums.setdefault(int(tree.parent[i]), [0, 0, 0])
+            for k in range(3):
+                up[k] += sums[i][k]
+    return [s2 / s0 - (s1 / s0) ** 2 for s0, s1, s2 in (sums[i] for i in range(lo, hi))]
+
+
 def reference_induction(tree: AlphaTree, node, ctx: AlphaContext) -> float:
-    """Margin A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K at one node."""
+    """Margin A(<phi>_K, <phi^2>_K; inf_K N phi) - <N phi>_K at one node,
+    with A evaluated at the cell point (<phi>_K, <phi>_K^2 + var) of the
+    exact variance."""
     i = _node_index(tree, node)
     norm_sq = tree.sub_bmo_sq[i]
-    if norm_sq > (1.0 + 1e-12) ** 2:
+    if norm_sq > 1.0 + TOL:
         raise PreconditionError(
             f"subtree BMO norm {math.sqrt(norm_sq)} exceeds 1; rescale first"
         )
     L = float(tree.anc_max[i])
-    x2 = min(float(tree.mean_sq[i]), float(tree.mean[i]) ** 2 + 1.0)
-    rhs = float(eval_A_arrays(tree.mean[i], x2, L, ctx)[0])
+    mean = float(tree.mean[i])
+    x2 = mean * mean + float(exact_variances(tree, i)[0])
+    rhs = float(eval_A_arrays(mean, x2, L, ctx)[0])
     return rhs - mean_maximal_under(tree, i, tree.anc_max)
 
 

@@ -5,12 +5,14 @@ import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from bmoblo import bellman, cli
+from bmoblo import bellman, cli, trees
 from bmoblo.bellman import eval_A, eval_arrays, eval_b, eval_F
 from bmoblo.cli import main
 from bmoblo.geometry import OmegaPoint, make_context
+from bmoblo.trees import random_tree, tree_to_json, with_leaf_values
 
 from conftest import comb_text
 
@@ -603,6 +605,53 @@ class TestTree:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("c", [1e6, 1e8])
+    def test_offset_document_verifies(self, capsys, tmp_path, c):
+        # Values near c put the BMO norm a few ulps of c above 1, which a
+        # rescale of the values cannot remove at that offset.
+        base = random_tree(0.5, np.random.default_rng(4))
+        doc = tree_to_json(with_leaf_values(base, base.value[base.leaf_idx] + c))
+        code, out, err = run(capsys, ["tree", self._write(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        rec = dict(line.split(" = ") for line in out.splitlines())
+        assert float(rec["bmo_norm"]) > 1.0
+        assert float(rec["min_margin.induction"]) >= 0.0
+
+    def _two_leaf_path(self, tmp_path):
+        root = {"measure": 1.0, "children": [{"measure": 0.5, "value": v} for v in (1.0, -1.0)]}
+        return self._write(tmp_path, {"alpha": 0.5, "root": root})
+
+    def test_skipped_node_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        real = trees.verify_all_nodes
+
+        def skipping(tree, ctx):
+            out = real(tree, ctx)
+            out["induction"][1] = np.nan
+            return out
+
+        monkeypatch.setattr(trees, "verify_all_nodes", skipping)
+        code, out, _ = run(capsys, ["tree", self._two_leaf_path(tmp_path)])
+        assert code == 1
+        assert "min_margin.induction = nan\n" in out
+
+    @pytest.mark.parametrize("key", ["blo_n", "blo_m"])
+    def test_blo_margin_below_the_root_fails_the_run(self, capsys, tmp_path, monkeypatch, key):
+        # The root's margin is printed; a failing one at another node still
+        # fails the run.
+        real = trees.verify_all_nodes
+
+        def failing(tree, ctx):
+            out = real(tree, ctx)
+            out[key][1] = -1.0
+            return out
+
+        path = self._two_leaf_path(tmp_path)
+        code, before, _ = run(capsys, ["tree", path])
+        monkeypatch.setattr(trees, "verify_all_nodes", failing)
+        code_after, after, _ = run(capsys, ["tree", path])
+        assert (code, code_after) == (0, 1)
+        assert after == before
 
     @pytest.mark.parametrize(
         "data",

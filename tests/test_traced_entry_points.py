@@ -10,9 +10,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bmoblo.geometry import make_context
 from bmoblo.optimizers import build_psi, psi_stats
+from bmoblo.trees import random_tree, verify_all_nodes
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +48,11 @@ def test_optimizer_post_processors_run():
     stats = psi_stats(psi)
     info = tracing._post_psi_stats((psi,), {}, stats)
     assert info == {"j": 12, "meanN_width": stats.mean_N.width}
+
+
+@needs_tracing
+def test_tree_post_processor_runs():
+    tree = random_tree(0.25, np.random.default_rng(1))
+    out = verify_all_nodes(tree, make_context(0.25))
+    info = _tracing()._post_verify_all_nodes((tree,), {}, out)
+    assert info == {"nodes": len(tree), "skipped": 0}

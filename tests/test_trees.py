@@ -1,12 +1,13 @@
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bmoblo.errors import DomainError, StructureError
-from bmoblo.geometry import make_context
+from bmoblo.geometry import TOL, make_context
 from bmoblo.trees import (
     blo_norm,
     bmo_norm,
@@ -18,6 +19,7 @@ from bmoblo.trees import (
     verify_all_nodes,
     verify_main_theorem,
     with_leaf_values,
+    with_unit_norm,
     _BadNode,
     _from_arrays,
     _number,
@@ -29,6 +31,7 @@ from oracles import (
     PreconditionError,
     cube_tree,
     dyadic_square_bmo_sq,
+    exact_variances,
     inf_maximal,
     reference_induction,
     reference_main_theorem,
@@ -190,6 +193,21 @@ class TestInduction:
         with pytest.raises(PreconditionError):
             verify_induction(tree, None, ctx_half)
 
+    def test_precondition_matches_the_strip(self, ctx_half):
+        # A cell variance up to 1 + TOL passes the precondition: the cell
+        # point is then within TOL of the strip, where clamp_gap takes it.
+        # A larger one is skipped (NaN) and never reaches the kernel.
+        edge = math.sqrt(1.0 + TOL)
+        seen = set()
+        near_edge = (edge + k * math.ulp(edge) for k in range(-8, 9))
+        for a in (1.0, math.nextafter(1.0, 2.0), *near_edge):
+            tree = two_leaf_tree(a, -a)
+            var = tree.sub_bmo_sq[0]
+            admitted = var <= 1.0 + TOL
+            assert np.isnan(verify_all_nodes(tree, ctx_half)["induction"][0]) != admitted
+            seen.add((admitted, var > 1.0))
+        assert seen == {(True, False), (True, True), (False, True)}
+
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
     def test_random_margins_nonnegative(self, alpha, rng):
         ctx = make_context(alpha)
@@ -261,7 +279,7 @@ class TestMarginsAgainstReference:
                 assert got == pytest.approx(ref.margin_n, abs=1e-12)
             for got in (rep.margin_m, out["main_m"][i]):
                 assert got == pytest.approx(ref.margin_m, abs=1e-12)
-            if tree.sub_bmo_sq[i] <= (1.0 + 1e-12) ** 2:
+            if tree.sub_bmo_sq[i] <= 1.0 + TOL:
                 want = reference_induction(tree, i, ctx)
                 for got in (verify_induction(tree, i, ctx), out["induction"][i]):
                     assert got == pytest.approx(want, abs=1e-12)
@@ -279,25 +297,23 @@ class TestMarginsAgainstReference:
                 vals, mean = tree.value[tree.leaf_idx], tree.mean[0]
                 tree = with_leaf_values(tree, mean + 2.5 * (vals - mean))
                 self._check(tree, ctx)
-                vals, mean = tree.value[tree.leaf_idx], tree.mean[0]
-                scale = (1.0 - 1e-11) / bmo_norm(tree)
-                tree = with_leaf_values(tree, mean + (vals - mean) * scale)
+                tree = with_unit_norm(tree)
             self._check(tree, ctx)
 
-    def test_offset_tree_needs_no_A(self, ctx_quarter, rng):
-        # At offset 1e6, mean_sq - mean^2 cancels and some cell point falls
-        # below the lower parabola, so A cannot be evaluated there; the decay
-        # and BLO margins do not need it.
-        tree = random_tree(0.25, rng)
-        tree = with_leaf_values(tree, tree.value[tree.leaf_idx] + 1e6)
-        with pytest.raises(DomainError, match=r"violates x2 >= x1\^2"):
-            verify_all_nodes(tree, ctx_quarter)
-        rep = verify_main_theorem(tree, None, ctx_quarter)
-        ref = reference_main_theorem(tree, None, ctx_quarter)
-        assert (rep.blo_margin_n, rep.blo_margin_m) == (ref.blo_margin_n, ref.blo_margin_m)
-        assert (rep.L, rep.t, rep.norm) == (ref.L, ref.t, ref.norm)
-        assert rep.margin_n == pytest.approx(ref.margin_n, abs=1e-9)
-        assert rep.margin_m == pytest.approx(ref.margin_m, abs=1e-9)
+    @pytest.mark.parametrize("c", [1e6, 1e8])
+    def test_offset_trees_verify(self, c, ctx_half):
+        # phi + c, rounded to floats, against the same function shifted back
+        # exactly, fl(v + c) - c: every margin is invariant under the shift,
+        # so the two differ only by the rounding of the means near c.  The
+        # offset function is positive, so M phi = N phi on it.
+        for s in range(3, 12):
+            base = random_tree(0.5, np.random.default_rng(s))
+            up = base.value[base.leaf_idx] + c
+            got = verify_all_nodes(with_unit_norm(with_leaf_values(base, up)), ctx_half)
+            want = verify_all_nodes(with_unit_norm(with_leaf_values(base, up - c)), ctx_half)
+            for key in ("induction", "main_n", "main_m", "blo_n", "blo_m"):
+                diff = np.abs(got[key] - want[key.replace("_m", "_n")])
+                assert np.max(diff) <= 8 * math.ulp(c), (s, key)
 
 
 class TestCovariance:
@@ -445,9 +461,10 @@ class TestGenerator:
             validate(tree)
             norm = bmo_norm(tree)
             assert norm == pytest.approx(1.0, abs=1e-9)
-            assert norm <= 1.0
-            # sup-cell variance stays a hair inside the strip
-            assert np.max(tree.mean_sq - tree.mean**2) <= 1.0
+            # The 1 - 1e-11 shrink keeps every cell variance at most 1,
+            # with no tolerance; an exact rescale alone leaves some a few
+            # ulps above it.
+            assert tree.sub_bmo_sq[0] <= 1.0
 
 
 # (n, D): the cubes of side down to 2^-D in dimension n, at alpha = 2^-n.
@@ -512,8 +529,6 @@ def reference_aggregates(root):
             row["min_leaf"] = min(kid["min_leaf"] for kid in kids)
         row["sums"] = sums
         row["mean"], row["mean_sq"], row["abs_mean"] = (s / m for s in sums)
-        var = max(row["mean_sq"] - row["mean"] * row["mean"], 0.0)
-        row["sub_bmo_sq"] = max([var] + [kid["sub_bmo_sq"] for kid in kids])
         return row
 
     up(root)
@@ -550,20 +565,36 @@ def _scale(node, factor):
         stack.extend(nd.get("children", ()))
 
 
-AGGREGATES = (
-    "mean", "mean_sq", "abs_mean", "anc_max", "abs_anc_max", "min_leaf", "sub_bmo_sq"
-)
+AGGREGATES = ("mean", "mean_sq", "abs_mean", "anc_max", "abs_anc_max", "min_leaf")
+
+
+def assert_exact_variances(tree):
+    """`var` and its running maximum `sub_bmo_sq` within 4 machine epsilons,
+    relative, of the exact variances; so a constant subtree gives 0."""
+    exact = exact_variances(tree)
+    sub = list(exact)
+    for i in range(len(tree) - 1, 0, -1):
+        p = int(tree.parent[i])
+        sub[p] = max(sub[p], sub[i])
+    for key, want in (("var", exact), ("sub_bmo_sq", sub)):
+        got = getattr(tree, key).tolist()
+        err = [abs(Fraction(g) - w) - 4 * Fraction(2.0**-52) * w for g, w in zip(got, want)]
+        assert max(err) <= 0, (key, err.index(max(err)))
 
 
 class TestArraysAgainstRecursion:
+    """The six sums, minima and ancestor maxima bit for bit against plain
+    recursion; the variances against exact arithmetic."""
+
     def _check(self, tree):
         rows = reference_aggregates(tree_to_json(tree)["root"])
         assert len(rows) == len(tree)
         for key in AGGREGATES:
             assert np.array_equal(getattr(tree, key), [r[key] for r in rows]), key
+        assert_exact_variances(tree)
         # The JSON parse builds the same arrays.
         again = tree_from_json(json.dumps(tree_to_json(tree)))
-        for key in AGGREGATES:
+        for key in (*AGGREGATES, "var", "sub_bmo_sq"):
             assert np.array_equal(getattr(again, key), getattr(tree, key)), key
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
@@ -575,6 +606,19 @@ class TestArraysAgainstRecursion:
         tree = deep_unbalanced_tree(rng)
         assert tree.depth.max() == 300
         self._check(tree)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    @pytest.mark.parametrize("offset", [0.0, 3.3, 1e6])
+    def test_constant_subtrees(self, alpha, offset, rng):
+        # Leaf values on a coarse grid make many internal cells constant; below
+        # alpha = 1/2 the child measures do not sum to the parent's exactly.
+        constant = 0
+        for _ in range(10):
+            tree = random_tree(alpha, rng, max_depth=6)
+            tree = with_leaf_values(tree, np.round(2 * tree.value[tree.leaf_idx]) / 3 + offset)
+            assert_exact_variances(tree)
+            constant += np.count_nonzero((tree.size > 1) & (tree.var == 0))
+        assert constant >= 10
 
 
 class TestValidatePaths:
