@@ -12,6 +12,10 @@ Subcommands
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 All numeric output uses 17 significant digits, so files are byte-stable
 for a fixed seed and flag set.
+
+Each command imports the modules it runs when it runs, so that importing
+this module, `--help`, `--version`, usage errors and `optimizer` load no
+numpy.
 """
 
 from __future__ import annotations
@@ -21,15 +25,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .bellman import eval_arrays, eval_b, eval_F
-from .concavity import sweep
 from .errors import BmobloError, DomainError, StructureError
-from .geometry import OmegaPoint, RegionId, make_context, shift_xy
-from .optimizers import m_norm_report, report_to_csv
-from . import trees as trees_mod
 
 _FMT = ".17g"
 # Most points a --grid, and most --samples or --kmax rows, a command may ask for.
@@ -52,6 +49,8 @@ def _add_common(p: argparse.ArgumentParser, need_alpha: bool = True):
 
 
 def _context(args):
+    from .geometry import make_context
+
     if args.alpha is None and not 1 <= args.n <= _MAX_N:
         raise DomainError(f"--n must lie in 1..{_MAX_N}, got {args.n}")
     alpha = 2.0 ** (-args.n) if args.alpha is None else args.alpha
@@ -67,6 +66,8 @@ def _emit(text: str, args) -> None:
 
 
 def _grid(spec: str):
+    import numpy as np
+
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -114,6 +115,9 @@ def _emit_record(record: dict, args) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .bellman import eval_arrays
+    from .geometry import OmegaPoint, RegionId, shift_xy
+
     ctx = _context(args)
     x = OmegaPoint(args.x[0], args.x[1])
     x1, x2 = [x.x1], [x.x2]
@@ -149,6 +153,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
+    import numpy as np
+
+    from .bellman import eval_b, eval_F
+
     ctx = _context(args)
     if args.kind == "phi":
         ts = _grid(args.grid) if args.grid else np.arange(101) * ctx.tau / 20
@@ -189,6 +197,8 @@ def _finish_table(rows, header, args) -> int:
 
 
 def cmd_concavity(args) -> int:
+    from .concavity import sweep
+
     ctx = _context(args)
     _count("--samples", args.samples)
     if args.seed < 0:
@@ -207,9 +217,12 @@ def _read_utf8(path: str) -> str:
 
 
 def cmd_tree(args) -> int:
+    from . import trees
+    from .geometry import make_context
+
     try:
         # No reference to the text is kept here, so it is freed once parsed.
-        tree = trees_mod.tree_from_json(_read_utf8(args.path))
+        tree = trees.tree_from_json(_read_utf8(args.path))
     except RecursionError:
         raise StructureError(args.path, "document is nested too deeply to read") from None
     except ValueError as exc:
@@ -221,29 +234,31 @@ def cmd_tree(args) -> int:
     ctx = make_context(tree.alpha)
     # The induction hypothesis needs a unit-norm function; margins are
     # invariant under the rescale, norms are reported pre-rescale.
-    out = trees_mod.verify_all_nodes(trees_mod.with_unit_norm(tree), ctx)
-    key_obs = float(np.max(out["key_obs"]))
-    # np.min, so that a node the precondition skipped (NaN) fails the run.
-    margins = {k: float(np.min(out[k])) for k in ("induction", "main_n", "main_m")}
+    out = trees.verify_all_nodes(trees.with_unit_norm(tree), ctx)
+    key_obs = float(out["key_obs"].max())
+    # min() propagates NaN, so a node the precondition skipped fails the run.
+    margins = {k: float(out[k].min()) for k in ("induction", "main_n", "main_m")}
     # The root's BLO margins are printed (every leaf's is 0); all gate the exit.
     blo = {"natural": float(out["blo_n"][0]), "classical": float(out["blo_m"][0])}
     _emit_record(
         {
             "alpha": tree.alpha,
             "nodes": len(tree),
-            "bmo_norm": trees_mod.bmo_norm(tree),
-            "blo_norm": trees_mod.blo_norm(tree),
+            "bmo_norm": trees.bmo_norm(tree),
+            "blo_norm": trees.blo_norm(tree),
             "key_obs_max_residual": key_obs,
             **{f"min_margin.{k}": v for k, v in margins.items()},
             **{f"blo_margin.{k}": v for k, v in blo.items()},
         },
         args,
     )
-    gates = (*margins.values(), np.min(out["blo_n"]), np.min(out["blo_m"]))
+    gates = (*margins.values(), out["blo_n"].min(), out["blo_m"].min())
     return 0 if key_obs <= 1e-12 and all(m >= -1e-9 for m in gates) else 1
 
 
 def cmd_optimizer(args) -> int:
+    from .optimizers import m_norm_report, report_to_csv
+
     if args.jmax < 1:
         raise DomainError("--jmax must be at least 1")
     if args.depth < args.jmax:

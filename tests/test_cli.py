@@ -290,8 +290,8 @@ class TestTableRows:
     @pytest.mark.parametrize("kind, fn", [("phi", "eval_F"), ("b", "eval_b")])
     def test_one_trace_call(self, capsys, monkeypatch, kind, fn):
         calls = []
-        orig = getattr(cli, fn)
-        monkeypatch.setattr(cli, fn, lambda *a: calls.append(a) or orig(*a))
+        orig = getattr(bellman, fn)
+        monkeypatch.setattr(bellman, fn, lambda *a: calls.append(a) or orig(*a))
         code, _, _ = run(capsys, ["table", "--alpha", "0.25", "--kind", kind])
         assert code == 0
         assert len(calls) == 1
@@ -330,8 +330,7 @@ class TestEvalWithL:
 
     def test_one_eval_arrays_call(self, capsys, monkeypatch):
         calls = []
-        for module in (cli, bellman):
-            monkeypatch.setattr(module, "eval_arrays", lambda *a: calls.append(a) or eval_arrays(*a))
+        monkeypatch.setattr(bellman, "eval_arrays", lambda *a: calls.append(a) or eval_arrays(*a))
         code, _, _ = run(capsys, ["eval", "--alpha", "0.25", "--x", "-1.5", "3.25", "--L", "1"])
         assert code == 0
         assert len(calls) == 1
@@ -420,7 +419,7 @@ class TestConcavity:
     )
     def test_out_of_range_integers_are_domain_errors(self, capsys, monkeypatch, flags, message):
         # Rejected before the sweep draws a single sample.
-        monkeypatch.setattr("bmoblo.cli.sweep", lambda *a: pytest.fail("sweep ran"))
+        monkeypatch.setattr("bmoblo.concavity.sweep", lambda *a: pytest.fail("sweep ran"))
         code, out, err = run(capsys, ["concavity", "--n", "2", *flags])
         assert code == 2
         assert out == ""

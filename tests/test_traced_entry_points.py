@@ -56,3 +56,32 @@ def test_tree_post_processor_runs():
     out = verify_all_nodes(tree, make_context(0.25))
     info = _tracing()._post_verify_all_nodes((tree,), {}, out)
     assert info == {"nodes": len(tree), "skipped": 0}
+
+
+@needs_tracing
+def test_tracer_reaches_the_imports_made_at_call_time(capsys):
+    # The CLI imports a command's layer when the command runs, and bmoblo
+    # resolves its names on use; both must read the tracer's wrappers.
+    import bmoblo
+    from bmoblo import bellman, cli
+
+    tracing = _tracing()
+    orig = bellman.eval_B
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        unwrapped = tracer.unwrapped_bindings()
+        assert bmoblo.eval_B is bellman.eval_B is not orig
+        for argv in (
+            ["eval", "--alpha", "0.25", "--x", "-1.5", "3.25", "--L", "1"],
+            ["table", "--alpha", "0.25", "--kind", "phi"],
+            ["optimizer", "--jmax", "3", "--depth", "6"],
+        ):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert {"bellman.eval_arrays", "bellman.eval_F", "optimizers.build_psi"} <= names
+    assert unwrapped == []
+    assert bmoblo.eval_B is bellman.eval_B is orig
