@@ -48,6 +48,7 @@ function's (X = 0, Y = 1): no statistic depends on the depth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -68,9 +69,9 @@ class PsiParams:
 
 
 def _integer(x, name: str) -> int:
-    """x as an int if it is integral (3 or 3.0), else a DomainError naming it."""
-    try:
-        if x == int(x):
+    """x as an int if it is integral (3 or 3.0, not a bool), else a DomainError naming it."""
+    try:  # bool is a numbers.Real, and numpy's bool_ is not
+        if type(x) is not bool and isinstance(x, numbers.Real) and x == int(x):
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -120,7 +121,7 @@ class PsiFunction:
         self.rows = rows
         self.unres_depth = depth - self.j + 1
         expanded = rows[: self.unres_depth]
-        self.leaf_count = 1 + self.j * sum(n for n, _, _ in expanded)
+        self.leaf_count = 1 + self.j * sum(next(zip(*expanded)))
         self.res_sums, self.unres_sums = _weighted(expanded), _weighted(rows[self.unres_depth :])
         self.unresolved_mass = self.unres_sums[0] / (1 << depth)
 
@@ -135,10 +136,10 @@ class PsiFunction:
 
 def _weighted(rows):
     """The sum of rows[i] * 2^(len(rows) - 1 - i), by Horner's rule."""
-    acc = (0, 0, 0)
-    for row in rows:
-        acc = tuple(2 * s + r for s, r in zip(acc, row))
-    return acc
+    a = b = c = 0
+    for n, s, q in rows:
+        a, b, c = 2 * a + n, 2 * b + s, 2 * c + q
+    return a, b, c
 
 
 def build_psi(j: int, depth: int) -> PsiFunction:
@@ -160,18 +161,20 @@ def build_psi(j: int, depth: int) -> PsiFunction:
     # A state of depth d expands if d <= top, leaving its resolved piece at d+j.
     top = depth - j
     rows = [(1, 0, 0)]
-    # run[k] sums the expanded rows 0..k-1, so children 2..j of the
-    # expanded rows max(m-j, 0)..min(m-2, top) are a difference of two.
-    run = [(0, 0, 0), rows[0]]
+    # r0[k], r1[k], r2[k] sum the expanded rows 0..k-1, so children 2..j of
+    # the expanded rows max(m-j, 0)..min(m-2, top) are a difference of two.
+    r0, r1, r2 = [0, 1], [0, 0], [0, 0]
     for m in range(1, depth + 1):
-        hi, lo = run[min(m - 1, top + 1)], run[max(m - j, 0)]
-        n, s, q = (h - l for h, l in zip(hi, lo))
+        h, l = min(m - 1, top + 1), max(m - j, 0)
+        n, s, q = r0[h] - r0[l], r1[h] - r1[l], r2[h] - r2[l]
         if m <= top + 1:  # child 1 of the expanded row m-1, one offset up
             a, b, c = rows[m - 1]
             n, s, q = n + a, s + b + a, q + c + 2 * b + a
         rows.append((n, s, q))
         if m <= top:
-            run.append((run[m][0] + n, run[m][1] + s, run[m][2] + q))
+            r0.append(r0[m] + n)
+            r1.append(r1[m] + s)
+            r2.append(r2[m] + q)
     return PsiFunction(params, depth, tuple(rows))
 
 

@@ -54,7 +54,7 @@ class AlphaTree:
     cell variance `var`, and its sup `sub_bmo_sq` over the subtree.
     """
 
-    def _aggregate(self):
+    def _aggregate(self, var=None):
         m, leaf = self.measure, self.leaf_idx
         v = self.value[leaf]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -62,26 +62,28 @@ class AlphaTree:
             self.mean = _subtree_sum(self, integ) / m
             self.mean_sq = _subtree_sum(self, integ * v) / m
             self.abs_mean = _subtree_sum(self, m[leaf] * np.abs(v)) / m
-            # Centred second moments, combined pairwise up the levels (Chan,
-            # Golub and LeVeque 1979): M2_K = sum of w_D (c_D - c_parent(D))^2
-            # over the cells D below K, w the measure as the sum of the leaves'.
-            # The centre c = mean + corr is carried in two parts, a parent's
-            # corr being its children's weighted mean offset d, taken about one
-            # child's d: so a constant subtree gives exactly 0, and the rounding
-            # of means far from 0 cancels out of d.
-            w = _subtree_sum(self, m[leaf])
-            corr, acc, m2 = (np.zeros(len(m)) for _ in range(3))
-            corr[leaf] = v - self.mean[leaf]
-            for sel, psel in self._levels:
-                d = self.mean[sel] - self.mean[psel] + corr[sel]
-                corr[psel] = d
-                d -= corr[psel]
-                np.add.at(acc, psel, w[sel] * d)
-                shift = acc[psel] / w[psel]
-                corr[psel] += shift
-                d -= shift
-                np.add.at(m2, psel, m2[sel] + w[sel] * d * d)
-            self.var = m2 / w
+            if var is None:
+                # Centred second moments, combined pairwise up the levels (Chan,
+                # Golub and LeVeque 1979): M2_K = sum of w_D (c_D - c_parent(D))^2
+                # over the cells D below K, w the measure as the sum of the
+                # leaves'. The centre c = mean + corr is carried in two parts, a
+                # parent's corr being its children's weighted mean offset d, taken
+                # about one child's d: so a constant subtree gives exactly 0, and
+                # the rounding of means far from 0 cancels out of d.
+                w = _subtree_sum(self, m[leaf])
+                corr, acc, m2 = (np.zeros(len(m)) for _ in range(3))
+                corr[leaf] = v - self.mean[leaf]
+                for sel, psel in self._levels:
+                    d = self.mean[sel] - self.mean[psel] + corr[sel]
+                    corr[psel] = d
+                    d -= corr[psel]
+                    np.add.at(acc, psel, w[sel] * d)
+                    shift = acc[psel] / w[psel]
+                    corr[psel] += shift
+                    d -= shift
+                    np.add.at(m2, psel, m2[sel] + w[sel] * d * d)
+                var = m2 / w
+            self.var = var
         bad = ~np.isfinite([self.mean, self.mean_sq, self.abs_mean, self.var]).all(axis=0)
         if bad.any():
             # Name where the overflow starts: the first bad cell with no bad child.
@@ -270,9 +272,10 @@ class TheoremMargins:
         return min(self.margin_n, self.margin_m, self.blo_margin_n, self.blo_margin_m)
 
 
-def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
+def with_leaf_values(tree: AlphaTree, values, var=None) -> AlphaTree:
     """The tree carrying new leaf values (leaf preorder); the copy shares
-    the structural arrays and recomputes the aggregates."""
+    the structural arrays and recomputes the aggregates, but takes the cell
+    variances var where the caller gives them."""
     values = np.asarray(values, dtype=float)
     if values.shape != tree.leaf_idx.shape:
         raise DomainError("value count does not match leaf count")
@@ -285,7 +288,7 @@ def with_leaf_values(tree: AlphaTree, values) -> AlphaTree:
     vars(out).update(vars(tree))
     out.value = np.full(len(tree), np.nan)
     out.value[tree.leaf_idx] = values
-    out._aggregate()
+    out._aggregate(var)
     return out
 
 
@@ -298,9 +301,8 @@ def with_unit_norm(tree: AlphaTree) -> AlphaTree:
     if norm <= 1.0:
         return tree
     mean = tree.mean[0]
-    out = with_leaf_values(tree, mean + (tree.value[tree.leaf_idx] - mean) / norm)
-    out.var, out.sub_bmo_sq = tree.var / norm**2, tree.sub_bmo_sq / norm**2
-    return out
+    values = mean + (tree.value[tree.leaf_idx] - mean) / norm
+    return with_leaf_values(tree, values, tree.var / norm**2)
 
 
 def _margins(tree: AlphaTree, ctx: AlphaContext) -> dict:

@@ -780,6 +780,8 @@ class TestOptimizer:
             (12, 24, "csv", "d93f91f4fa9d4ad8675057537d9b725781550a03e68790d03b9925b9881fe941"),
             (12, 24, "json", "3c8b55ebec6a732f426bfe5f7125af8232fc2a9f898b7d3b355d4fa2920d4da4"),
             (53, 63, "csv", "81d5661b764e2c620efb102e7e805744e06ffa562a9c51716e73fb7defb66f1e"),
+            (63, 63, "csv", "e01f4216bbe90a0a42b55cae2998c00126b8c851bb034f550027e1e320cdf743"),
+            (63, 63, "json", "04bc0f00e7429fe4e46d4f5b39a142a454bc30fae916609eb7d8c41ad299d850"),
         ],
     )
     def test_report_bytes_pinned(self, capsys, jmax, depth, fmt, digest):

@@ -1,5 +1,5 @@
-"""`import bmoblo` resolves its names on first use, and the commands that
-need no numpy run without it.
+"""`import bmoblo` resolves its names on first use, each command loads only
+the modules it runs, and the commands that need no numpy run without it.
 
 The import checks run in a fresh interpreter, since this test session has
 numpy and every submodule loaded already.
@@ -61,6 +61,41 @@ def test_runs_without_numpy(argv):
         plain.stdout,
         plain.stderr,
     )
+
+
+# Runs cli.main(ARGS), its output discarded, and prints the exit code and
+# the bmoblo modules then loaded.
+LOADED = (
+    "import contextlib, io, sys\n"
+    "from bmoblo.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, sorted(m for m in sys.modules if m.startswith('bmoblo')))"
+)
+BASE = ["bmoblo", "bmoblo.cli", "bmoblo.errors"]
+KERNEL = ["bmoblo.bellman", "bmoblo.geometry"]
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["eval", "--n", "1", "--x", "0", "1"], KERNEL),
+        (["table", "--n", "1", "--kind", "phi"], KERNEL),
+        (["regions", "--n", "1"], KERNEL),
+        (["concavity", "--n", "1", "--samples", "10"], KERNEL + ["bmoblo.concavity"]),
+        (["tree", "TREE"], KERNEL + ["bmoblo.trees"]),
+        (["optimizer", "--jmax", "3", "--depth", "6"], ["bmoblo.optimizers"]),
+    ],
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+    doc = tmp_path / "tree.json"
+    doc.write_text(
+        '{"alpha": 0.5, "root": {"measure": 1.0, "children": ['
+        '{"measure": 0.5, "value": 1.0}, {"measure": 0.5, "value": -1.0}]}}'
+    )
+    out = python("-c", LOADED, *(str(doc) if a == "TREE" else a for a in argv))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == f"0 {sorted(BASE + extra)}\n"
 
 
 def test_blocking_reaches_a_numpy_command():

@@ -46,6 +46,9 @@ class TestParams:
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
             psi_params(0)
+        for j in (False, True, np.True_):  # bools compare equal to 0 and 1
+            with pytest.raises(DomainError, match=f"must be an integer, got {j!r}$"):
+                psi_params(j)
 
 
 class TestBuild:
@@ -60,7 +63,7 @@ class TestBuild:
         assert psi.rows == ref.rows
         assert psi.leaf_count == ref.leaf_count
 
-    @pytest.mark.parametrize("depth", [24.5, math.nan, math.inf, "24"])
+    @pytest.mark.parametrize("depth", [24.5, math.nan, math.inf, "24", True])
     def test_non_integral_depth_rejected(self, depth):
         with pytest.raises(DomainError, match="depth must be an integer"):
             build_psi(3, depth)
