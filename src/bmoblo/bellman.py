@@ -40,7 +40,7 @@ sharp decay function of the main inequality is F_alpha(t) = b(-t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -69,33 +69,25 @@ _TINY = np.finfo(float).tiny
 _SQRT3 = np.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class BellmanValue:
+class BellmanValue(
+    namedtuple("BellmanValue", "value grad1 grad2 underflow", defaults=(False,))
+):
     """Value and closed-form gradient of B at a point."""
 
-    value: float
-    grad1: float
-    grad2: float
-    underflow: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Foliation:
+class Foliation(namedtuple("Foliation", "s z k u v vplus region")):
     """Extremal-segment data through a chain-cell point.
 
     s is the global segment parameter, z = s / alpha^k its unfolded version,
     k = floor(m/2) for the cell index m, u and v the abscissas of the
-    segment endpoints on the lower/upper parabola, and vplus the second
-    intersection of the extended segment with the upper parabola.
+    segment endpoints on the lower/upper parabola, vplus the second
+    intersection of the extended segment with the upper parabola, and
+    region the RegionId of the cell.
     """
 
-    s: float
-    z: float
-    k: int
-    u: float
-    v: float
-    vplus: float
-    region: RegionId
+    __slots__ = ()
 
 
 def _zx_residual(z, y1, y2, mu):

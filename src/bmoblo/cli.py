@@ -265,19 +265,9 @@ def cmd_optimizer(args) -> int:
         raise DomainError(f"--depth {args.depth} is below --jmax {args.jmax}")
     rows = m_norm_report(range(1, args.jmax + 1), args.depth)
     if args.format == "json":
-        payload = [
-            {
-                "j": r.j,
-                "gamma": r.stats.gamma,
-                "delta": r.stats.delta,
-                "mean": [r.stats.mean.lo, r.stats.mean.hi],
-                "mean_sq": [r.stats.mean_sq.lo, r.stats.mean_sq.hi],
-                "bmo": [r.stats.bmo.lo, r.stats.bmo.hi],
-                "mean_N": [r.stats.mean_N.lo, r.stats.mean_N.hi],
-                "unresolved_mass": r.stats.unresolved_mass,
-            }
-            for r in rows
-        ]
+        # json writes each Enclosure, a (lo, hi) tuple, as a list.
+        keys = ("j", "gamma", "delta", "mean", "mean_sq", "bmo", "mean_N", "unresolved_mass")
+        payload = [{k: getattr(r, k) for k in keys} for r in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args)
     else:
         _emit(report_to_csv(rows), args)

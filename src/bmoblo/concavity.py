@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,26 +33,20 @@ from .geometry import TOL, AlphaContext, OmegaPoint, in_omega
 FAMILIES = ("chords", "dirder", "chord_H")
 
 
-@dataclass(frozen=True)
-class ChordSample:
-    """One evaluated concavity configuration and its margin."""
+class ChordSample(namedtuple("ChordSample", "xminus xplus beta margin")):
+    """One evaluated concavity configuration and its margin; xminus and
+    xplus are (x1, x2) pairs."""
 
-    xminus: tuple[float, float]
-    xplus: tuple[float, float]
-    beta: float
-    margin: float
+    __slots__ = ()
 
 
-@dataclass
-class SweepReport:
-    """Result of a seeded randomized concavity sweep."""
+class SweepReport(
+    namedtuple("SweepReport", "alpha seed samples min_margins argmins probes")
+):
+    """Result of a seeded randomized concavity sweep: the least margin of
+    each family, the ChordSample attaining it, and the equality probes."""
 
-    alpha: float
-    seed: int
-    samples: int
-    min_margins: dict = field(default_factory=dict)
-    argmins: dict = field(default_factory=dict)
-    probes: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def min_margin(self) -> float:
@@ -88,15 +82,8 @@ class SweepReport:
             "seed": self.seed,
             "samples": self.samples,
             "min_margins": self.min_margins,
-            "argmins": {
-                fam: {
-                    "xminus": list(s.xminus),
-                    "xplus": list(s.xplus),
-                    "beta": s.beta,
-                    "margin": s.margin,
-                }
-                for fam, s in self.argmins.items()
-            },
+            # json writes the (x1, x2) pairs as lists.
+            "argmins": {fam: s._asdict() for fam, s in self.argmins.items()},
             "probe_abs_margins": {k: abs(v) for k, v in self.probes.items()},
             "min_margin": self.min_margin,
         }
@@ -248,7 +235,7 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
     window = 6.0 * ctx.tau
     if math.isinf(window * window):
         raise DomainError(f"alpha={ctx.alpha}: x1^2 overflows on the sampling window |x1| <= 6 tau")
-    report = SweepReport(alpha=ctx.alpha, seed=seed, samples=n_samples)
+    min_margins, argmins = {}, {}
 
     # Family 1: restricted-concavity chords, 3 points each in eval_arrays blocks.
     chords = _draw_chords(rng, n_samples, window, ctx)
@@ -258,8 +245,8 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
         margins[j:j + block] = _chord_margins_vec(*chords[:, j:j + block], ctx)
     i = int(np.argmin(margins))
     xm1, xm2, xp1, xp2, beta = chords[:, i]
-    report.min_margins["chords"] = float(margins[i])
-    report.argmins["chords"] = ChordSample((xm1, xm2), (xp1, xp2), beta, float(margins[i]))
+    min_margins["chords"] = float(margins[i])
+    argmins["chords"] = ChordSample((xm1, xm2), (xp1, xp2), beta, float(margins[i]))
 
     # Family 2: directional derivatives along the upper parabola.
     p = rng.uniform(-window, 2.0, n_samples)
@@ -267,8 +254,8 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
     q = p + d
     margins = _dirder_margins_vec(p, q, ctx)
     i = int(np.argmin(margins))
-    report.min_margins["dirder"] = float(margins[i])
-    report.argmins["dirder"] = ChordSample(
+    min_margins["dirder"] = float(margins[i])
+    argmins["dirder"] = ChordSample(
         (p[i], p[i] ** 2 + 1.0), (q[i], q[i] ** 2 + 1.0), 0.5, float(margins[i])
     )
 
@@ -278,10 +265,9 @@ def sweep(ctx: AlphaContext, n_samples: int, seed: int) -> SweepReport:
     q = p + d
     margins = _chord_H_vec(p, q, ctx)
     i = int(np.argmin(margins))
-    report.min_margins["chord_H"] = float(margins[i])
-    report.argmins["chord_H"] = ChordSample(
+    min_margins["chord_H"] = float(margins[i])
+    argmins["chord_H"] = ChordSample(
         (p[i], p[i] ** 2 + 1.0), (q[i], q[i] ** 2 + 1.0), ctx.alpha, float(margins[i])
     )
 
-    report.probes = equality_probes(ctx)
-    return report
+    return SweepReport(ctx.alpha, seed, n_samples, min_margins, argmins, equality_probes(ctx))

@@ -24,7 +24,7 @@ horizontal segment x2 = 1 and the chord through (p1, p1^2 + 1) of slope
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,17 +35,14 @@ from .errors import DomainError
 TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AlphaContext:
+class AlphaContext(namedtuple("AlphaContext", "alpha tau p0")):
     """Fixed alpha in (0, 1/2] together with its derived constants.
 
     tau is the quasi-period of the region chain, p0 the abscissa of the
     rightmost chord knot on Gamma1, p_k = p0 - k*tau the subsequent knots.
     """
 
-    alpha: float
-    tau: float
-    p0: float
+    __slots__ = ()
 
     @property
     def sqrt_alpha(self) -> float:
@@ -76,12 +73,10 @@ def make_context(alpha: float) -> AlphaContext:
     return AlphaContext(alpha=alpha, tau=tau, p0=p0)
 
 
-@dataclass(frozen=True)
-class OmegaPoint:
+class OmegaPoint(namedtuple("OmegaPoint", "x1 x2")):
     """A point of the strip; membership is only enforced by consumers."""
 
-    x1: float
-    x2: float
+    __slots__ = ()
 
     @property
     def gap(self) -> float:
@@ -89,14 +84,14 @@ class OmegaPoint:
         return self.x2 - self.x1 * self.x1
 
 
-@dataclass(frozen=True, order=True)
-class RegionId:
+class RegionId(namedtuple("RegionId", "index")):
     """Region tag: index -1 is Omega_plus, 0 is Omega_0, m >= 1 is Omega_m.
 
     The ordering of indices matches the boundary tie-break (smallest wins).
+    The field `index` shadows tuple.index, which nothing here calls.
     """
 
-    index: int
+    __slots__ = ()
 
     PLUS_INDEX = -1
     ZERO_INDEX = 0
@@ -141,7 +136,7 @@ def shift(a: float, x: OmegaPoint) -> OmegaPoint:
     Preserves x2 - x1^2 exactly in real arithmetic, hence maps the strip
     bijectively onto itself for every a.
     """
-    return OmegaPoint(x.x1 - a, x.x2 - 2.0 * a * x.x1 + a * a)
+    return OmegaPoint(*shift_xy(a, x.x1, x.x2))
 
 
 def shift_xy(a, x1, x2):

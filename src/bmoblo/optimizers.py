@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -59,13 +59,10 @@ from .errors import DomainError
 _MAX_DEPTH = 63
 
 
-@dataclass(frozen=True)
-class PsiParams:
+class PsiParams(namedtuple("PsiParams", "j gamma delta")):
     """Scale index with its two-value normalization constants."""
 
-    j: int
-    gamma: float
-    delta: float
+    __slots__ = ()
 
 
 def _integer(x, name: str) -> int:
@@ -87,12 +84,10 @@ def psi_params(j: int) -> PsiParams:
     return PsiParams(j=j, gamma=gamma, delta=2.0 ** (1 - j) * gamma)
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(namedtuple("Enclosure", "lo hi")):
     """A closed interval certified to contain an exact quantity."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -178,19 +173,24 @@ def build_psi(j: int, depth: int) -> PsiFunction:
     return PsiFunction(params, depth, tuple(rows))
 
 
-@dataclass(frozen=True)
-class PsiStats:
-    """Certified enclosures for one optimizer function."""
+class PsiStats(
+    namedtuple("PsiStats", "j depth gamma delta unresolved_mass mean mean_sq bmo mean_N")
+):
+    """Certified enclosures for one optimizer function; mean, mean_sq, bmo
+    and mean_N are Enclosures."""
 
-    j: int
-    depth: int
-    gamma: float
-    delta: float
-    unresolved_mass: float
-    mean: Enclosure
-    mean_sq: Enclosure
-    bmo: Enclosure
-    mean_N: Enclosure
+    __slots__ = ()
+
+    @property
+    def targets_enclosed(self) -> bool:
+        """Whether the enclosures hold <psi> = 0, <psi^2> = 1, BMO norm 1
+        and <N psi> = gamma."""
+        return (
+            self.mean.contains(0.0)
+            and self.mean_sq.contains(1.0)
+            and self.bmo.contains(1.0)
+            and self.mean_N.contains(self.gamma)
+        )
 
 
 def _enclose(num: int, den: int, root: bool = False) -> Enclosure:
@@ -257,21 +257,6 @@ def psi_stats(psi: PsiFunction) -> PsiStats:
     )
 
 
-@dataclass(frozen=True)
-class OptimizerRow:
-    j: int
-    stats: PsiStats
-
-    @property
-    def targets_enclosed(self) -> bool:
-        return (
-            self.stats.mean.contains(0.0)
-            and self.stats.mean_sq.contains(1.0)
-            and self.stats.bmo.contains(1.0)
-            and self.stats.mean_N.contains(self.stats.gamma)
-        )
-
-
 _CSV_COLUMNS = (
     "j,gamma_j,delta_j,mean_lo,mean_hi,meansq_lo,meansq_hi,"
     "bmo_lo,bmo_hi,meanN_lo,meanN_hi,unresolved_mass"
@@ -286,36 +271,17 @@ def m_norm_report(j_list, depth: int):
     (0,1] is gamma_j, and the BLO difference <M(psi+gamma)> - inf M(psi+gamma)
     equals <N psi> = gamma_j + <psi>: the mean_N enclosure is exactly that
     difference, and its climb towards 1 exhibits the sharp constant.
+    One PsiStats row per j.
     """
-    rows = []
-    for j in j_list:
-        psi = build_psi(j, depth)
-        rows.append(OptimizerRow(j=psi.j, stats=psi_stats(psi)))
-    return rows
+    return [psi_stats(build_psi(j, depth)) for j in j_list]
 
 
 def report_to_csv(rows) -> str:
     lines = [_CSV_COLUMNS]
-    for row in rows:
-        st = row.stats
+    for st in rows:
+        # Each Enclosure is its (lo, hi) pair.
         fields = (
-            [str(row.j)]
-            + [
-                format(x, ".17g")
-                for x in (
-                    st.gamma,
-                    st.delta,
-                    st.mean.lo,
-                    st.mean.hi,
-                    st.mean_sq.lo,
-                    st.mean_sq.hi,
-                    st.bmo.lo,
-                    st.bmo.hi,
-                    st.mean_N.lo,
-                    st.mean_N.hi,
-                    st.unresolved_mass,
-                )
-            ]
+            st.gamma, st.delta, *st.mean, *st.mean_sq, *st.bmo, *st.mean_N, st.unresolved_mass
         )
-        lines.append(",".join(fields))
+        lines.append(",".join([str(st.j), *(format(x, ".17g") for x in fields)]))
     return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -222,20 +222,15 @@ def _chain_max(tree: AlphaTree, kind: str):
     raise DomainError(f"unknown maximal operator kind {kind!r}")
 
 
-def maximal(tree: AlphaTree, kind: str = "natural", outside: float | None = None):
+def maximal(tree: AlphaTree, kind: str = "natural"):
     """Per-leaf values of the maximal operator, in leaf preorder.
 
     kind "natural" takes plain averages, "classical" averages of |phi|.
-    `outside` optionally seeds the chain maximum (e.g. 0.0 when the ambient
-    function vanishes outside the root cell); by default only the tree's
-    own cells compete.  Exact for step functions: averages over sub-leaf
-    sets equal the leaf value, so the supremum is a finite maximum over the
-    ancestor chain including the leaf itself.
+    Only the tree's own cells compete.  Exact for step functions: averages
+    over sub-leaf sets equal the leaf value, so the supremum is a finite
+    maximum over the ancestor chain including the leaf itself.
     """
-    vals = _chain_max(tree, kind)[tree.leaf_idx]
-    if outside is not None:
-        vals = np.maximum(vals, outside)
-    return vals
+    return _chain_max(tree, kind)[tree.leaf_idx]
 
 
 def _induction(tree: AlphaTree, sel, mean_n, ctx: AlphaContext):
@@ -248,8 +243,9 @@ def _induction(tree: AlphaTree, sel, mean_n, ctx: AlphaContext):
     return L + eval_arrays(y1, y1 * y1 + tree.var[sel], ctx)["value"] - mean_n[sel]
 
 
-@dataclass(frozen=True)
-class TheoremMargins:
+class TheoremMargins(
+    namedtuple("TheoremMargins", "margin_n margin_m blo_margin_n blo_margin_m L t norm")
+):
     """Margins of the decay inequality and its norm corollary at one node.
 
     margin_n / margin_m : L + F_alpha(t) * ||phi||_BMO - <(N|M) phi>_K,
@@ -259,13 +255,7 @@ class TheoremMargins:
     of the maximal function treated as a new step function on the subtree.
     """
 
-    margin_n: float
-    margin_m: float
-    blo_margin_n: float
-    blo_margin_m: float
-    L: float
-    t: float
-    norm: float
+    __slots__ = ()
 
     @property
     def min_margin(self) -> float:

@@ -40,14 +40,14 @@ def test_criterion_2_norm_constant_one():
     t0 = time.perf_counter()
     rows = m_norm_report(range(1, 13), 24)
     elapsed = time.perf_counter() - t0
-    lows = [r.stats.mean_N.lo for r in rows]
+    lows = [r.mean_N.lo for r in rows]
     # the BLO differences <M(psi_j + gamma_j)> - inf M(psi_j + gamma_j)
     # are the mean_N enclosures; they increase and hug gamma_j from below
     assert all(a < b for a, b in zip(lows, lows[1:]))
     for r in rows:
-        assert r.stats.mean_N.lo >= r.stats.gamma - 1e-3
+        assert r.mean_N.lo >= r.gamma - 1e-3
         assert r.targets_enclosed
-    g12 = rows[-1].stats.gamma
+    g12 = rows[-1].gamma
     assert g12 == pytest.approx(1.0 / math.sqrt(1.0 + 2.0**-11), abs=1e-15)
     assert g12 == pytest.approx(0.999756, abs=1e-6)
     assert lows[-1] >= 1.0 - 1e-3
@@ -174,7 +174,7 @@ def test_criterion_7_sharpness_by_proxy():
     # replacement evidence.
     t0 = time.perf_counter()
     rows = m_norm_report([12], 24)
-    assert rows[0].stats.mean_N.lo >= 1.0 - 1e-3
+    assert rows[0].mean_N.lo >= 1.0 - 1e-3
     ctx = make_context(0.25)
     rep = sweep(ctx, 5000, seed=7)
     for fam in FAMILIES:

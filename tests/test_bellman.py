@@ -67,6 +67,14 @@ class TestSolveS:
         with pytest.raises(DomainError):
             solve_s(OmegaPoint(0.5, 0.5), ctx_quarter)
 
+    def test_rejection_names_the_point(self, ctx_quarter):
+        # The message embeds the point's repr.
+        with pytest.raises(DomainError) as exc:
+            solve_s(OmegaPoint(-0.5, 0.5), ctx_quarter)
+        assert str(exc.value) == (
+            "OmegaPoint(x1=-0.5, x2=0.5) lies in Omega_0, not in the chain cells"
+        )
+
     def test_point_on_segment_and_brackets(self, ctx_quarter, rng):
         ctx = ctx_quarter
         x1, x2 = sample_strip(rng, 4000, 6.0 * ctx.tau, ctx)

@@ -1,5 +1,7 @@
 """`import bmoblo` resolves its names on first use, each command loads only
 the modules it runs, and the commands that need no numpy run without it.
+The result records are named tuples, so no command loads `dataclasses`;
+their repr, immutability and order are pinned here too.
 
 The import checks run in a fresh interpreter, since this test session has
 numpy and every submodule loaded already.
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import bmoblo
-from bmoblo import bellman
+from bmoblo import bellman, trees
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,6 +100,23 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     assert out.stdout == f"0 {sorted(BASE + extra)}\n"
 
 
+# Runs cli.main(ARGS), its output discarded, and prints whether dataclasses
+# was then loaded.
+DATACLASSES = (
+    "import contextlib, io, sys\n"
+    "from bmoblo.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    main(sys.argv[1:])\n"
+    "print('dataclasses' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize("argv", [["optimizer", "--jmax", "3", "--depth", "6"], ["--help"]])
+def test_loads_no_dataclasses(argv):
+    out = python("-c", DATACLASSES, *argv)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
+
+
 def test_blocking_reaches_a_numpy_command():
     # The block above is real: a command that needs numpy fails under it.
     out = python("-c", BLOCKED, "eval", "--n", "2", "--x", "0", "1")
@@ -127,3 +146,74 @@ def test_names_follow_the_defining_module(monkeypatch):
     assert bmoblo.eval_B is len
     monkeypatch.undo()
     assert bmoblo.eval_B is orig
+
+
+RECORDS = [
+    (bmoblo.make_context(0.25), "tau", "AlphaContext(alpha=0.25, tau=1.5, p0=0.25)"),
+    (bmoblo.OmegaPoint(-1.5, 3.25), "x1", "OmegaPoint(x1=-1.5, x2=3.25)"),
+    (bmoblo.RegionId(3), "index", "RegionId(index=3)"),
+    (
+        bmoblo.BellmanValue(0.25, 0.625, 0.125),
+        "value",
+        "BellmanValue(value=0.25, grad1=0.625, grad2=0.125, underflow=False)",
+    ),
+    (
+        bmoblo.Foliation(0.25, 1.0, 1, -2.5, -1.5, -1.5, bmoblo.RegionId(2)),
+        "region",
+        "Foliation(s=0.25, z=1.0, k=1, u=-2.5, v=-1.5, vplus=-1.5, region=RegionId(index=2))",
+    ),
+    (
+        bmoblo.ChordSample((-1.0, 2.0), (0.5, 1.25), 0.25, 1e-9),
+        "margin",
+        "ChordSample(xminus=(-1.0, 2.0), xplus=(0.5, 1.25), beta=0.25, margin=1e-09)",
+    ),
+    (
+        bmoblo.SweepReport(0.25, 7, 10, {"chords": 0.5}, {}, {"chords": 0.0}),
+        "min_margins",
+        "SweepReport(alpha=0.25, seed=7, samples=10, min_margins={'chords': 0.5},"
+        " argmins={}, probes={'chords': 0.0})",
+    ),
+    (
+        trees.TheoremMargins(0.5, 0.25, 0.125, 1.0, -1.0, 0.0, 1.0),
+        "L",
+        "TheoremMargins(margin_n=0.5, margin_m=0.25, blo_margin_n=0.125,"
+        " blo_margin_m=1.0, L=-1.0, t=0.0, norm=1.0)",
+    ),
+    (bmoblo.PsiParams(2, 0.75, 0.5), "gamma", "PsiParams(j=2, gamma=0.75, delta=0.5)"),
+    (bmoblo.Enclosure(0.0, 1.0), "lo", "Enclosure(lo=0.0, hi=1.0)"),
+    (
+        bmoblo.PsiStats(
+            3, 6, 0.75, 0.25, 0.5, *(bmoblo.Enclosure(x, x) for x in (0.0, 1.0, 1.0, 0.75))
+        ),
+        "mean_N",
+        "PsiStats(j=3, depth=6, gamma=0.75, delta=0.25, unresolved_mass=0.5,"
+        " mean=Enclosure(lo=0.0, hi=0.0), mean_sq=Enclosure(lo=1.0, hi=1.0),"
+        " bmo=Enclosure(lo=1.0, hi=1.0), mean_N=Enclosure(lo=0.75, hi=0.75))",
+    ),
+]
+
+
+RECORD_IDS = [type(r).__name__ for r, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record,field,text", RECORDS, ids=RECORD_IDS)
+def test_record_contract(record, field, text):
+    # The repr names the type and every field, and no field can be assigned.
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+@pytest.mark.parametrize("record", [r for r, _, _ in RECORDS], ids=RECORD_IDS)
+def test_record_is_the_tuple_of_its_fields(record):
+    assert record == tuple(record)
+    assert type(record)(*record) == record
+
+
+def test_region_ids_order_by_index():
+    RegionId = bmoblo.RegionId
+    assert sorted([RegionId(2), RegionId(-1), RegionId(0)]) == [
+        RegionId(-1),
+        RegionId(0),
+        RegionId(2),
+    ]

@@ -8,7 +8,6 @@ import pytest
 
 from bmoblo.errors import DomainError
 from bmoblo.optimizers import (
-    OptimizerRow,
     build_psi,
     m_norm_report,
     psi_params,
@@ -340,7 +339,7 @@ class TestUnresolvedMassLimit:
     def test_mass_of_one_is_solved(self, j, depth):
         psi = build_psi(j, depth)
         assert psi.unresolved_mass == 1.0
-        assert OptimizerRow(j, psi_stats(psi)).targets_enclosed
+        assert psi_stats(psi).targets_enclosed
 
     def test_mass_is_correctly_rounded_at_depth_63(self):
         # The resolved mass at j = 55, depth 63 is 1.25 * 2^-53, so the
@@ -349,7 +348,7 @@ class TestUnresolvedMassLimit:
         psi = build_psi(55, 63)
         assert Fraction(psi.res_sums[0], 1 << 63) == Fraction(5, 1 << 55)
         assert psi.unresolved_mass == 1.0 - 2.0**-53
-        assert OptimizerRow(55, psi_stats(psi)).targets_enclosed
+        assert psi_stats(psi).targets_enclosed
 
     @pytest.mark.parametrize("j,depth", [(53, 53), (54, 56)])
     def test_mass_below_one_accepted(self, j, depth):
@@ -389,7 +388,7 @@ class TestEnclosuresAcrossRange:
                 # lo^2 <= gamma^2 = e/(e+1) <= hi^2, in integers.
                 (a, b), (c, d) = (x.as_integer_ratio() for x in (st.mean_N.lo, st.mean_N.hi))
                 ok = (
-                    OptimizerRow(j, st).targets_enclosed
+                    st.targets_enclosed
                     and a * a * (e + 1) <= e * b * b
                     and e * d * d <= c * c * (e + 1)
                     and all(_within_ulps(x, 16) for x in (st.mean, st.mean_sq, st.bmo, st.mean_N))
@@ -437,7 +436,7 @@ class TestMaximalIdentity:
         ref, positions = _located_build(j, depth)
         tree = as_alpha_tree(ref, positions, "mean")
         validate(tree)
-        n_vals = maximal(tree, "natural", outside=0.0)
+        n_vals = np.maximum(maximal(tree, "natural"), 0.0)
         table = {}
         for dep, pos, off in zip(ref.res_depth, positions[0], ref.res_offset):
             table[(int(dep), int(pos))] = int(off)
@@ -462,7 +461,7 @@ class TestMaximalIdentity:
     def test_inf_of_maximal_is_zero(self):
         ref, positions = _located_build(2, 12)
         tree = as_alpha_tree(ref, positions, "mean")
-        n_vals = maximal(tree, "natural", outside=0.0)
+        n_vals = np.maximum(maximal(tree, "natural"), 0.0)
         assert min(n_vals) == 0.0
 
 
@@ -539,14 +538,13 @@ class TestReport:
 
     def test_gamma_strictly_increasing(self):
         rows = m_norm_report(range(1, 13), 13)
-        gammas = [r.stats.gamma for r in rows]
+        gammas = [r.gamma for r in rows]
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
 
     def test_blo_difference_converges(self):
         # lower enclosure ends exceed 1 - 2^-j minus the enclosure width
         rows = m_norm_report(range(1, 13), 24)
-        for r in rows:
-            st = r.stats
-            assert st.mean_N.lo >= 1.0 - 2.0**-r.j - st.mean_N.width
-        los = [r.stats.mean_N.lo for r in rows]
+        for st in rows:
+            assert st.mean_N.lo >= 1.0 - 2.0**-st.j - st.mean_N.width
+        los = [r.mean_N.lo for r in rows]
         assert all(a < b for a, b in zip(los, los[1:]))
