@@ -15,7 +15,9 @@ for a fixed seed and flag set.
 
 Each command imports the modules it runs when it runs, so that importing
 this module, `--help`, `--version`, usage errors and `optimizer` load no
-numpy.
+numpy. Each command also builds only its own arguments: the parser
+registers every subcommand's name and help, and fills in all of them only
+when argv names none (no arguments, a top-level option or a typo).
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def cmd_eval(args) -> int:
         if args.L is not None:
             # A fault of x itself is reported before one of T_L x.
             eval_arrays(x.x1, x.x2, ctx)
+            if not math.isfinite(args.L):
+                raise DomainError(f"--L must be finite, got {args.L}") from None
         raise
     region = RegionId(int(out["region"][0]))
     record = {
@@ -225,10 +229,12 @@ def cmd_tree(args) -> int:
         tree = trees.tree_from_json(_read_utf8(args.path))
     except RecursionError:
         raise StructureError(args.path, "document is nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise StructureError(args.path, f"document is not JSON: {exc}") from None
     except ValueError as exc:
         # json.loads refuses an integer literal longer than the interpreter's
         # digit limit (4300 by default) with a plain ValueError.
-        if isinstance(exc, (BmobloError, json.JSONDecodeError)):
+        if isinstance(exc, BmobloError):
             raise
         raise StructureError(args.path, "an integer literal has too many digits") from None
     ctx = make_context(tree.alpha)
@@ -274,7 +280,10 @@ def cmd_optimizer(args) -> int:
     return 0 if all(r.targets_enclosed for r in rows) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv`: every subcommand is registered with its help,
+    but when `argv[0]` names one, only that one gets its arguments.  Any
+    other argv (none, a top-level option, a typo) builds them all."""
     p = argparse.ArgumentParser(
         prog="bmoblo",
         description="Sharp BMO-to-BLO bounds for dyadic-type maximal operators: "
@@ -282,53 +291,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pe = sub.add_parser("eval", help="evaluate B (and A) at a point")
-    _add_common(pe)
-    pe.add_argument("--x", type=float, nargs=2, required=True, metavar=("X1", "X2"))
-    pe.add_argument("--L", type=float, default=None)
-    pe.set_defaults(func=cmd_eval)
-
-    pt = sub.add_parser("table", help="emit CSV/JSON tables")
-    _add_common(pt)
-    pt.add_argument("--kind", choices=("phi", "b", "boundary-regions"), required=True)
-    pt.add_argument("--grid", type=str, default=None, help="lo:hi:step")
-    pt.add_argument("--kmax", type=int, default=6)
-    pt.set_defaults(func=cmd_table)
-
-    pr = sub.add_parser("regions", help="region knot table (boundary-regions alias)")
-    _add_common(pr)
-    pr.add_argument("--kmax", type=int, default=6)
-    pr.set_defaults(func=cmd_table, kind="boundary-regions", grid=None)
-
-    pc = sub.add_parser("concavity", help="randomized concavity sweep")
-    _add_common(pc)
-    pc.add_argument("--samples", type=int, default=100000)
-    pc.add_argument("--seed", type=int, default=0)
-    pc.set_defaults(func=cmd_concavity)
-
-    ptr = sub.add_parser("tree", help="verify an alpha-tree JSON file")
-    _add_common(ptr, need_alpha=False)
-    ptr.add_argument("path", type=str)
-    ptr.set_defaults(func=cmd_tree)
-
-    po = sub.add_parser("optimizer", help="norm-optimizer convergence table")
-    _add_common(po, need_alpha=False)
-    po.add_argument("--jmax", type=int, default=12)
-    po.add_argument("--depth", type=int, default=24)
-    po.set_defaults(func=cmd_optimizer)
+    # Name, help, whether --alpha/--n is taken, own arguments, defaults.
+    # Built on each call, so each handler is read from the module as it is.
+    commands = (
+        ("eval", "evaluate B (and A) at a point", True,
+         (("--x", dict(type=float, nargs=2, required=True, metavar=("X1", "X2"))),
+          ("--L", dict(type=float, default=None))),
+         dict(func=cmd_eval)),
+        ("table", "emit CSV/JSON tables", True,
+         (("--kind", dict(choices=("phi", "b", "boundary-regions"), required=True)),
+          ("--grid", dict(type=str, default=None, help="lo:hi:step")),
+          ("--kmax", dict(type=int, default=6))),
+         dict(func=cmd_table)),
+        ("regions", "region knot table (boundary-regions alias)", True,
+         (("--kmax", dict(type=int, default=6)),),
+         dict(func=cmd_table, kind="boundary-regions", grid=None)),
+        ("concavity", "randomized concavity sweep", True,
+         (("--samples", dict(type=int, default=100000)), ("--seed", dict(type=int, default=0))),
+         dict(func=cmd_concavity)),
+        ("tree", "verify an alpha-tree JSON file", False,
+         (("path", dict(type=str)),),
+         dict(func=cmd_tree)),
+        ("optimizer", "norm-optimizer convergence table", False,
+         (("--jmax", dict(type=int, default=12)), ("--depth", dict(type=int, default=24))),
+         dict(func=cmd_optimizer)),
+    )
+    # Every top-level option exits, so only argv[0] can name the subcommand.
+    only = argv[0] if argv and argv[0] in [c[0] for c in commands] else None
+    for name, help_text, need_alpha, arguments, defaults in commands:
+        q = sub.add_parser(name, help=help_text)
+        if only in (None, name):
+            _add_common(q, need_alpha)
+            for flag, kwargs in arguments:
+                q.add_argument(flag, **kwargs)
+            q.set_defaults(**defaults)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BmobloError, OSError, json.JSONDecodeError) as exc:
+    except (BmobloError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -352,6 +353,15 @@ class TestEvalWithL:
             (GAMMA1, GAMMA1_ERR),
             (GAMMA1 + ["--L", "1"], GAMMA1_ERR),
             (GAMMA1 + ["--L", "1e200"], GAMMA1_ERR),
+            # A non-finite --L: x's fault still comes first.
+            (["--alpha", "0.25", "--x", "0", "2.5", "--L", "nan"],
+             "error: point (0.0, 2.5) violates x2 <= x1^2 + 1 by more than tol=1e-12\n"),
+            (["--alpha", "0.25", "--x", "nan", "0", "--L=inf"], "error: point (nan, 0.0) is not finite\n"),
+            # x is fine: a non-finite --L is named (--L=-inf, as argparse
+            # reads a bare -inf as an option).
+            *((["--n", "1", "--x", "0", "0", f"--L={L}"], f"error: --L must be finite, got {L}\n")
+              for L in ("nan", "inf", "-inf")),
+            (["--n", "1", "--x", "-1.5", "3.25", "--L=nan"], "error: --L must be finite, got nan\n"),
         ],
     )
     def test_errors_name_x_first(self, capsys, argv, err):
@@ -601,6 +611,21 @@ class TestTree:
         assert out == ""
         assert err == "error: root: measure is beyond the float range\n"
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("", "Expecting value: line 1 column 1 (char 0)"),
+            ('{"alpha": 0.5, "root": {"measure": 1.0', "Expecting ',' delimiter: line 1 column 39 (char 38)"),
+            ('{"alpha": 0.5, "root": {"measure": 1.0, "value": 1.0}} x',
+             "Extra data: line 1 column 56 (char 55)"),
+        ],
+        ids=["empty", "truncated", "trailing"],
+    )
+    def test_json_syntax_error_names_the_file(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "tree.json"
+        path.write_text(text)
+        assert run(capsys, ["tree", str(path)]) == (2, "", f"error: {path}: document is not JSON: {reason}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["tree", "/nonexistent/tree.json"])
         assert code == 2
@@ -810,6 +835,63 @@ class TestParser:
         assert code == 2
         assert out == ""
         assert "--tol" in err
+
+
+COMMANDS = ["eval", "table", "regions", "concavity", "tree", "optimizer"]
+EVAL = ["eval", "--n", "1", "--x", "0", "1"]
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParserForArgv:
+    """build_parser(argv) adds arguments only to the subcommand argv[0]
+    names; it must parse argv, and fail on it, as the full parser does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["--help"], ["-h"], ["--version"], ["--vers"],
+            *([c, "--help"] for c in COMMANDS),
+            # Usage errors.
+            ["evall"], ["eval", "--n", "1"], ["eval", "--alpha", "0.5", "--n", "1", "--x", "0", "1"],
+            ["table", "--n", "1", "--kind", "bad"], ["tree"], ["optimizer", "--jmax", "x"],
+            [*EVAL, "extra"],
+            # Edge cases.
+            [*EVAL, "--version"], ["--", "eval"], ["eval", "--", "--n"],
+            # One valid call of each subcommand.
+            EVAL, ["table", "--alpha", "0.25", "--kind", "b", "--grid", "0:1:0.5"],
+            ["regions", "--n", "2", "--kmax", "3", "--format", "json"],
+            ["concavity", "--n", "1", "--samples", "10", "--seed", "2"],
+            ["tree", "tree.json", "--out", "out.txt"], ["optimizer", "--jmax", "3", "--depth", "6"],
+        ],
+        ids=" ".join,
+    )
+    def test_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def parse(parser):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, *capsys.readouterr()
+
+        assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+
+    def test_only_the_named_subcommand_is_filled(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser(EVAL)
+        # Every name is registered with its help.
+        assert parser.format_help() == cli.build_parser().format_help()
+        subs = subparsers(parser)
+        assert list(subs) == COMMANDS
+        # A bare subparser holds only its -h.
+        assert [name for name, q in subs.items() if len(q._actions) > 1] == ["eval"]
+        for argv in (None, [], ["--help"]):
+            subs = subparsers(cli.build_parser(argv))
+            assert list(subs) == COMMANDS
+            assert all(len(q._actions) > 1 for q in subs.values())
 
 
 class TestOutFile:

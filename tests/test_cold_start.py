@@ -53,6 +53,7 @@ def test_import_loads_no_numpy_and_no_layer():
         ["--help"],
         ["optimizer", "--no-such-flag"],
         ["optimizer", "--jmax", "0"],
+        *([c, "--help"] for c in ("eval", "table", "regions", "concavity", "tree", "optimizer")),
     ],
 )
 def test_runs_without_numpy(argv):

@@ -83,5 +83,7 @@ def test_tracer_reaches_the_imports_made_at_call_time(capsys):
     capsys.readouterr()
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"bellman.eval_arrays", "bellman.eval_F", "optimizers.build_psi"} <= names
+    # build_parser reads each handler from cli when it runs.
+    assert {"cli.cmd_eval", "cli.cmd_table", "cli.cmd_optimizer"} <= names
     assert unwrapped == []
     assert bmoblo.eval_B is bellman.eval_B is orig
