@@ -44,7 +44,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _integer
 from .geometry import (
     TOL,
     AlphaContext,
@@ -104,10 +104,10 @@ def _newton(lo, hi, f_lo, f_hi, y1, y2, mu):
     Newton step, or the bracket midpoint where that step leaves the bracket
     or fails to halve the previous step.  Points whose f_lo, f_hi do not
     bracket keep the start and take no pass.  The passes run on the
-    bracketing points only, gathered once, and the working arrays are
-    compacted to the points still active whenever at most half of them
-    are; a retired point is frozen until then.  Every operation is
-    elementwise, so a point's z does not depend on the rest of the batch.
+    bracketing points only, gathered once by index, and compacted by index
+    to the points still active whenever at most half of them are; until
+    then np.where, not a masked copy, freezes a retired point.  Every
+    operation is elementwise, so a point's z does not depend on the batch.
     """
     out = lo + f_lo * (hi - lo) / (f_lo - f_hi)
     idx = np.flatnonzero((f_lo > 0.0) & (f_hi < 0.0))
@@ -124,14 +124,14 @@ def _newton(lo, hi, f_lo, f_hi, y1, y2, mu):
         p = a - t
         r = p * z + w + b
         up = r >= 0.0
-        np.copyto(lo, z, where=up)
-        np.copyto(hi, z, where=~up)
+        lo = np.where(up, z, lo)
+        hi = np.where(up, hi, z)
         newton = r / (p - t - (w + w) / z)
         z_new = z - newton
         keep = (lo <= z_new) & (z_new <= hi) & (np.abs(newton) <= 0.5 * step)
         z_new = np.where(keep, z_new, 0.5 * (lo + hi))
         step = np.abs(z_new - z)
-        np.copyto(z, z_new, where=active)
+        z = np.where(active, z_new, z)
         active &= step > _STEP_RTOL * z
         n = np.count_nonzero(active)
         if 2 * n <= active.size:
@@ -387,17 +387,14 @@ def eval_b(p, ctx: AlphaContext):
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    out = np.empty_like(p)
-    pos = p >= 0.0
-    out[pos] = p[pos] + 1.0
-    neg = ~pos
-    if np.any(neg):
-        pn = p[neg]
-        k, use_f, ak, eta = _b_window(pn, ctx)
-        val_f = ak * eval_f(eta)
-        val_aff = ak * ctx.alpha * (pn + (k + 1.0) * ctx.tau + 1.0)
-        # b <= alpha^k, so b is 0 where alpha^k underflows.
-        out[neg] = np.where(ak > 0.0, np.where(use_f, val_f, val_aff), 0.0)
+    out = p + 1.0
+    neg = np.flatnonzero(~(p >= 0.0))  # NaN included
+    pn = p[neg]
+    k, use_f, ak, eta = _b_window(pn, ctx)
+    val_f = ak * eval_f(eta)
+    val_aff = ak * ctx.alpha * (pn + (k + 1.0) * ctx.tau + 1.0)
+    # b <= alpha^k, so b is 0 where alpha^k underflows.
+    out[neg] = np.where(ak > 0.0, np.where(use_f, val_f, val_aff), 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -422,12 +419,9 @@ def eval_b_prime(v, ctx: AlphaContext):
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
-    out = np.empty_like(v)
-    pos = v >= 0.0
-    out[pos] = 1.0
-    neg = ~pos
-    if np.any(neg):
-        out[neg] = _gamma1_arcs(v[neg], ctx)[0]
+    out = np.ones_like(v)
+    neg = np.flatnonzero(~(v >= 0.0))
+    out[neg] = _gamma1_arcs(v[neg], ctx)[0]
     return float(out[0]) if scalar else out
 
 
@@ -465,15 +459,12 @@ def gamma1_foliation(v, ctx: AlphaContext):
     v = np.atleast_1d(v)
     s = np.empty_like(v)
     u = np.empty_like(v)
-    pos = v >= 0.0
-    if np.any(pos):
-        # Continuation of the first cubic arc: same formula with k = 0.
-        z = _arc_slope(v[pos] + 1.0)
-        s[pos] = z
-        u[pos] = v[pos] - z
-    neg = ~pos
-    if np.any(neg):
-        _, s[neg], u[neg] = _gamma1_arcs(v[neg], ctx, with_u=True)
+    pos, neg = np.flatnonzero(v >= 0.0), np.flatnonzero(~(v >= 0.0))
+    # Continuation of the first cubic arc: same formula with k = 0.
+    z = _arc_slope(v[pos] + 1.0)
+    s[pos] = z
+    u[pos] = v[pos] - z
+    _, s[neg], u[neg] = _gamma1_arcs(v[neg], ctx, with_u=True)
     if scalar:
         return float(s[0]), float(u[0])
     return s, u
@@ -512,7 +503,8 @@ def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
     k-th cell is continued beyond it (z below the regular bracket).  Every
     A_k majorizes A and agrees with it on the kept cells.
     """
-    if k < 0 or k != int(k):
+    k = _integer(k, "cut index")
+    if k < 0:
         raise DomainError(f"cut index must be a non-negative integer, got {k!r}")
     y1, y2 = shift_xy(L, x.x1, x.x2)
     y1 = np.array([y1], dtype=float)
@@ -524,4 +516,4 @@ def eval_majorant(x: OmegaPoint, L: float, k: int, ctx: AlphaContext) -> float:
         out = _blank_fields(y1)
         _eval_block(y1, y2, code, ctx, out)
         return L + float(out["value"][0])
-    return L + float(_chain(int(k), y1, y2, ctx, cut=True)[4][0])
+    return L + float(_chain(k, y1, y2, ctx, cut=True)[4][0])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -35,6 +36,9 @@ _FMT = ".17g"
 _MAX_COUNT = 10**6
 # Largest --n: 2^-1074 is the least positive float, and 2^-1075 rounds to 0.
 _MAX_N = 1074
+# Tokens argparse reads as values, such as -1e3, -.5 and the grid -1:1:0.5 (its
+# own pattern takes only -1 and -1.5); no option starts with a digit.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _fmt(x: float) -> str:
@@ -320,6 +324,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     only = argv[0] if argv and argv[0] in [c[0] for c in commands] else None
     for name, help_text, need_alpha, arguments, defaults in commands:
         q = sub.add_parser(name, help=help_text)
+        q._negative_number_matcher = _NEGATIVE_NUMBER
         if only in (None, name):
             _add_common(q, need_alpha)
             for flag, kwargs in arguments:

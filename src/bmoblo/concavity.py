@@ -128,7 +128,7 @@ def _dirder_margins_vec(p, q, ctx: AlphaContext):
     slopes = []
     for v in (np.atleast_1d(p), np.atleast_1d(q)):
         b_prime, bx2 = np.ones_like(v), np.full_like(v, 0.5)
-        neg = ~(v >= 0.0)
+        neg = np.flatnonzero(~(v >= 0.0))
         b_prime[neg], s = _gamma1_arcs(v[neg], ctx)
         bx2[neg] = 0.5 * s
         slopes.append((b_prime, bx2))

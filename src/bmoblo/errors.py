@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
 
 
 class BmobloError(Exception):
@@ -25,3 +25,13 @@ class StructureError(BmobloError, ValueError):
         self.reason = reason
         super().__init__(f"{path}: {reason}")
 
+
+def _integer(x, name: str) -> int:
+    """x as an int if it is integral (3 or 3.0, not a bool), else a DomainError naming it."""
+    import numbers  # here, so that importing the package loads nothing more
+    try:  # bool is a numbers.Real, and numpy's bool_ is not
+        if type(x) is not bool and isinstance(x, numbers.Real) and x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {x!r}")

@@ -191,7 +191,9 @@ def classify_codes(x1, x2, ctx: AlphaContext):
     smallest applicable index.  The pair of cells 2g+1, 2g+2 lies over
     x1 in [-g tau - tau - 1, -g tau], so each chain point's frame tests
     start at the first pair that reaches within tau/4 of it and move right
-    by tau; at most three steps settle a point, however far left.
+    by tau; at most three steps settle a point, however far left.  Points
+    are selected by index, not by mask: one np.where sets -1, 0 and -2 (not
+    yet settled), and each step writes its points' codes by one scatter.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     return _classify_clamped(x1, np.atleast_1d(clamp_gap(x1, x2)), ctx)
@@ -199,12 +201,9 @@ def classify_codes(x1, x2, ctx: AlphaContext):
 
 def _classify_clamped(x1, x2, ctx: AlphaContext):
     """classify_codes on 1-d points that clamp_gap has already clamped."""
-    code = np.full(x1.shape, -2, dtype=np.int64)
-
-    code[x1 >= -TOL] = RegionId.PLUS_INDEX
-    zero_mask = (code == -2) & (x2 <= 1.0 + TOL)
-    code[zero_mask] = RegionId.ZERO_INDEX
-
+    code = np.where(x1 >= -TOL, RegionId.PLUS_INDEX,
+                    np.where(x2 <= 1.0 + TOL, RegionId.ZERO_INDEX, -2))
+    code = code.astype(np.int64, copy=False)
     idx = np.flatnonzero(code == -2)
     if idx.size:
         if math.isinf(ctx.tau * ctx.tau):
@@ -224,8 +223,10 @@ def _classify_clamped(x1, x2, ctx: AlphaContext):
         eta = 0.25 * ctx.tau + TOL
         start = np.floor((-x1r - ctx.tau - 1.0 - eta) / ctx.tau) + 1.0
         reach = start < 2.0**53
-        idx, x1r, x2r = idx[reach], x1r[reach], x2r[reach]
-        g = np.maximum(start[reach], 0.0).astype(np.int64)
+        if not reach.all():
+            reach = np.flatnonzero(reach)
+            idx, x1r, x2r, start = idx[reach], x1r[reach], x2r[reach], start[reach]
+        g = np.maximum(start, 0.0).astype(np.int64)
         while idx.size:
             y1, y2 = shift_xy(-g * ctx.tau, x1r, x2r)
             # The chord and tangent lines bound the cells only as segments:
@@ -242,11 +243,11 @@ def _classify_clamped(x1, x2, ctx: AlphaContext):
                 & (y2 >= chord - TOL)
                 & ((y2 <= ctx.tangent_line(y1) + TOL) | (y1 >= -ctx.tau - TOL))
             )
-            code[idx[in_omega1]] = 2 * g[in_omega1] + 1
-            code[idx[in_omega2]] = 2 * g[in_omega2] + 2
+            # g < 2^53, so 2 g + 2 fits; an unmatched point keeps -2.
+            code[idx] = np.where(in_omega1, 2 * g + 1, np.where(in_omega2, 2 * g + 2, -2))
             # y1 grows with g and every frame test needs y1 <= TOL, so a
             # point right of its frame has no pair left to match.
-            keep = left & ~(in_omega1 | in_omega2)
+            keep = np.flatnonzero(left & ~(in_omega1 | in_omega2))
             idx, x1r, x2r, g = idx[keep], x1r[keep], x2r[keep], g[keep] + 1
         if np.any(code == -2):
             i = int(np.argmax(code == -2))

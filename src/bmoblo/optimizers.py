@@ -48,10 +48,9 @@ function's (X = 0, Y = 1): no statistic depends on the depth.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 # Deepest build.  The triples are exact at any depth; the cap keeps the
 # documented report range, and lifting it is a declared change, since the
@@ -63,16 +62,6 @@ class PsiParams(namedtuple("PsiParams", "j gamma delta")):
     """Scale index with its two-value normalization constants."""
 
     __slots__ = ()
-
-
-def _integer(x, name: str) -> int:
-    """x as an int if it is integral (3 or 3.0, not a bool), else a DomainError naming it."""
-    try:  # bool is a numbers.Real, and numpy's bool_ is not
-        if type(x) is not bool and isinstance(x, numbers.Real) and x == int(x):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be an integer, got {x!r}")
 
 
 def psi_params(j: int) -> PsiParams:

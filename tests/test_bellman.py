@@ -421,6 +421,35 @@ class TestTraces:
             assert u == pytest.approx(f.u, abs=1e-9)
 
 
+class TestTraceBatches:
+    """eval_b, eval_b_prime and gamma1_foliation split a block by sign once,
+    by index: each point of the block gets the bits of a one-point call."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    def test_block_equals_one_point_calls(self, alpha, rng):
+        ctx = make_context(alpha)
+        k = np.arange(8.0)
+        special = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 1e20, 1e300, -1e20, -1e200, -1e300],
+            -k * ctx.tau, ctx.p0 - k * ctx.tau,
+        ])
+        far, big = -np.geomspace(1.0, 1e300, 300), np.geomspace(1.0, 1e300, 300)
+        near = rng.uniform(-12.0 * ctx.tau, 3.0, 4000 - special.size - 600)
+        p = rng.permutation(np.concatenate([special, far, big, near]))
+        assert p.size == 4000 and 500 < np.count_nonzero(p >= 0.0) < 3500
+        batch = (eval_b(p, ctx), eval_b_prime(p, ctx), *gamma1_foliation(p, ctx))
+        one = [(eval_b(x, ctx), eval_b_prime(x, ctx), *gamma1_foliation(x, ctx))
+               for x in p.tolist()]
+        for name, got, want in zip(("b", "b'", "s", "u"), batch, zip(*one)):
+            assert np.array_equal(_bits(got), _bits(want)), name
+
+    @pytest.mark.parametrize("empty", [[], np.array([]), np.array([], dtype=int)], ids=repr)
+    def test_empty_block_is_an_empty_float_array(self, ctx_quarter, empty):
+        for got in (eval_b(empty, ctx_quarter), eval_b_prime(empty, ctx_quarter),
+                    *gamma1_foliation(empty, ctx_quarter)):
+            assert got.dtype == np.float64 and got.shape == (0,)
+
+
 class TestDecay:
     def test_knots(self, ctx_quarter, ctx_half):
         assert eval_F(0.0, ctx_quarter) == 1.0
@@ -488,6 +517,23 @@ class TestMajorants:
     def test_bad_cut_index(self, ctx_quarter):
         with pytest.raises(DomainError):
             eval_majorant(OmegaPoint(0.0, 1.0), 0.0, -1, ctx_quarter)
+
+    @pytest.mark.parametrize(
+        "k, reason",
+        [(True, "an integer"), (np.True_, "an integer"), (math.nan, "an integer"),
+         (math.inf, "an integer"), ("1", "an integer"), (1.5, "an integer"),
+         (-1, "a non-negative integer"), (-2.0, "a non-negative integer")],
+        ids=repr,
+    )
+    def test_cut_index_that_is_no_integer(self, ctx_quarter, k, reason):
+        with pytest.raises(DomainError, match=f"^cut index must be {reason}, got"):
+            eval_majorant(OmegaPoint(-3.4, 3.4**2 + 0.6), 0.0, k, ctx_quarter)
+
+    @pytest.mark.parametrize("k, same", [(2.0, 2), (np.int64(1), 1), (np.float64(0.0), 0)])
+    def test_integral_cut_index(self, ctx_quarter, k, same):
+        x = OmegaPoint(-3.4, 3.4**2 + 0.6)
+        assert _bits(eval_majorant(x, 0.0, k, ctx_quarter)) == _bits(
+            eval_majorant(x, 0.0, same, ctx_quarter))
 
 
 def _extension_solve(w1, w2, mu, z_top):

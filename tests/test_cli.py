@@ -865,6 +865,10 @@ class TestParserForArgv:
             ["regions", "--n", "2", "--kmax", "3", "--format", "json"],
             ["concavity", "--n", "1", "--samples", "10", "--seed", "2"],
             ["tree", "tree.json", "--out", "out.txt"], ["optimizer", "--jmax", "3", "--depth", "6"],
+            # Negative values in exponent form, a negative grid, and -inf.
+            ["eval", "--n", "2", "--x", "-1e3", "1000000.5", "--L", "-1e5"],
+            ["table", "--n", "1", "--kind", "b", "--grid", "-1:1:0.5"],
+            ["eval", "--n", "2", "--x", "-inf", "1"],
         ],
         ids=" ".join,
     )
@@ -892,6 +896,50 @@ class TestParserForArgv:
             subs = subparsers(cli.build_parser(argv))
             assert list(subs) == COMMANDS
             assert all(len(q._actions) > 1 for q in subs.values())
+
+
+class TestNegativeValues:
+    """A token after a flag that starts with `-` and a digit, or `-.` and a
+    digit, is a value: argparse's own pattern takes only -1 and -1.5."""
+
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            (["eval", "--n", "2", "--x", "-1e3", "1000000.5"],
+             ["eval", "--n", "2", "--x", "-1000", "1000000.5"]),
+            (["eval", "--n", "2", "--x", "-1000", "1000000.5", "--L", "-1e5"],
+             ["eval", "--n", "2", "--x", "-1000", "1000000.5", "--L=-100000"]),
+            (["eval", "--alpha", "0.25", "--x", "-.5e1", "26"],
+             ["eval", "--alpha", "0.25", "--x", "-5", "26"]),
+            # Not a number at all: argparse reads it only through the pattern.
+            (["table", "--n", "1", "--kind", "b", "--grid", "-1:1:0.5"],
+             ["table", "--n", "1", "--kind", "b", "--grid=-1:1:0.5"]),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_read_as_values(self, capsys, argv, same):
+        got = run(capsys, argv)
+        assert got[0] == 0
+        assert got == run(capsys, same)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--n", "2", "--x", "-inf", "1"], "argument --x: expected 2 arguments"),
+            (["eval", "--n", "2", "--x", "-nan", "1"], "argument --x: expected 2 arguments"),
+            (["eval", "--n", "2", "--x", "0", "1", "--L", "-inf"], "argument --L: expected one argument"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_stays_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [None, EVAL, ["optimizer"]], ids=repr)
+    def test_every_subparser_carries_the_pattern(self, argv):
+        subs = subparsers(cli.build_parser(argv))
+        assert all(q._negative_number_matcher is cli._NEGATIVE_NUMBER for q in subs.values())
 
 
 class TestOutFile:

@@ -317,6 +317,22 @@ class TestOneTracePass:
         for i in range(0, 200, 7):
             assert _bits(check_C2(p[i], q[i], ctx)) == _bits(((q - p) * core)[i])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_dirder_margins_on_one_signed_blocks(self, ctx_quarter, sign):
+        # One side of the sign split is empty.
+        ctx = ctx_quarter
+        rng = np.random.default_rng(19)
+        p = sign * rng.uniform(ctx.tau, 6.0 * ctx.tau, 4000)
+        q = p + rng.uniform(-ctx.tau, ctx.tau, p.size)
+        assert np.all(np.sign(p) == sign) and np.all(np.sign(q) == sign)
+        got = _dirder_margins_vec(p, q, ctx)
+        (sp, _), (sq, _) = _gamma1_foliation_reference(p, ctx), _gamma1_foliation_reference(q, ctx)
+        bx2 = 0.5 * np.where(p >= 0.0, 1.0, sp) + 0.5 * np.where(q >= 0.0, 1.0, sq)
+        core = _eval_b_prime_reference(p, ctx) - _eval_b_prime_reference(q, ctx) + (q - p) * bx2
+        assert np.array_equal(_bits(got), _bits((q - p) * core))
+        for i in range(0, p.size, 97):
+            assert _bits(check_C2(p[i], q[i], ctx)) == _bits(got[i])
+
     def test_b_prime_at_subnormal_alpha_is_quiet(self):
         # c * c overflows on the affine arcs once alpha < 2^-1022; b' needs
         # no c, and stays what the window formulas give.

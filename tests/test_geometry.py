@@ -205,6 +205,31 @@ class TestClassifyReference:
         assert -g * ctx_half.tau - ctx_half.tau - 1.0 <= x1 <= -g * ctx_half.tau
 
 
+class TestClassifyBatch:
+    """classify_codes selects by index: a block mixing Omega_plus, Omega_0
+    and the chain cells gets the codes of one-point calls."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+    def test_block_equals_one_point_calls(self, alpha, rng):
+        ctx = make_context(alpha)
+        x1, x2 = sample_strip(rng, 3000, 10.0 * ctx.tau, ctx)
+        b1, b2 = boundary_points(ctx)
+        pick = rng.choice(b1.size, 900, replace=False)
+        f1 = -np.geomspace(10.0, 1e6, 100)
+        order = rng.permutation(x1.size + pick.size + f1.size)
+        x1 = np.concatenate([x1, b1[pick], f1])[order]
+        x2 = np.concatenate([x2, b2[pick], f1 * f1 + 0.5])[order]
+        codes = classify_codes(x1, x2, ctx)
+        assert codes.dtype == np.int64
+        assert {-1, 0, 1, 2, 3} <= set(codes.tolist()) and codes.max() > 10**5
+        one = [classify(OmegaPoint(a, b), ctx).index for a, b in zip(x1.tolist(), x2.tolist())]
+        assert codes.tolist() == one
+
+    def test_empty_block(self, ctx_quarter):
+        codes = classify_codes(np.array([]), np.array([]), ctx_quarter)
+        assert codes.dtype == np.int64 and codes.shape == (0,)
+
+
 class TestClampGap:
     def test_message_names_the_inequality_of_the_named_point(self):
         # The first offending point is above the strip, a later one below it.
